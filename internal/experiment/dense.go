@@ -42,7 +42,7 @@ func (g *denseArray) WakeBlock(r uint64, handles []uint32, steps []sim.Step) {
 	}
 }
 
-// DeliverBlock implements sim.BlockDeliverer.
+// DeliverBlock implements sim.BlockHandler.
 func (g *denseArray) DeliverBlock(r uint64, handles []uint32, obs []radio.Obs) {
 	for k, h := range handles {
 		g.deliver(h, obs[k])

@@ -11,9 +11,9 @@ import (
 // boundary: captured by a goroutine's function literal, passed as a
 // goroutine argument, or handed to a parallel fan-out helper (any
 // callee whose name contains "parallel", e.g. the engine's
-// parallelDo). A stream consumed from more than one worker makes draw
-// order a function of the scheduler — results then vary with
-// GOMAXPROCS and worker count even when each draw is individually
+// resolver.parallel). A stream consumed from more than one worker
+// makes draw order a function of the scheduler — results then vary
+// with GOMAXPROCS and worker count even when each draw is individually
 // race-free. The blessed idiom derives a fresh stream inside the
 // worker from a seed plus a stable index (xrand.Derive(seed, lane,
 // uint64(i))).

@@ -214,7 +214,9 @@ type Stop func(round uint64) bool
 // RunUntil executes rounds until stop returns true, the calendar
 // empties, or maxRound is reached. stop is polled at least every
 // pollEvery rounds of simulated time (pollEvery 0 means poll after every
-// resolved round). It returns the round at which execution stopped.
+// resolved round). It returns the round at which execution stopped,
+// which is never before Round(): a maxRound at or before Round()
+// executes nothing.
 func (e *Engine) RunUntil(stop Stop, pollEvery, maxRound uint64) uint64 {
 	d := e.driver()
 	lastPoll := uint64(0)
@@ -224,8 +226,10 @@ func (e *Engine) RunUntil(stop Stop, pollEvery, maxRound uint64) uint64 {
 			return e.round
 		}
 		if r >= maxRound {
-			e.round = maxRound
-			return maxRound
+			// Never rewind: Add would then accept first wakes in rounds
+			// already run, and the next run would replay them.
+			e.round = max(e.round, maxRound)
+			return e.round
 		}
 		// Detach the round's wake bucket (wheelNext left it non-empty at
 		// the base). Its backing array is reattached (emptied) after the

@@ -45,11 +45,11 @@ type RoundDriver interface {
 }
 
 // Caller dispatches the two device callbacks of a round. The in-process
-// resolver calls devices directly; a transport substitutes a Caller
-// that forwards each call to wherever the device is hosted (for
-// example a UDP endpoint) and relays the result back. Wake and Deliver
-// may be invoked concurrently for distinct ix by the resolver's worker
-// pool, but never concurrently for the same ix.
+// resolver calls devices through their block handlers; a transport
+// substitutes a Caller that forwards each call to wherever the device
+// is hosted (for example a UDP endpoint) and relays the result back.
+// Wake and Deliver may be invoked concurrently for distinct ix by the
+// resolver's worker pool, but never concurrently for the same ix.
 type Caller interface {
 	// Wake invokes Device.Wake on the device with compact index ix.
 	Wake(ix int32, r uint64) Step
@@ -102,27 +102,18 @@ func (e *Engine) driver() RoundDriver {
 	return e.drv
 }
 
-// directCaller invokes devices in-process. It is the Caller used by the
-// default driver.
-type directCaller struct{ e *Engine }
-
-func (c directCaller) Wake(ix int32, r uint64) Step { return c.e.devices[ix].Wake(r) }
-
-func (c directCaller) Deliver(ix int32, r uint64, obs radio.Obs) {
-	c.e.devices[ix].Deliver(r, obs)
-}
-
 // NewResolverDriver returns the standard round resolver: phase A wakes
 // devices and folds their steps, phase B resolves the channel with the
 // engine's full fast-path ladder (spatial transmission index, cell
-// sharding, work stealing). call routes the two device callbacks; nil
-// selects direct in-process invocation. Transports that only move the
+// sharding, work stealing). call routes the two device callbacks of
+// every device, block devices included; nil drives each device through
+// the block handler cached at Add. Transports that only move the
 // device boundary (not the channel model) wrap this with their own
 // Caller and inherit every fast path and determinism guarantee.
 func NewResolverDriver(e *Engine, call Caller) RoundDriver {
-	direct := call == nil
-	if direct {
-		call = directCaller{e: e}
+	v := &resolver{e: e}
+	if call != nil {
+		v.route = callerHandler{c: call}
 	}
-	return &resolver{e: e, call: call, direct: direct}
+	return v
 }

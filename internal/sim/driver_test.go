@@ -58,8 +58,8 @@ func (le *legacyEngine) run(maxRound uint64) uint64 {
 			return le.round
 		}
 		if r >= maxRound {
-			le.round = maxRound
-			return maxRound
+			le.round = max(le.round, maxRound)
+			return le.round
 		}
 		bkt := le.cal[r]
 		delete(le.cal, r)

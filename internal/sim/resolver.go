@@ -7,17 +7,20 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"authradio/internal/radio"
 )
 
 // This file is the round resolver: the default RoundDriver. Phase A
-// (Begin) wakes the round's devices through the Caller and folds their
-// steps into transmissions, listeners, tx counts and follow-up
-// wake-ups; phase B (Deliver) resolves the channel for every listener,
-// either by the linear scan or, on dense rounds over a radio.CellMedium,
-// cell by cell over a spatial transmission index. All bookkeeping lives
-// here so that every transport behind the seam shares it bit for bit.
+// (Begin) wakes the round's devices and folds their steps into
+// transmissions, listeners, tx counts and follow-up wake-ups; phase B
+// (Deliver) resolves the channel for every listener, either by the
+// linear scan or, on dense rounds over a radio.CellMedium, cell by cell
+// over a spatial transmission index. Both phases reach devices only
+// through block handlers (block.go) and fan out through one worker
+// pool (parallel). All bookkeeping lives here so that every transport
+// behind the seam shares it bit for bit.
 
 // minIndexedTxs is the round density below which building the spatial
 // transmission index costs more than the linear scans it saves.
@@ -26,81 +29,59 @@ const minIndexedTxs = 16
 // resolver implements RoundDriver. Per-round scratch is reused across
 // rounds, keeping the hot loops allocation-free after warm-up.
 type resolver struct {
-	e    *Engine
-	call Caller
-	// direct is true when call is the in-process directCaller; the hot
-	// loops then bypass the Caller dispatch so the sim path costs
-	// exactly what it did before the seam existed.
-	direct bool
+	e *Engine
+	// route, when set, handles every device (a transport's Caller);
+	// otherwise each device goes to the block handler cached at Add.
+	route BlockHandler
 
 	steps     []Step
-	hnd       []uint32 // phase-A handle scratch, parallel to steps
 	txs       []radio.Tx
 	listenIxs []int32
 	txSet     radio.TxSet
-	cellIdx   []int32     // listener -> spatial cell
-	cellStart []int32     // cell -> offset into cellOrder (CSR)
-	cellOrder []int32     // listener indices grouped by cell
-	shardEnd  []int32     // phase-B shard -> exclusive end cell
-	obsRec    []radio.Obs // index -> observation (only when a hook is set)
+	cellIdx   []int32          // listener -> spatial cell
+	cellStart []int32          // cell -> offset into cellOrder (CSR)
+	cellOrder []int32          // listener indices grouped by cell
+	shardEnd  []int32          // phase-B shard -> exclusive end cell
+	obsRec    []radio.Obs      // index -> observation (only when a hook is set)
+	scratch   []*workerScratch // worker slot -> that worker's scratch
+}
 
-	// seqScratch is the sequential phase-B scratch; parallel workers
-	// draw theirs from cellPool instead.
-	seqScratch *cellScratch
+// workerScratch is one worker's scratch: the CellState of its current
+// cell, and the observation and handle buffers of its current cell or
+// block. Each worker slot keeps its own across rounds.
+type workerScratch struct {
+	cs  radio.CellState
+	obs []radio.Obs
+	hnd []uint32
+}
+
+// observations sizes the worker's observation buffer to n listeners and
+// returns it.
+func (sc *workerScratch) observations(n int) []radio.Obs {
+	if cap(sc.obs) < n {
+		sc.obs = make([]radio.Obs, n)
+	}
+	sc.obs = sc.obs[:n]
+	return sc.obs
 }
 
 // Begin runs phase A: wake devices, collect steps, fold transmissions
-// and listeners, and schedule next wakes. When block devices are
-// registered and the caller is in-process, the wake sweep batches
-// contiguous runs of same-handler devices into one WakeBlock call
-// instead of one interface call per device.
+// and listeners, and schedule next wakes. Wakes run in blocks of
+// blockSize, one WakeBlock call per run of devices sharing a handler.
 func (v *resolver) Begin(r uint64, wakes []int32) {
 	e := v.e
 	if cap(v.steps) < len(wakes) {
 		v.steps = make([]Step, len(wakes))
 	}
 	steps := v.steps[:len(wakes)]
-	switch {
-	case v.direct && e.batched:
-		// hnd mirrors steps index-for-index; chunks touch disjoint
-		// ranges, so the shared scratch is race-free and the sweep
-		// stays allocation-free (a chunk-local buffer would escape
-		// through the WakeBlock interface call and heap-allocate per
-		// chunk).
-		if cap(v.hnd) < len(wakes) {
-			v.hnd = make([]uint32, len(wakes))
+	v.parallel(len(wakes), blockSize, func(lo, hi, w int) {
+		sc := v.scratch[w]
+		for i := lo; i < hi; {
+			h, hs := v.run(wakes[i:hi], sc)
+			h.WakeBlock(r, hs, steps[i:i+len(hs)])
+			i += len(hs)
 		}
-		hnd := v.hnd[:len(wakes)]
-		v.parallelChunks(len(wakes), func(lo, hi int) {
-			i := lo
-			for i < hi {
-				h := e.blockH[wakes[i]]
-				j := i + 1
-				for j < hi && e.blockH[wakes[j]] == h {
-					j++
-				}
-				if h == nil {
-					for k := i; k < j; k++ {
-						steps[k] = e.devices[wakes[k]].Wake(r)
-					}
-				} else {
-					for k := i; k < j; k++ {
-						hnd[k] = e.blockIx[wakes[k]]
-					}
-					h.WakeBlock(r, hnd[i:j], steps[i:j])
-				}
-				i = j
-			}
-		})
-	case v.direct:
-		v.parallelDo(len(wakes), func(i int) {
-			steps[i] = e.devices[wakes[i]].Wake(r)
-		})
-	default:
-		v.parallelDo(len(wakes), func(i int) {
-			steps[i] = v.call.Wake(wakes[i], r)
-		})
-	}
+	})
 
 	// Collect transmissions and listeners, and schedule next wakes.
 	v.txs = v.txs[:0]
@@ -171,19 +152,6 @@ func (v *resolver) Deliver(r uint64, hook ObsHook) {
 	}
 }
 
-// deliverTo forwards one observation to its listener and records it
-// when an observation hook is active this round.
-func (v *resolver) deliverTo(rec []radio.Obs, ix int32, r uint64, obs radio.Obs) {
-	if v.direct {
-		v.e.devices[ix].Deliver(r, obs)
-	} else {
-		v.call.Deliver(ix, r, obs)
-	}
-	if rec != nil {
-		rec[ix] = obs
-	}
-}
-
 // resolve picks the channel-resolution path for the round's listeners:
 // the cell path for dense rounds over a cell medium with a finite sense
 // range (an unbounded medium gains nothing from spatial bucketing), the
@@ -198,29 +166,72 @@ func (v *resolver) resolve(r uint64, rec []radio.Obs) {
 		}
 	}
 	listeners := v.listenIxs
-	v.parallelDo(len(listeners), func(j int) {
-		ix := listeners[j]
-		v.deliverTo(rec, ix, r, e.Medium.Observe(r, e.ids[ix], e.pos[ix], v.txs))
+	v.parallel(len(listeners), blockSize, func(lo, hi, w int) {
+		sc := v.scratch[w]
+		obs := sc.observations(hi - lo)
+		for k, ix := range listeners[lo:hi] {
+			obs[k] = e.Medium.Observe(r, e.ids[ix], e.pos[ix], v.txs)
+		}
+		v.deliver(r, listeners[lo:hi], sc, rec)
 	})
+}
+
+// deliver hands sc.obs[k] to listener ixs[k], one DeliverBlock call per
+// run of listeners sharing a handler, and records the observations
+// when an observation hook is active this round.
+func (v *resolver) deliver(r uint64, ixs []int32, sc *workerScratch, rec []radio.Obs) {
+	for i := 0; i < len(ixs); {
+		h, hs := v.run(ixs[i:], sc)
+		h.DeliverBlock(r, hs, sc.obs[i:i+len(hs)])
+		i += len(hs)
+	}
+	if rec != nil {
+		for k, ix := range ixs {
+			rec[ix] = sc.obs[k]
+		}
+	}
+}
+
+// run returns the handler of device ixs[0] and the handles of the run
+// of devices from ixs[0] that share it. When one handler drives every
+// device (the route, or the plainHandler when no BlockDevice is
+// registered), the run is all of ixs and, that handler's handle being
+// the compact index, its handles are ixs itself; otherwise they are
+// gathered into the worker's handle buffer.
+func (v *resolver) run(ixs []int32, sc *workerScratch) (BlockHandler, []uint32) {
+	e := v.e
+	if v.route != nil || !e.batched {
+		h := v.route
+		if h == nil {
+			h = e.blockH[ixs[0]]
+		}
+		return h, asHandles(ixs)
+	}
+	h := e.blockH[ixs[0]]
+	if cap(sc.hnd) < len(ixs) {
+		sc.hnd = make([]uint32, len(ixs))
+	}
+	hnd := sc.hnd[:len(ixs)]
+	j := 0
+	for ; j < len(ixs) && e.blockH[ixs[j]] == h; j++ {
+		hnd[j] = e.blockIx[ixs[j]]
+	}
+	return h, hnd[:j]
+}
+
+// asHandles views compact indices as handles of a handler whose handle
+// is the compact index, without copying them: indices are
+// non-negative, so each int32 has the bits of its uint32 handle. Only
+// the engine's own handlers, which never write to handles, get such a
+// view.
+func asHandles(ixs []int32) []uint32 {
+	return unsafe.Slice((*uint32)(unsafe.Pointer(unsafe.SliceData(ixs))), len(ixs))
 }
 
 // shardTarget is the number of listeners a phase-B shard aims for:
 // small enough that work stealing can rebalance around expensive cells,
 // large enough to amortize the steal.
 const shardTarget = 64
-
-// cellScratch is one worker's phase-B scratch: the CellState and the
-// per-cell observation/handle buffers for batched delivery.
-type cellScratch struct {
-	cs  radio.CellState
-	obs []radio.Obs
-	hnd []uint32
-}
-
-// cellPool recycles phase-B scratch across the workers of concurrent
-// engines; the sequential path uses a resolver-owned scratch instead so
-// steady-state rounds stay allocation-free even across GC cycles.
-var cellPool = sync.Pool{New: func() interface{} { return new(cellScratch) }}
 
 // deliverCells resolves the round's listeners in spatial-cell order:
 // listeners are grouped by the transmission index's cells (counting
@@ -230,10 +241,8 @@ var cellPool = sync.Pool{New: func() interface{} { return new(cellScratch) }}
 // shards claimed by workers through an atomic cursor. Nearby listeners
 // therefore share both the candidate work and its cache lines, and a
 // jammed (expensive) region is split across many shards instead of
-// serializing one worker's chunk. When block devices are registered,
-// each cell's observations are delivered in one DeliverBlock call per
-// contiguous same-handler run instead of one interface call per
-// listener.
+// serializing one worker's chunk. Each cell's observations are
+// delivered together (deliver).
 func (v *resolver) deliverCells(r uint64, cm radio.CellMedium, rec []radio.Obs) {
 	e := v.e
 	listeners := v.listenIxs
@@ -287,14 +296,13 @@ func (v *resolver) deliverCells(r uint64, cm radio.CellMedium, rec []radio.Obs) 
 		v.shardEnd = append(v.shardEnd, int32(cells))
 	}
 
-	batch := v.direct && e.batched
-
-	runShard := func(s int, sc *cellScratch) {
-		lo := int32(0)
-		if s > 0 {
-			lo = v.shardEnd[s-1]
+	v.parallel(len(v.shardEnd), 1, func(lo, hi, w int) {
+		sc := v.scratch[w]
+		first := int32(0)
+		if lo > 0 {
+			first = v.shardEnd[lo-1]
 		}
-		for c := lo; c < v.shardEnd[s]; c++ {
+		for c := first; c < v.shardEnd[hi-1]; c++ {
 			a, b := cs[c], cs[c+1]
 			if a == b {
 				continue
@@ -312,168 +320,49 @@ func (v *resolver) deliverCells(r uint64, cm radio.CellMedium, rec []radio.Obs) 
 				pmax.Y = math.Max(pmax.Y, p.Y)
 			}
 			cm.BeginCell(&sc.cs, r, &v.txSet, pmin, pmax)
-			if !batch {
-				for _, ix := range ord[a:b] {
-					v.deliverTo(rec, ix, r, cm.ObserveCell(&sc.cs, r, e.ids[ix], e.pos[ix]))
-				}
-				continue
+			obs := sc.observations(int(b - a))
+			for k, ix := range ord[a:b] {
+				obs[k] = cm.ObserveCell(&sc.cs, r, e.ids[ix], e.pos[ix])
 			}
-			// Batched delivery: resolve the cell into the observation
-			// buffer, then deliver per contiguous same-handler run.
-			ixs := ord[a:b]
-			sc.obs = sc.obs[:0]
-			for _, ix := range ixs {
-				sc.obs = append(sc.obs, cm.ObserveCell(&sc.cs, r, e.ids[ix], e.pos[ix]))
-			}
-			k := 0
-			for k < len(ixs) {
-				h := e.blockH[ixs[k]]
-				j := k + 1
-				for j < len(ixs) && e.blockH[ixs[j]] == h {
-					j++
-				}
-				bd, ok := h.(BlockDeliverer)
-				if !ok {
-					for t := k; t < j; t++ {
-						v.deliverTo(rec, ixs[t], r, sc.obs[t])
-					}
-					k = j
-					continue
-				}
-				sc.hnd = sc.hnd[:0]
-				for t := k; t < j; t++ {
-					sc.hnd = append(sc.hnd, e.blockIx[ixs[t]])
-				}
-				bd.DeliverBlock(r, sc.hnd, sc.obs[k:j])
-				if rec != nil {
-					for t := k; t < j; t++ {
-						rec[ixs[t]] = sc.obs[t]
-					}
-				}
-				k = j
-			}
+			v.deliver(r, ord[a:b], sc, rec)
 		}
-	}
-
-	shards := len(v.shardEnd)
-	w := e.Workers
-	if w > shards {
-		w = shards
-	}
-	if w <= 1 {
-		if v.seqScratch == nil {
-			v.seqScratch = new(cellScratch)
-		}
-		for s := 0; s < shards; s++ {
-			runShard(s, v.seqScratch)
-		}
-		return
-	}
-	var cursor atomic.Int32
-	var wg sync.WaitGroup
-	wg.Add(w)
-	for k := 0; k < w; k++ {
-		go func() {
-			defer wg.Done()
-			sc := cellPool.Get().(*cellScratch)
-			for {
-				s := int(cursor.Add(1)) - 1
-				if s >= shards {
-					break
-				}
-				runShard(s, sc)
-			}
-			cellPool.Put(sc)
-		}()
-	}
-	wg.Wait()
+	})
 }
 
-// wakeChunk is the index-block size of the batched phase-A sweep:
-// large enough that one WakeBlock call amortizes across hundreds of
-// devices, small enough that work stealing still rebalances.
-const wakeChunk = 256
+// blockSize is the piece size of the wake sweep and the linear
+// listener scan: the fan-out needs blockSize indices per worker.
+const blockSize = 16
 
-// parallelChunks runs f over contiguous index chunks of at most
-// wakeChunk covering [0, n), fanning out across Workers goroutines
-// claiming chunks through an atomic cursor when configured.
-func (v *resolver) parallelChunks(n int, f func(lo, hi int)) {
-	chunks := (n + wakeChunk - 1) / wakeChunk
-	w := v.e.Workers
-	if w > chunks {
-		w = chunks
+// parallel runs f over [0, n) in pieces of grain indices, on
+// min(Workers, n/grain) goroutines that claim pieces through an atomic
+// cursor, so uneven per-piece cost rebalances across workers instead of
+// stretching one pre-assigned chunk; with one worker or fewer it runs
+// the pieces in order on the calling goroutine. f receives its piece
+// and the slot of the worker running it, which indexes v.scratch.
+func (v *resolver) parallel(n, grain int, f func(lo, hi, worker int)) {
+	w := 1
+	if v.e.Workers > 1 && n >= 2*grain {
+		w = min(v.e.Workers, n/grain)
 	}
-	if w <= 1 {
-		for b := 0; b < chunks; b++ {
-			hi := (b + 1) * wakeChunk
-			if hi > n {
-				hi = n
-			}
-			f(b*wakeChunk, hi)
+	for len(v.scratch) < w {
+		v.scratch = append(v.scratch, new(workerScratch))
+	}
+	if w == 1 {
+		for lo := 0; lo < n; lo += grain {
+			f(lo, min(lo+grain, n), 0)
 		}
 		return
 	}
+	pieces := int32((n + grain - 1) / grain)
 	var cursor atomic.Int32
 	var wg sync.WaitGroup
 	wg.Add(w)
 	for k := 0; k < w; k++ {
 		go func() {
 			defer wg.Done()
-			for {
-				b := int(cursor.Add(1)) - 1
-				if b >= chunks {
-					return
-				}
-				hi := (b + 1) * wakeChunk
-				if hi > n {
-					hi = n
-				}
-				f(b*wakeChunk, hi)
-			}
-		}()
-	}
-	wg.Wait()
-}
-
-// parallelDo runs f(i) for i in [0,n), fanning out across Workers
-// goroutines when configured and n is large enough to amortize the
-// synchronization cost. Workers claim fixed-size index blocks through
-// an atomic cursor, so uneven per-index cost rebalances across workers
-// instead of stretching one pre-assigned chunk.
-func (v *resolver) parallelDo(n int, f func(int)) {
-	const (
-		minPerWorker = 16
-		blockSize    = 16
-	)
-	w := v.e.Workers
-	if w > n/minPerWorker {
-		w = n / minPerWorker
-	}
-	if w <= 1 {
-		for i := 0; i < n; i++ {
-			f(i)
-		}
-		return
-	}
-	blocks := (n + blockSize - 1) / blockSize
-	var cursor atomic.Int32
-	var wg sync.WaitGroup
-	wg.Add(w)
-	for k := 0; k < w; k++ {
-		go func() {
-			defer wg.Done()
-			for {
-				b := int(cursor.Add(1)) - 1
-				if b >= blocks {
-					return
-				}
-				end := (b + 1) * blockSize
-				if end > n {
-					end = n
-				}
-				for i := b * blockSize; i < end; i++ {
-					f(i)
-				}
+			for p := cursor.Add(1) - 1; p < pieces; p = cursor.Add(1) - 1 {
+				lo := int(p) * grain
+				f(lo, min(lo+grain, n), k)
 			}
 		}()
 	}

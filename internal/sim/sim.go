@@ -16,16 +16,19 @@
 //     hierarchical wheel with an unsorted far-overflow list — plus stop
 //     conditions and per-round wake deduplication.
 //   - The round resolver (resolver.go) owns round resolution: phase A
-//     calls Wake on every scheduled device and collects the actions;
-//     phase B resolves the channel and calls Deliver on every listener.
+//     wakes every scheduled device and collects the actions; phase B
+//     resolves the channel and delivers every listener's observation.
 //     It is the default RoundDriver implementation; alternative
 //     transports (for example internal/medium/net's UDP loopback) plug
 //     in behind the same interface via UseTransport.
 //
-// Both phases are data-parallel across devices and the engine
-// optionally fans them out over a worker pool with a work-stealing
-// cursor, so hot spots (for example jammed regions, whose listeners are
-// expensive to resolve) do not serialize one worker's chunk.
+// Both phases reach devices only through block handlers (block.go):
+// each device gets one at Add, and a phase makes one WakeBlock or
+// DeliverBlock call per run of devices that share a handler. Both
+// phases are data-parallel across devices and the engine optionally
+// fans them out over a worker pool with a work-stealing cursor, so hot
+// spots (for example jammed regions, whose listeners are expensive to
+// resolve) do not serialize one worker's chunk.
 //
 // The engine's hot loops are index-based and allocation-free after
 // warm-up. Devices get a compact index at Add; wake scheduling, step
@@ -42,9 +45,8 @@
 // gather and the listener-independent half of the math per cell; every
 // other round, and every other medium, takes the linear scan.
 // Observations are bit-for-bit identical on both paths. Devices backed
-// by flat arrays can opt into batched wake and delivery sweeps
-// (BlockDevice), removing the per-device interface call from both
-// phases.
+// by flat arrays can bring their own block handler (BlockDevice),
+// removing the per-device interface call from both phases.
 //
 // Determinism is preserved because media are pure functions and each
 // device only mutates itself.
@@ -130,9 +132,9 @@ type Engine struct {
 	ids     []int          // index -> device id
 	pos     []geom.Point   // index -> position (cached at Add)
 	txCount []uint64       // index -> transmissions made
-	blockH  []BlockHandler // index -> batch handler (nil: per-device calls)
+	blockH  []BlockHandler // index -> block handler (plainHandler unless a BlockDevice)
 	blockIx []uint32       // index -> handle within its block handler
-	batched bool           // any device opted into batching
+	batched bool           // some device is a BlockDevice
 
 	// id -> index lookup (Add/TxCount only). Small non-negative ids —
 	// the common case: experiments number devices 0..n-1 — live in a
@@ -201,8 +203,9 @@ func (e *Engine) setIx(id, ix int) {
 
 // Add registers a device and schedules its first wake-up, which must
 // not lie before Round(). It panics on duplicate ids and on past first
-// wakes. Devices implementing BlockDevice have their batch handler
-// cached here so the hot phases can sweep whole blocks.
+// wakes. Every device gets its block handler here: a BlockDevice its
+// own, any other device the engine's plainHandler, so both phases sweep
+// same-handler runs.
 func (e *Engine) Add(d Device, firstWake uint64) {
 	id := d.ID()
 	if _, dup := e.lookupIx(id); dup {
@@ -218,24 +221,22 @@ func (e *Engine) Add(d Device, firstWake uint64) {
 	e.pos = append(e.pos, d.Pos())
 	e.txCount = append(e.txCount, 0)
 	e.wakeStamp = append(e.wakeStamp, 0)
-	var h BlockHandler
-	var bix uint32
+	var h BlockHandler = plainHandler{e: e}
+	bix := uint32(ix)
 	if bd, ok := d.(BlockDevice); ok {
 		h, bix = bd.Block()
+		e.batched = true
 	}
 	e.blockH = append(e.blockH, h)
 	e.blockIx = append(e.blockIx, bix)
-	if h != nil {
-		e.batched = true
-	}
 	e.schedule(int32(ix), firstWake)
 }
 
 // Devices returns the number of registered devices.
 func (e *Engine) Devices() int { return len(e.devices) }
 
-// Batched reports whether any registered device opted into block
-// sweeps (see BlockDevice).
+// Batched reports whether some registered device is a BlockDevice,
+// bringing its own block handler.
 func (e *Engine) Batched() bool { return e.batched }
 
 // DeviceAt returns the device with compact index ix (0 <= ix <

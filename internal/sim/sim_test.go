@@ -152,6 +152,36 @@ func TestRunUntilMaxRound(t *testing.T) {
 	}
 }
 
+// TestRunUntilBehindClockIsNoop pins that a maxRound at or before
+// Round() runs nothing and never moves the clock back: a rewound clock
+// would let Add schedule into rounds already run, and the next run
+// would replay them.
+func TestRunUntilBehindClockIsNoop(t *testing.T) {
+	e := newTestEngine()
+	a := newScripted(0, geom.Point{})
+	for r := uint64(1); r < 200; r++ {
+		a.plan[r] = Step{Action: Listen, NextWake: r + 1}
+	}
+	e.Add(a, 1)
+	e.RunUntil(nil, 0, 100)
+	woke := len(a.wakes)
+	if end := e.RunUntil(nil, 0, 5); end != 100 {
+		t.Errorf("RunUntil(maxRound 5) at round 100 returned %d, want 100", end)
+	}
+	if e.Round() != 100 {
+		t.Errorf("Round() = %d after RunUntil(maxRound 5), want 100", e.Round())
+	}
+	if len(a.wakes) != woke {
+		t.Errorf("RunUntil(maxRound 5) woke the device in %v", a.wakes[woke:])
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("Add at round 50 after running to 100 did not panic")
+		}
+	}()
+	e.Add(newScripted(1, geom.Point{}), 50)
+}
+
 func TestDuplicateIDPanics(t *testing.T) {
 	e := newTestEngine()
 	e.Add(newScripted(3, geom.Point{}), 1)
@@ -329,6 +359,8 @@ func (c *countingMedium) BeginCell(cs *radio.CellState, round uint64, set *radio
 	atomic.AddInt32(&c.cells, 1)
 	c.CellMedium.BeginCell(cs, round, set, lo, hi)
 }
+
+func (c *countingMedium) tally() (linear, cells int32) { return c.linear, c.cells }
 
 // denseScripted builds a dense round: n devices on a grid, every third
 // transmitting, the rest listening.
@@ -827,86 +859,106 @@ func (c *observeOnlyMedium) Observe(round uint64, listenerID int, at geom.Point,
 	return c.Medium.Observe(round, listenerID, at, txs)
 }
 
-// TestDenseRoundUsesCandidatePath pins which wrappers take the cell-
-// sharded candidate path on a dense round: one embedding the
-// radio.CellMedium interface does (BeginCell, never Observe), while one
-// embedding only the radio.Medium interface resolves linearly, so its
-// Observe override sees every listener.
-func TestDenseRoundUsesCandidatePath(t *testing.T) {
-	cm := &countingMedium{CellMedium: radio.NewFriisMedium(2.5, 5)}
-	e := NewEngine(cm)
-	denseScripted(e, 400)
-	e.RunUntil(nil, 0, 10)
-	if cm.cells == 0 || cm.linear != 0 {
-		t.Fatalf("CellMedium wrapper: %d cells, %d linear observations", cm.cells, cm.linear)
-	}
-	om := &observeOnlyMedium{Medium: radio.NewFriisMedium(2.5, 5)}
-	e = NewEngine(om)
-	devs := denseScripted(e, 400)
-	e.RunUntil(nil, 0, 10)
-	listeners := 0
-	for _, d := range devs {
-		listeners += len(d.obs)
-	}
-	if listeners == 0 || int(om.linear) != listeners {
-		t.Fatalf("Medium-only wrapper: Observe saw %d of %d listeners", om.linear, listeners)
-	}
-}
+func (c *observeOnlyMedium) tally() (linear, cells int32) { return c.linear, 0 }
 
-// countingCellMedium embeds the concrete Friis medium (so CellMedium is
-// satisfied by promotion) and tallies BeginCell calls.
-type countingCellMedium struct {
+// promotedCellMedium embeds the concrete Friis medium, so the cell
+// methods are promoted and it is a radio.CellMedium whatever it
+// overrides. It tallies its Observe override and BeginCell calls.
+type promotedCellMedium struct {
 	*radio.FriisMedium
-	cells int32
+	linear, cells int32
 }
 
-func (c *countingCellMedium) BeginCell(cs *radio.CellState, round uint64, set *radio.TxSet, lo, hi geom.Point) {
+func (c *promotedCellMedium) Observe(round uint64, listenerID int, at geom.Point, txs []radio.Tx) radio.Obs {
+	atomic.AddInt32(&c.linear, 1)
+	return c.FriisMedium.Observe(round, listenerID, at, txs)
+}
+
+func (c *promotedCellMedium) BeginCell(cs *radio.CellState, round uint64, set *radio.TxSet, lo, hi geom.Point) {
 	atomic.AddInt32(&c.cells, 1)
 	c.FriisMedium.BeginCell(cs, round, set, lo, hi)
 }
 
-// TestDenseRoundUsesCellPath asserts the engine routes a wrapper that
-// embeds a concrete built-in medium through the shared per-cell half:
-// the promoted cell methods make it a CellMedium (the footgun that
-// radio.CellMedium documents for wrappers overriding only Observe).
-func TestDenseRoundUsesCellPath(t *testing.T) {
-	cm := &countingCellMedium{FriisMedium: radio.NewFriisMedium(2.5, 5)}
-	e := NewEngine(cm)
-	denseScripted(e, 400)
-	e.RunUntil(nil, 0, 10)
-	if cm.cells == 0 {
-		t.Fatal("dense round did not use the cell-shared path")
+func (c *promotedCellMedium) tally() (linear, cells int32) { return c.linear, c.cells }
+
+// TestDenseRoundPathForWrapperMedia pins which resolution path a dense
+// round takes over a wrapper medium. A wrapper embedding the
+// radio.CellMedium interface takes the cell path (BeginCell, never
+// Observe). So does one embedding *radio.FriisMedium, by method
+// promotion, which bypasses its Observe override: the footgun that
+// radio.CellMedium documents. A wrapper embedding only radio.Medium
+// resolves linearly, so its Observe sees every listener.
+func TestDenseRoundPathForWrapperMedia(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		m    interface {
+			radio.Medium
+			tally() (linear, cells int32)
+		}
+		cellPath bool
+	}{
+		{"embeds-CellMedium", &countingMedium{CellMedium: radio.NewFriisMedium(2.5, 5)}, true},
+		{"embeds-FriisMedium", &promotedCellMedium{FriisMedium: radio.NewFriisMedium(2.5, 5)}, true},
+		{"embeds-Medium", &observeOnlyMedium{Medium: radio.NewFriisMedium(2.5, 5)}, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := NewEngine(tc.m)
+			devs := denseScripted(e, 400)
+			e.RunUntil(nil, 0, 10)
+			listeners := 0
+			for _, d := range devs {
+				listeners += len(d.obs)
+			}
+			linear, cells := tc.m.tally()
+			if listeners == 0 {
+				t.Fatal("dense round had no listeners")
+			}
+			if tc.cellPath && (cells == 0 || linear != 0) {
+				t.Fatalf("want the cell path: %d cells, Observe saw %d listeners", cells, linear)
+			}
+			if !tc.cellPath && (cells != 0 || int(linear) != listeners) {
+				t.Fatalf("want the linear path: %d cells, Observe saw %d of %d listeners", cells, linear, listeners)
+			}
+		})
 	}
 }
 
 // blockFleet is a flat-array test fleet: the block sweeps and the
 // per-device methods run the same step/deliver logic, and every
-// delivered observation is logged per device for comparison.
+// delivered observation is logged per device for comparison. wakes
+// counts steps taken on either path. A device's handle is its id plus
+// fleetHandleBase, so a handle routed to the wrong handler, or a
+// compact index passed as a handle, indexes out of range.
 type blockFleet struct {
-	pos []geom.Point
-	log [][]radio.Obs
+	pos   []geom.Point
+	log   [][]radio.Obs
+	wakes atomic.Int64
 }
 
-func (g *blockFleet) step(h uint32, r uint64) Step {
-	switch (uint64(h)*2654435761 + r) % 7 {
+const fleetHandleBase = 1 << 20
+
+func (g *blockFleet) step(id int32, r uint64) Step {
+	g.wakes.Add(1)
+	switch (uint64(id)*2654435761 + r) % 7 {
 	case 0, 1:
-		return Step{Action: Transmit, Frame: radio.Frame{Kind: radio.KindData, Src: int(h), Payload: r}, NextWake: r + 1 + (uint64(h)+r)%4}
+		return Step{Action: Transmit, Frame: radio.Frame{Kind: radio.KindData, Src: int(id), Payload: r}, NextWake: r + 1 + (uint64(id)+r)%4}
 	case 2:
 		return Step{Action: Sleep, NextWake: r + 3}
 	default:
-		return Step{Action: Listen, NextWake: r + 1 + uint64(h)%3}
+		return Step{Action: Listen, NextWake: r + 1 + uint64(id)%3}
 	}
 }
 
 func (g *blockFleet) WakeBlock(r uint64, handles []uint32, steps []Step) {
 	for k, h := range handles {
-		steps[k] = g.step(h, r)
+		steps[k] = g.step(int32(h-fleetHandleBase), r)
 	}
 }
 
 func (g *blockFleet) DeliverBlock(r uint64, handles []uint32, obs []radio.Obs) {
 	for k, h := range handles {
-		g.log[h] = append(g.log[h], obs[k])
+		id := h - fleetHandleBase
+		g.log[id] = append(g.log[id], obs[k])
 	}
 }
 
@@ -919,9 +971,11 @@ type blockFleetDev struct {
 
 func (d *blockFleetDev) ID() int                         { return int(d.id) }
 func (d *blockFleetDev) Pos() geom.Point                 { return d.g.pos[d.id] }
-func (d *blockFleetDev) Wake(r uint64) Step              { return d.g.step(uint32(d.id), r) }
+func (d *blockFleetDev) Wake(r uint64) Step              { return d.g.step(d.id, r) }
 func (d *blockFleetDev) Deliver(r uint64, obs radio.Obs) { d.g.log[d.id] = append(d.g.log[d.id], obs) }
-func (d *blockFleetDev) Block() (BlockHandler, uint32)   { return d.g, uint32(d.id) }
+func (d *blockFleetDev) Block() (BlockHandler, uint32) {
+	return d.g, uint32(d.id) + fleetHandleBase
+}
 
 type plainFleetDev struct{ blockFleetDev }
 
@@ -929,10 +983,16 @@ func (d *plainFleetDev) Block() {} // not a BlockDevice: wrong signature shadows
 
 // TestBlockDeviceMatchesPerDevice pins the batched phase-A/phase-B
 // sweeps bit-for-bit to the per-device Wake/Deliver path, sequentially
-// and with workers (the -race run covers the disjoint-handle contract).
+// and with workers (the -race run covers the disjoint-handle contract),
+// for an all-block fleet and for one mixing block and plain devices
+// (runs of both handlers in every sweep). The routed runs put the
+// fleet behind a transport's Caller, which must see every wake and
+// every delivery: no block sweep may slip past a transport.
 func TestBlockDeviceMatchesPerDevice(t *testing.T) {
 	const n, rounds = 300, 200
-	run := func(batched bool, workers int) *blockFleet {
+	// run builds the fleet with every blockEvery-th device a
+	// BlockDevice (none when blockEvery is 0).
+	run := func(blockEvery int, routed bool, workers int) (*blockFleet, *countingCaller) {
 		m := radio.NewFriisMedium(2.5, 11)
 		m.LossProb = 0.2
 		e := NewEngine(m)
@@ -945,31 +1005,44 @@ func TestBlockDeviceMatchesPerDevice(t *testing.T) {
 		for i := range g.pos {
 			g.pos[i] = geom.Point{X: float64(i % side), Y: float64(i / side)}
 		}
-		if batched {
-			ds := make([]blockFleetDev, n)
-			for i := range ds {
-				ds[i] = blockFleetDev{g: g, id: int32(i)}
-				e.Add(&ds[i], 1)
-			}
-		} else {
-			ds := make([]plainFleetDev, n)
-			for i := range ds {
-				ds[i] = plainFleetDev{blockFleetDev{g: g, id: int32(i)}}
+		ds := make([]plainFleetDev, n)
+		for i := range ds {
+			ds[i] = plainFleetDev{blockFleetDev{g: g, id: int32(i)}}
+			if blockEvery > 0 && i%blockEvery == 0 {
+				e.Add(&ds[i].blockFleetDev, 1)
+			} else {
 				e.Add(&ds[i], 1)
 			}
 		}
-		if e.batched != batched {
-			t.Fatalf("engine batched = %v, want %v", e.batched, batched)
+		if e.Batched() != (blockEvery > 0) {
+			t.Fatalf("blockEvery=%d: engine batched = %v", blockEvery, e.Batched())
+		}
+		var cc *countingCaller
+		if routed {
+			if err := e.UseTransport(callerTransport{cc: &cc}); err != nil {
+				t.Fatal(err)
+			}
 		}
 		e.RunUntil(nil, 0, rounds)
-		return g
+		return g, cc
 	}
-	ref := run(false, 0)
-	for _, workers := range []int{0, 4} {
-		got := run(true, workers)
-		for i := range ref.log {
-			if !slices.Equal(ref.log[i], got.log[i]) {
-				t.Fatalf("workers=%d device %d: batched observations diverge from per-device path", workers, i)
+	ref, _ := run(0, false, 0)
+	for _, blockEvery := range []int{1, 3} {
+		for _, routed := range []bool{false, true} {
+			for _, workers := range []int{0, 4} {
+				label := fmt.Sprintf("blockEvery=%d routed=%v workers=%d", blockEvery, routed, workers)
+				got, cc := run(blockEvery, routed, workers)
+				obs := 0
+				for i := range ref.log {
+					if !slices.Equal(ref.log[i], got.log[i]) {
+						t.Fatalf("%s: device %d observations diverge from the per-device path", label, i)
+					}
+					obs += len(got.log[i])
+				}
+				if routed && (cc.wakes.Load() != got.wakes.Load() || cc.delivers.Load() != int64(obs)) {
+					t.Fatalf("%s: caller saw %d of %d wakes and %d of %d deliveries",
+						label, cc.wakes.Load(), got.wakes.Load(), cc.delivers.Load(), obs)
+				}
 			}
 		}
 	}
