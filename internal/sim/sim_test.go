@@ -881,46 +881,53 @@ func (c *promotedCellMedium) BeginCell(cs *radio.CellState, round uint64, set *r
 
 func (c *promotedCellMedium) tally() (linear, cells int32) { return c.linear, c.cells }
 
-// TestDenseRoundPathForWrapperMedia pins which resolution path a dense
-// round takes over a wrapper medium. A wrapper embedding the
-// radio.CellMedium interface takes the cell path (BeginCell, never
-// Observe). So does one embedding *radio.FriisMedium, by method
-// promotion, which bypasses its Observe override: the footgun that
-// radio.CellMedium documents. A wrapper embedding only radio.Medium
-// resolves linearly, so its Observe sees every listener.
-func TestDenseRoundPathForWrapperMedia(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		m    interface {
-			radio.Medium
-			tally() (linear, cells int32)
-		}
-		cellPath bool
-	}{
-		{"embeds-CellMedium", &countingMedium{CellMedium: radio.NewFriisMedium(2.5, 5)}, true},
-		{"embeds-FriisMedium", &promotedCellMedium{FriisMedium: radio.NewFriisMedium(2.5, 5)}, true},
-		{"embeds-Medium", &observeOnlyMedium{Medium: radio.NewFriisMedium(2.5, 5)}, false},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			e := NewEngine(tc.m)
-			devs := denseScripted(e, 400)
-			e.RunUntil(nil, 0, 10)
-			listeners := 0
-			for _, d := range devs {
-				listeners += len(d.obs)
-			}
-			linear, cells := tc.m.tally()
-			if listeners == 0 {
-				t.Fatal("dense round had no listeners")
-			}
-			if tc.cellPath && (cells == 0 || linear != 0) {
-				t.Fatalf("want the cell path: %d cells, Observe saw %d listeners", cells, linear)
-			}
-			if !tc.cellPath && (cells != 0 || int(linear) != listeners) {
-				t.Fatalf("want the linear path: %d cells, Observe saw %d of %d listeners", cells, linear, listeners)
-			}
-		})
+// wrapperMedium is a test wrapper that tallies which resolution path
+// the engine used: linear Observe calls against BeginCell calls.
+type wrapperMedium interface {
+	radio.Medium
+	tally() (linear, cells int32)
+}
+
+// checkWrapperPath runs a dense round over m and checks the path it
+// took: the cell path (BeginCell, never Observe) when cellPath is set,
+// else the linear scan, whose Observe sees every listener.
+func checkWrapperPath(t *testing.T, m wrapperMedium, cellPath bool) {
+	t.Helper()
+	e := NewEngine(m)
+	devs := denseScripted(e, 400)
+	e.RunUntil(nil, 0, 10)
+	listeners := 0
+	for _, d := range devs {
+		listeners += len(d.obs)
 	}
+	linear, cells := m.tally()
+	if listeners == 0 {
+		t.Fatalf("%T: dense round had no listeners", m)
+	}
+	if cellPath && (cells == 0 || linear != 0) {
+		t.Fatalf("%T: want the cell path: %d cells, Observe saw %d listeners", m, cells, linear)
+	}
+	if !cellPath && (cells != 0 || int(linear) != listeners) {
+		t.Fatalf("%T: want the linear path: %d cells, Observe saw %d of %d listeners", m, cells, linear, listeners)
+	}
+}
+
+// TestDenseRoundUsesCandidatePath pins which resolution path a dense
+// round takes over a wrapper by the interface it embeds. One embedding
+// radio.CellMedium takes the cell path (once called the candidate
+// path). One embedding only radio.Medium resolves linearly, so its
+// Observe sees every listener.
+func TestDenseRoundUsesCandidatePath(t *testing.T) {
+	checkWrapperPath(t, &countingMedium{CellMedium: radio.NewFriisMedium(2.5, 5)}, true)
+	checkWrapperPath(t, &observeOnlyMedium{Medium: radio.NewFriisMedium(2.5, 5)}, false)
+}
+
+// TestDenseRoundUsesCellPath pins that a wrapper embedding
+// *radio.FriisMedium takes the cell path by method promotion, which
+// bypasses its Observe override: the footgun that radio.CellMedium
+// documents.
+func TestDenseRoundUsesCellPath(t *testing.T) {
+	checkWrapperPath(t, &promotedCellMedium{FriisMedium: radio.NewFriisMedium(2.5, 5)}, true)
 }
 
 // blockFleet is a flat-array test fleet: the block sweeps and the
