@@ -114,9 +114,9 @@ func TestEveryInstanceBuilds(t *testing.T) {
 // TestInstancePresetsMatchDedicatedFields pins the family presets to
 // the dedicated-Config-field builds they alias: an instance is a name
 // for a parameterisation, not a different protocol, so the runs must
-// agree bit-for-bit.
+// agree bit-for-bit, down to every transmission and observation.
 func TestInstancePresetsMatchDedicatedFields(t *testing.T) {
-	run := func(mutate func(*core.Config)) core.Result {
+	run := func(mutate func(*core.Config)) streamPin {
 		cfg := core.Config{
 			Deploy:   topo.Grid(7, 7, 2),
 			Msg:      bitcodec.NewMessage(0b101, 3),
@@ -124,11 +124,7 @@ func TestInstancePresetsMatchDedicatedFields(t *testing.T) {
 			Seed:     11,
 		}
 		mutate(&cfg)
-		w, err := core.Build(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return w.Run(3_000_000)
+		return recordStreams(t, cfg, 3_000_000)
 	}
 	cases := []struct {
 		name     string
@@ -154,6 +150,19 @@ func TestInstancePresetsMatchDedicatedFields(t *testing.T) {
 		}, func(c *core.Config) {
 			c.ProtocolName = "NeighborWatchRB-2vote"
 		}},
+		// GossipRB never draws a forwarding coin at probability 1, so
+		// it is the epidemic baseline with its fanout as the repeat
+		// count.
+		{"GossipRB fanout:2 prob:1 == Epidemic/r2", gossipProb1, func(c *core.Config) {
+			c.ProtocolName = "Epidemic/r2"
+		}},
+		{"GossipRB fanout:2 prob:1 == Epidemic/r2 with liar and jammer", func(c *core.Config) {
+			gossipProb1(c)
+			withAdversaries(c)
+		}, func(c *core.Config) {
+			c.ProtocolName = "Epidemic/r2"
+			withAdversaries(c)
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -163,6 +172,19 @@ func TestInstancePresetsMatchDedicatedFields(t *testing.T) {
 			}
 		})
 	}
+}
+
+func gossipProb1(c *core.Config) {
+	c.ProtocolName = "GossipRB"
+	c.Params = core.Params{gossip.ParamFanout: 2, gossip.ParamProb: 1.0}
+}
+
+// withAdversaries adds pinnedConfig's liar and jammer.
+func withAdversaries(c *core.Config) {
+	c.Roles = make([]core.Role, c.Deploy.N())
+	c.Roles[3] = core.Liar
+	c.Roles[10] = core.Jammer
+	c.JamBudget = 15
 }
 
 // TestAliasesResolve checks every alias of every driver resolves to
