@@ -10,7 +10,6 @@ package metrics
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"authradio/internal/radio"
@@ -24,8 +23,6 @@ import (
 type Collector struct {
 	// TxByKind counts transmissions per radio.FrameKind.
 	TxByKind map[radio.FrameKind]uint64
-	// TxByDevice counts transmissions per device id.
-	TxByDevice map[int]uint64
 	// ActiveRounds counts rounds with at least one transmission.
 	ActiveRounds uint64
 	// Rounds counts all resolved (non-skipped) rounds.
@@ -37,10 +34,7 @@ type Collector struct {
 
 // NewCollector returns an empty collector.
 func NewCollector() *Collector {
-	return &Collector{
-		TxByKind:   make(map[radio.FrameKind]uint64),
-		TxByDevice: make(map[int]uint64),
-	}
+	return &Collector{TxByKind: make(map[radio.FrameKind]uint64)}
 }
 
 // Hook returns a function suitable for sim.Engine.OnRound.
@@ -56,7 +50,6 @@ func (c *Collector) Hook() func(r uint64, txs []radio.Tx) {
 		}
 		for i := range txs {
 			c.TxByKind[txs[i].Frame.Kind]++
-			c.TxByDevice[txs[i].Frame.Src]++
 		}
 	}
 }
@@ -85,26 +78,6 @@ func (c *Collector) KindFraction(k radio.FrameKind) float64 {
 		return 0
 	}
 	return float64(c.TxByKind[k]) / float64(total)
-}
-
-// TopTalkers returns the n device ids with the most transmissions,
-// descending (ties broken by ascending id, deterministically).
-func (c *Collector) TopTalkers(n int) []int {
-	ids := make([]int, 0, len(c.TxByDevice))
-	for id := range c.TxByDevice {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(a, b int) bool {
-		ta, tb := c.TxByDevice[ids[a]], c.TxByDevice[ids[b]]
-		if ta != tb {
-			return ta > tb
-		}
-		return ids[a] < ids[b]
-	})
-	if n > len(ids) {
-		n = len(ids)
-	}
-	return ids[:n]
 }
 
 // String renders a compact human-readable summary.

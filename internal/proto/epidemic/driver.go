@@ -46,7 +46,7 @@ func (Driver) Build(cfg core.Config, b *core.WorldBuilder) error {
 	// is likewise common to all protocols), keeping the comparison
 	// like-for-like.
 	ns := b.NodeSchedule(2*d.R+cfg.Medium.SenseRange(), schedule.SlotLen, true)
-	sh := NewShared(d, ns, cfg.Msg.Len, cfg.SourceID, repeats)
+	sh := NewShared(d, ns, cfg.Msg.Len, cfg.SourceID, repeats, 1, cfg.Seed)
 	b.SetCycle(ns.Cycle, ns.NumSlots)
 	// 1-round-message slots have no veto rounds for jammers to target.
 	b.SetJamVetoOnly(false)

@@ -5,6 +5,11 @@
 // message they decode, with no authentication whatsoever. The entire
 // message fits in a single transmission — which is exactly why the
 // baseline is fast and insecure.
+//
+// The node also carries GossipRB's forwarding policy (see
+// internal/proto/gossip): with a forwarding probability below 1 a
+// holder flips a coin at each of its slots and transmits only on
+// heads. The baseline forwards with probability 1 and draws no coins.
 package epidemic
 
 import (
@@ -14,6 +19,7 @@ import (
 	"authradio/internal/schedule"
 	"authradio/internal/sim"
 	"authradio/internal/topo"
+	"authradio/internal/xrand"
 )
 
 // Shared is the immutable per-run configuration.
@@ -23,24 +29,34 @@ type Shared struct {
 	MsgLen   int
 	SourceID int
 	// Repeats is how many times a device broadcasts the message after
-	// adopting it. The baseline uses 1; higher values buy loss
-	// resilience at energy cost (used by the dual-mode example under
-	// lossy media).
+	// adopting it (GossipRB's fanout). The baseline uses 1; higher
+	// values buy loss resilience at energy cost (used by the dual-mode
+	// example under lossy media).
 	Repeats int
+	// Prob is the per-slot forwarding probability in (0, 1]. A skipped
+	// slot does not consume budget, so every holder eventually spends
+	// all Repeats broadcasts.
+	Prob float64
+	// Seed roots the per-device forwarding coins, which derive under
+	// xrand.LaneGossip; unused at Prob 1.
+	Seed uint64
 }
 
 // NewShared validates and returns a configuration. Any slot length is
 // accepted: with the 6-round MAC slots shared with the bit protocols, a
 // holder transmits the whole message in the first round of its slot;
 // with 1-round slots the baseline is maximally aggressive.
-func NewShared(d *topo.Deployment, ns *schedule.NodeSchedule, msgLen, sourceID, repeats int) *Shared {
+func NewShared(d *topo.Deployment, ns *schedule.NodeSchedule, msgLen, sourceID, repeats int, prob float64, seed uint64) *Shared {
 	if msgLen <= 0 || msgLen > 64 {
 		panic("epidemic: message length out of range")
 	}
 	if repeats < 1 {
 		panic("epidemic: repeats must be >= 1")
 	}
-	return &Shared{D: d, NS: ns, MsgLen: msgLen, SourceID: sourceID, Repeats: repeats}
+	if prob <= 0 || prob > 1 {
+		panic("epidemic: forwarding probability must be in (0, 1]")
+	}
+	return &Shared{D: d, NS: ns, MsgLen: msgLen, SourceID: sourceID, Repeats: repeats, Prob: prob, Seed: seed}
 }
 
 // Node is an epidemic device. The source is a Node preloaded with the
@@ -51,6 +67,7 @@ type Node struct {
 	sh  *Shared
 	id  int
 	pos geom.Point
+	rng *xrand.Rand // forwarding coins; nil at Prob 1
 
 	msg         bitcodec.Message
 	has         bool
@@ -61,7 +78,11 @@ type Node struct {
 
 // NewNode builds a (message-less) honest node.
 func NewNode(sh *Shared, id int) *Node {
-	return &Node{sh: sh, id: id, pos: sh.D.Pos[id]}
+	n := &Node{sh: sh, id: id, pos: sh.D.Pos[id]}
+	if sh.Prob < 1 {
+		n.rng = xrand.Derive(sh.Seed, xrand.LaneGossip, uint64(id))
+	}
+	return n
 }
 
 // NewSource builds the broadcast source.
@@ -122,8 +143,8 @@ func (n *Node) Message() (bitcodec.Message, bool) {
 }
 
 // Wake implements sim.Device. Devices without the message listen every
-// round; holders broadcast in their own slots until Repeats is spent,
-// then stop.
+// round; holders broadcast in their own slots, each with probability
+// Prob, until Repeats is spent, then stop.
 func (n *Node) Wake(r uint64) sim.Step {
 	if !n.has {
 		return sim.Step{Action: sim.Listen, NextWake: r + 1}
@@ -131,12 +152,17 @@ func (n *Node) Wake(r uint64) sim.Step {
 	if n.txLeft == 0 {
 		return sim.Step{Action: sim.Sleep, NextWake: sim.NoWake}
 	}
+	mySlot := n.sh.NS.Slot[n.id]
 	_, slot, sub := n.sh.NS.At(r)
-	if slot != n.sh.NS.Slot[n.id] || sub != 0 {
-		return sim.Step{Action: sim.Sleep, NextWake: n.sh.NS.NextStart(r+1, n.sh.NS.Slot[n.id])}
+	next := n.sh.NS.NextStart(r+1, mySlot)
+	if slot != mySlot || sub != 0 {
+		return sim.Step{Action: sim.Sleep, NextWake: next}
+	}
+	if n.rng != nil && !n.rng.Bool(n.sh.Prob) {
+		// Skipped slot: the budget is intact, try again next cycle.
+		return sim.Step{Action: sim.Sleep, NextWake: next}
 	}
 	n.txLeft--
-	next := n.sh.NS.NextStart(r+1, n.sh.NS.Slot[n.id])
 	if n.txLeft == 0 {
 		next = sim.NoWake
 	}

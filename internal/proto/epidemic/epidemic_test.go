@@ -22,7 +22,7 @@ type world struct {
 func buildWorld(d *topo.Deployment, msg bitcodec.Message, liars map[int]bitcodec.Message, repeats int) *world {
 	src := d.CenterNode()
 	ns := schedule.GreedyNodeSchedule(d, 3*d.R, 1, true, src)
-	sh := NewShared(d, ns, msg.Len, src, repeats)
+	sh := NewShared(d, ns, msg.Len, src, repeats, 1, 0)
 	eng := sim.NewEngine(&radio.DiskMedium{R: d.R, Metric: d.Metric})
 	w := &world{d: d, sh: sh, eng: eng, nodes: make(map[int]*Node)}
 	for i := range d.Pos {
@@ -118,7 +118,7 @@ func TestJammerBlocksFlood(t *testing.T) {
 	d := topo.Grid(3, 3, 2) // all nodes within R of each other
 	src := d.CenterNode()
 	ns := schedule.GreedyNodeSchedule(d, 3*d.R, 1, true, src)
-	sh := NewShared(d, ns, 1, src, 1)
+	sh := NewShared(d, ns, 1, src, 1, 1, 0)
 	eng := sim.NewEngine(&radio.DiskMedium{R: d.R, Metric: d.Metric})
 	nodes := make(map[int]*Node)
 	for i := range d.Pos {
@@ -171,7 +171,7 @@ func TestRepeatsGiveLossResilience(t *testing.T) {
 		d := topo.Uniform(120, 12, 3, xrand.New(5))
 		src := d.CenterNode()
 		ns := schedule.GreedyNodeSchedule(d, 3*d.R, 1, true, src)
-		sh := NewShared(d, ns, msg.Len, src, repeats)
+		sh := NewShared(d, ns, msg.Len, src, repeats, 1, 0)
 		m := radio.NewFriisMedium(d.R, 7)
 		m.LossProb = 0.6
 		eng := sim.NewEngine(m)
@@ -213,10 +213,10 @@ func TestPanics(t *testing.T) {
 	d := topo.Grid(3, 3, 2)
 	ns1 := schedule.GreedyNodeSchedule(d, 3*d.R, 1, true, 4)
 	for i, f := range []func(){
-		func() { NewShared(d, ns1, 0, 4, 1) },
-		func() { NewShared(d, ns1, 65, 4, 1) },
-		func() { NewShared(d, ns1, 4, 4, 0) },
-		func() { sh := NewShared(d, ns1, 4, 4, 1); NewSource(sh, bitcodec.NewMessage(1, 2)) },
+		func() { NewShared(d, ns1, 0, 4, 1, 1, 0) },
+		func() { NewShared(d, ns1, 65, 4, 1, 1, 0) },
+		func() { NewShared(d, ns1, 4, 4, 0, 1, 0) },
+		func() { sh := NewShared(d, ns1, 4, 4, 1, 1, 0); NewSource(sh, bitcodec.NewMessage(1, 2)) },
 	} {
 		func() {
 			defer func() {
@@ -232,7 +232,7 @@ func TestPanics(t *testing.T) {
 func TestWrongLengthPayloadIgnored(t *testing.T) {
 	d := topo.Grid(3, 3, 2)
 	ns := schedule.GreedyNodeSchedule(d, 3*d.R, 1, true, 4)
-	sh := NewShared(d, ns, 4, 4, 1)
+	sh := NewShared(d, ns, 4, 4, 1, 1, 0)
 	n := NewNode(sh, 0)
 	n.Deliver(1, radio.Received(radio.Frame{Kind: radio.KindData, Payload: 0b1, PayloadLen: 2}))
 	if n.Complete() {
@@ -263,7 +263,7 @@ func TestFloodOnSixRoundSlots(t *testing.T) {
 	d := topo.Grid(7, 7, 2)
 	src := d.CenterNode()
 	ns := schedule.GreedyNodeSchedule(d, 3*d.R, 6, true, src)
-	sh := NewShared(d, ns, msg.Len, src, 1)
+	sh := NewShared(d, ns, msg.Len, src, 1, 1, 0)
 	eng := sim.NewEngine(&radio.DiskMedium{R: d.R, Metric: d.Metric})
 	nodes := map[int]*Node{}
 	for i := range d.Pos {

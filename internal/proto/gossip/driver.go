@@ -1,9 +1,30 @@
+// Package gossip registers GossipRB, a probabilistic-forwarding variant
+// of the epidemic baseline: a device that holds the message forwards it
+// in each of its schedule slots with probability Prob, until it has
+// spent a budget of Fanout rebroadcasts. Fanout > 1 buys loss
+// resilience (the deterministic baseline transmits exactly once),
+// while Prob < 1 desynchronises rebroadcasts of neighboring adopters
+// across cycles, at the cost of a probabilistic propagation delay. Like
+// the baseline it authenticates nothing — receivers adopt the first
+// message they decode.
+//
+// The package is only a driver: its devices are epidemic nodes built
+// with the fanout as their repeat count and a forwarding probability
+// (see epidemic.Shared), so GossipRB at probability 1 is the epidemic
+// baseline. A skipped slot keeps its budget, and each device draws its
+// coins from its own stream under xrand.LaneGossip.
+//
+// GossipRB is not one of the paper's protocols. It exists as the proof
+// of core's protocol-driver registry: the package registers its driver
+// itself and core builds it without naming it — no enum entry, no
+// switch arm, no core edit.
 package gossip
 
 import (
 	"fmt"
 
 	"authradio/internal/core"
+	"authradio/internal/proto/epidemic"
 	"authradio/internal/schedule"
 )
 
@@ -15,6 +36,12 @@ const (
 	// ParamProb is the per-slot forwarding probability (default
 	// DefaultProb).
 	ParamProb = "gossip.prob"
+)
+
+// Default knob values.
+const (
+	DefaultFanout = 3
+	DefaultProb   = 0.8
 )
 
 // Driver wires GossipRB into a world. The knobs arrive through the
@@ -52,7 +79,8 @@ func (Driver) Build(cfg core.Config, b *core.WorldBuilder) error {
 	// Epidemic isolate the forwarding policy.
 	ns := b.NodeSchedule(2*d.R+cfg.Medium.SenseRange(), schedule.SlotLen, true)
 	// Params is caller input, not programmer input: range-check the
-	// typed values as errors rather than tripping NewShared's panics.
+	// typed values as errors rather than tripping epidemic.NewShared's
+	// panics.
 	// (Type errors — a bool fanout, a fractional count — are recorded
 	// by the getters and surfaced from core.Build.)
 	fanout := b.IntParam(ParamFanout, DefaultFanout)
@@ -63,18 +91,18 @@ func (Driver) Build(cfg core.Config, b *core.WorldBuilder) error {
 	if prob <= 0 || prob > 1 {
 		return fmt.Errorf("gossip: %s must be in (0, 1], got %v", ParamProb, prob)
 	}
-	sh := NewShared(d, ns, cfg.Msg.Len, cfg.SourceID, fanout, prob, cfg.Seed)
+	sh := epidemic.NewShared(d, ns, cfg.Msg.Len, cfg.SourceID, fanout, prob, cfg.Seed)
 	b.SetCycle(ns.Cycle, ns.NumSlots)
 	// Whole-message slots have no veto rounds for jammers to target.
 	b.SetJamVetoOnly(false)
 	for i := 0; i < d.N(); i++ {
 		switch {
 		case i == cfg.SourceID:
-			b.AddDevice(NewSource(sh, cfg.Msg))
+			b.AddDevice(epidemic.NewSource(sh, cfg.Msg))
 		case b.Role(i) == core.Honest:
-			b.AddNode(i, NewNode(sh, i))
+			b.AddNode(i, epidemic.NewNode(sh, i))
 		case b.Role(i) == core.Liar:
-			b.AddLiar(i, NewLiar(sh, i, cfg.FakeMsg))
+			b.AddLiar(i, epidemic.NewLiar(sh, i, cfg.FakeMsg))
 		}
 	}
 	return nil

@@ -4,17 +4,22 @@ import (
 	"testing"
 
 	"authradio/internal/bitcodec"
+	"authradio/internal/proto/epidemic"
 	"authradio/internal/radio"
 	"authradio/internal/schedule"
 	"authradio/internal/sim"
 	"authradio/internal/topo"
 )
 
-func shared(t *testing.T, fanout int, prob float64) *Shared {
+// These tests drive epidemic nodes configured as the GossipRB driver
+// configures them: the fanout as the repeat count, plus a forwarding
+// probability and a seed.
+
+func shared(t *testing.T, fanout int, prob float64) *epidemic.Shared {
 	t.Helper()
 	d := topo.Grid(5, 5, 2)
 	ns := schedule.GreedyNodeSchedule(d, 2*d.R+d.R, schedule.SlotLen, true, d.CenterNode())
-	return NewShared(d, ns, 3, d.CenterNode(), fanout, prob, 7)
+	return epidemic.NewShared(d, ns, 3, d.CenterNode(), fanout, prob, 7)
 }
 
 func TestNewSharedValidates(t *testing.T) {
@@ -36,7 +41,7 @@ func TestNewSharedValidates(t *testing.T) {
 
 func TestNodeAdoptsFirstMessage(t *testing.T) {
 	sh := shared(t, 2, 1)
-	n := NewNode(sh, 3)
+	n := epidemic.NewNode(sh, 3)
 	if n.Complete() || n.CommittedBits() != 0 {
 		t.Fatal("fresh node holds a message")
 	}
@@ -54,7 +59,7 @@ func TestNodeAdoptsFirstMessage(t *testing.T) {
 		t.Fatalf("adopted message displaced: %v", got)
 	}
 	// Wrong length and undecoded frames are ignored by fresh nodes.
-	m := NewNode(sh, 4)
+	m := epidemic.NewNode(sh, 4)
 	m.Deliver(1, radio.Obs{Decoded: true, Frame: radio.Frame{Kind: radio.KindData, Payload: 1, PayloadLen: 2}})
 	m.Deliver(1, radio.Obs{Decoded: false, Frame: radio.Frame{Kind: radio.KindData, Payload: 1, PayloadLen: 3}})
 	if m.Complete() {
@@ -68,7 +73,7 @@ func TestNodeAdoptsFirstMessage(t *testing.T) {
 func TestHolderSpendsFanoutOnce(t *testing.T) {
 	sh := shared(t, 2, 1)
 	msg := bitcodec.NewMessage(0b101, 3)
-	n := NewSource(sh, msg)
+	n := epidemic.NewSource(sh, msg)
 	slot := sh.NS.Slot[n.ID()]
 	transmits := 0
 	r := uint64(0)
@@ -104,7 +109,7 @@ func TestHolderSpendsFanoutOnce(t *testing.T) {
 // is eventually spent even at low probability.
 func TestSkippedSlotKeepsBudget(t *testing.T) {
 	sh := shared(t, 3, 0.35)
-	n := NewSource(sh, bitcodec.NewMessage(0b101, 3))
+	n := epidemic.NewSource(sh, bitcodec.NewMessage(0b101, 3))
 	transmits, wakes := 0, 0
 	r := uint64(0)
 	for wakes < 200 {
@@ -129,14 +134,14 @@ func TestSkippedSlotKeepsBudget(t *testing.T) {
 func TestLiarFloodsFake(t *testing.T) {
 	sh := shared(t, 1, 1)
 	fake := bitcodec.NewMessage(0b010, 3)
-	l := NewLiar(sh, 2, fake)
+	l := epidemic.NewLiar(sh, 2, fake)
 	if !l.IsLiar() || !l.Complete() {
 		t.Fatal("liar not preloaded")
 	}
 	if got, _ := l.Message(); !got.Equal(fake) {
 		t.Fatal("liar holds wrong message")
 	}
-	honest := NewNode(sh, 3)
+	honest := epidemic.NewNode(sh, 3)
 	if honest.IsLiar() {
 		t.Fatal("honest node flagged as liar")
 	}

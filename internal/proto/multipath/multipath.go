@@ -27,6 +27,7 @@ package multipath
 
 import (
 	"fmt"
+	"slices"
 
 	"authradio/internal/bitcodec"
 	"authradio/internal/geom"
@@ -198,16 +199,8 @@ func newNode(sh *Shared, id int) *Node {
 	for s := range slots {
 		n.interest = append(n.interest, s)
 	}
-	sortInts(n.interest)
+	slices.Sort(n.interest)
 	return n
-}
-
-func sortInts(v []int) {
-	for i := 1; i < len(v); i++ {
-		for j := i; j > 0 && v[j] < v[j-1]; j-- {
-			v[j], v[j-1] = v[j-1], v[j]
-		}
-	}
 }
 
 func b2i(v bool) int8 {
@@ -263,9 +256,8 @@ func (n *Node) Wake(r uint64) sim.Step {
 	if !n.cur.active {
 		n.beginSlot(start, slot)
 	}
-	st := n.act(sub)
-	st.NextWake = n.nextWake(r)
-	return st
+	act, kind := n.act(sub)
+	return sim.Step{Action: act, Frame: radio.Frame{Kind: kind}, NextWake: n.sh.NS.NextIn(r+1, n.interest)}
 }
 
 func (n *Node) beginSlot(start uint64, slot int) {
@@ -292,39 +284,16 @@ func (n *Node) beginSlot(start uint64, slot int) {
 	}
 }
 
-func (n *Node) act(sub int) sim.Step {
+// act returns the node's radio action for sub-round sub of its active
+// slot.
+func (n *Node) act(sub int) (sim.Action, radio.FrameKind) {
 	switch n.cur.role {
 	case roleSender:
-		switch sub {
-		case twobit.R1, twobit.R3, twobit.R5:
-			if n.cur.tx.Transmits(sub) {
-				kind := radio.KindData
-				if sub == twobit.R5 {
-					kind = radio.KindVeto
-				}
-				return sim.Step{Action: sim.Transmit, Frame: radio.Frame{Kind: kind}}
-			}
-			return sim.Step{Action: sim.Sleep}
-		default:
-			return sim.Step{Action: sim.Listen}
-		}
+		return n.cur.tx.Act(sub)
 	case roleReceiver:
-		switch sub {
-		case twobit.R1, twobit.R3, twobit.R5:
-			return sim.Step{Action: sim.Listen}
-		default:
-			if n.cur.rx.Transmits(sub) {
-				kind := radio.KindAck
-				if sub == twobit.R6 {
-					kind = radio.KindVeto
-				}
-				return sim.Step{Action: sim.Transmit, Frame: radio.Frame{Kind: kind}}
-			}
-			return sim.Step{Action: sim.Sleep}
-		}
-	default:
-		return sim.Step{Action: sim.Sleep}
+		return n.cur.rx.Act(sub)
 	}
+	return sim.Sleep, 0
 }
 
 // Deliver implements sim.Device.
@@ -477,104 +446,18 @@ func (n *Node) commit(r uint64, index int, val bool) {
 	}
 }
 
-func (n *Node) nextWake(r uint64) uint64 {
-	_, slot, sub := n.sh.NS.At(r + 1)
-	if sub != 0 {
-		for _, s := range n.interest {
-			if s == slot {
-				return r + 1
-			}
-		}
-	}
-	best := uint64(1<<63 - 1)
-	for _, s := range n.interest {
-		if w := n.sh.NS.NextStart(r+1, s); w < best {
-			best = w
-		}
-	}
-	return best
-}
-
-// Source is the MultiPathRB broadcast source: it streams ⟨SOURCE, b_i⟩
-// frames for every message bit through its own schedule slot.
-type Source struct {
-	sh   *Shared
-	id   int
-	pos  geom.Point
-	send *onehop.FrameSender
-	tx   *twobit.Sender
-	cur  uint64
-}
-
-// NewSource builds the source device broadcasting msg.
-func NewSource(sh *Shared, msg bitcodec.Message) *Source {
+// NewSource builds the broadcast source: it streams ⟨SOURCE, b_i⟩
+// frames for every message bit through its own schedule slot. Each
+// frame restarts parity at 1, as FrameSender does.
+func NewSource(sh *Shared, msg bitcodec.Message) *onehop.Source {
 	if msg.Len != sh.MsgLen {
 		panic("multipath: source message length mismatch")
 	}
-	s := &Source{sh: sh, id: sh.SourceID, pos: sh.D.Pos[sh.SourceID], send: onehop.NewFrameSender()}
+	var pairs []onehop.Pair
 	for i := 0; i < msg.Len; i++ {
-		s.send.Enqueue(bitcodec.Msg{Type: bitcodec.Source, Index: i, Value: msg.Bit(i)}.Encode())
+		frame := bitcodec.Msg{Type: bitcodec.Source, Index: i, Value: msg.Bit(i)}.Encode()
+		pairs = append(pairs, onehop.Pairs(frame)...)
 	}
-	return s
-}
-
-// ID implements sim.Device.
-func (s *Source) ID() int { return s.id }
-
-// Pos implements sim.Device.
-func (s *Source) Pos() geom.Point { return s.pos }
-
-// Done reports whether all SOURCE frames have been delivered.
-func (s *Source) Done() bool { return s.send.Idle() }
-
-// Wake implements sim.Device.
-func (s *Source) Wake(r uint64) sim.Step {
-	if s.send.Idle() {
-		return sim.Step{Action: sim.Sleep, NextWake: sim.NoWake}
-	}
-	mySlot := s.sh.NS.Slot[s.id]
-	_, slot, sub := s.sh.NS.At(r)
-	start := r - uint64(sub)
-	if slot != mySlot {
-		return sim.Step{Action: sim.Sleep, NextWake: s.sh.NS.NextStart(r+1, mySlot)}
-	}
-	if s.tx == nil || s.cur != start {
-		p, _ := s.send.Current()
-		s.tx = twobit.NewSender(p.B1, p.B2)
-		s.cur = start
-	}
-	var st sim.Step
-	switch sub {
-	case twobit.R1, twobit.R3, twobit.R5:
-		if s.tx.Transmits(sub) {
-			kind := radio.KindData
-			if sub == twobit.R5 {
-				kind = radio.KindVeto
-			}
-			st = sim.Step{Action: sim.Transmit, Frame: radio.Frame{Kind: kind}}
-		} else {
-			st = sim.Step{Action: sim.Sleep}
-		}
-	default:
-		st = sim.Step{Action: sim.Listen}
-	}
-	if sub < twobit.R6 {
-		st.NextWake = r + 1
-	} else {
-		st.NextWake = s.sh.NS.NextStart(r+1, mySlot)
-	}
-	return st
-}
-
-// Deliver implements sim.Device.
-func (s *Source) Deliver(r uint64, obs radio.Obs) {
-	if s.tx == nil || s.cur > r || r-s.cur >= uint64(s.sh.NS.SlotLen) {
-		return
-	}
-	sub := int(r - s.cur)
-	s.tx.Observe(sub, obs.Busy)
-	if sub == twobit.R6 {
-		s.send.SlotDone(s.tx.Outcome() == twobit.Success)
-		s.tx = nil
-	}
+	src := sh.SourceID
+	return onehop.NewSource(src, sh.D.Pos[src], sh.NS.Cycle, sh.NS.Slot[src], pairs)
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"authradio/internal/bitcodec"
+	"authradio/internal/proto/onehop"
 	"authradio/internal/radio"
 	"authradio/internal/schedule"
 	"authradio/internal/sim"
@@ -16,7 +17,7 @@ type world struct {
 	sh     *Shared
 	eng    *sim.Engine
 	nodes  map[int]*Node
-	source *Source
+	source *onehop.Source
 }
 
 type worldCfg struct {

@@ -21,6 +21,7 @@ package nwatch
 
 import (
 	"fmt"
+	"slices"
 
 	"authradio/internal/bitcodec"
 	"authradio/internal/geom"
@@ -224,7 +225,7 @@ func newNode(sh *Shared, id int) *Node {
 	for s := range slots {
 		n.interest = append(n.interest, s)
 	}
-	sortInts(n.interest)
+	slices.Sort(n.interest)
 	for idx, m := range sh.MembersOf[sq] {
 		if m == id {
 			n.rank = idx
@@ -232,14 +233,6 @@ func newNode(sh *Shared, id int) *Node {
 		}
 	}
 	return n
-}
-
-func sortInts(v []int) {
-	for i := 1; i < len(v); i++ {
-		for j := i; j > 0 && v[j] < v[j-1]; j-- {
-			v[j], v[j-1] = v[j-1], v[j]
-		}
-	}
 }
 
 func (n *Node) listensToSource() bool {
@@ -294,9 +287,8 @@ func (n *Node) Wake(r uint64) sim.Step {
 	if !n.cur.active {
 		n.beginSlot(start, slot)
 	}
-	act := n.act(sub)
-	act.NextWake = n.nextWake(r)
-	return act
+	act, kind := n.act(sub)
+	return sim.Step{Action: act, Frame: radio.Frame{Kind: kind}, NextWake: n.sh.G.NextIn(r+1, n.interest)}
 }
 
 // beginSlot decides the node's role for the slot starting at start.
@@ -332,50 +324,16 @@ func (n *Node) beginSlot(start uint64, slot int) {
 
 // act returns the node's radio action for sub-round sub of its active
 // slot.
-func (n *Node) act(sub int) sim.Step {
+func (n *Node) act(sub int) (sim.Action, radio.FrameKind) {
 	switch n.cur.role {
 	case roleSender:
-		switch sub {
-		case twobit.R1, twobit.R3:
-			if n.cur.tx.Transmits(sub) {
-				return sim.Step{Action: sim.Transmit, Frame: radio.Frame{Kind: radio.KindData}}
-			}
-			return sim.Step{Action: sim.Sleep}
-		case twobit.R5:
-			if n.cur.tx.Transmits(sub) {
-				return sim.Step{Action: sim.Transmit, Frame: radio.Frame{Kind: radio.KindVeto}}
-			}
-			return sim.Step{Action: sim.Sleep}
-		default: // R2, R4, R6
-			return sim.Step{Action: sim.Listen}
-		}
+		return n.cur.tx.Act(sub)
 	case roleWatcher:
-		if sub <= twobit.R4 {
-			// Monitor data rounds and acknowledgement rounds alike: a
-			// receiver ack also implies someone transmitted data.
-			return sim.Step{Action: sim.Listen}
-		}
-		if n.cur.watch.Transmits(sub) {
-			return sim.Step{Action: sim.Transmit, Frame: radio.Frame{Kind: radio.KindVeto}}
-		}
-		return sim.Step{Action: sim.Sleep}
+		return n.cur.watch.Act(sub)
 	case roleReceiver:
-		switch sub {
-		case twobit.R1, twobit.R3, twobit.R5:
-			return sim.Step{Action: sim.Listen}
-		default: // R2, R4, R6: echo/veto rounds
-			if n.cur.rx.Transmits(sub) {
-				kind := radio.KindAck
-				if sub == twobit.R6 {
-					kind = radio.KindVeto
-				}
-				return sim.Step{Action: sim.Transmit, Frame: radio.Frame{Kind: kind}}
-			}
-			return sim.Step{Action: sim.Sleep}
-		}
-	default:
-		return sim.Step{Action: sim.Sleep}
+		return n.cur.rx.Act(sub)
 	}
+	return sim.Sleep, 0
 }
 
 // Deliver implements sim.Device.
@@ -517,117 +475,14 @@ func (n *Node) tryCommit(r uint64) {
 	}
 }
 
-// nextWake returns the first round after r that falls inside one of the
-// node's interest slots.
-func (n *Node) nextWake(r uint64) uint64 {
-	_, slot, sub := n.sh.G.At(r + 1)
-	// If r+1 is still inside an interest slot, wake then.
-	if sub != 0 {
-		for _, s := range n.interest {
-			if s == slot {
-				return r + 1
-			}
-		}
-	}
-	best := uint64(1<<63 - 1)
-	for _, s := range n.interest {
-		if w := n.sh.G.NextStart(r+1, s); w < best {
-			best = w
-		}
-	}
-	return best
-}
-
-// Source is the broadcast source device: it "behaves independently of
-// any square and it always is awarded the first broadcast interval",
-// streaming the message bits via the 1Hop-Protocol in slot 0.
-type Source struct {
-	sh   *Shared
-	id   int
-	pos  geom.Point
-	send *onehop.StreamSender
-	tx   *twobit.Sender
-	cur  uint64 // active slot start (valid when tx != nil)
-}
-
-// NewSource builds the source device broadcasting msg.
-func NewSource(sh *Shared, msg bitcodec.Message) *Source {
+// NewSource builds the broadcast source, which "behaves independently
+// of any square and it always is awarded the first broadcast interval":
+// it streams the message bits via the 1Hop-Protocol in slot 0.
+func NewSource(sh *Shared, msg bitcodec.Message) *onehop.Source {
 	if msg.Len != sh.MsgLen {
 		panic(fmt.Sprintf("nwatch: source message length %d != configured %d", msg.Len, sh.MsgLen))
 	}
-	s := &Source{sh: sh, id: sh.SourceID, pos: sh.D.Pos[sh.SourceID], send: onehop.NewStreamSender(msg.Len)}
-	for i := 0; i < msg.Len; i++ {
-		s.send.Append(msg.Bit(i))
-	}
-	return s
-}
-
-// ID implements sim.Device.
-func (s *Source) ID() int { return s.id }
-
-// Pos implements sim.Device.
-func (s *Source) Pos() geom.Point { return s.pos }
-
-// Done reports whether every bit has been delivered to the source's
-// neighborhood.
-func (s *Source) Done() bool { return s.send.Done() }
-
-// Wake implements sim.Device.
-func (s *Source) Wake(r uint64) sim.Step {
-	_, slot, sub := s.sh.G.At(r)
-	start := r - uint64(sub)
-	if slot != schedule.SourceSlot || s.send.Done() {
-		return sim.Step{Action: sim.Sleep, NextWake: s.sourceNextWake(r)}
-	}
-	if sub == 0 || s.tx == nil || s.cur != start {
-		p, _, ok := s.send.Current()
-		if !ok {
-			return sim.Step{Action: sim.Sleep, NextWake: s.sourceNextWake(r)}
-		}
-		s.tx = twobit.NewSender(p.B1, p.B2)
-		s.cur = start
-	}
-	var step sim.Step
-	switch sub {
-	case twobit.R1, twobit.R3, twobit.R5:
-		if s.tx.Transmits(sub) {
-			kind := radio.KindData
-			if sub == twobit.R5 {
-				kind = radio.KindVeto
-			}
-			step = sim.Step{Action: sim.Transmit, Frame: radio.Frame{Kind: kind}}
-		} else {
-			step = sim.Step{Action: sim.Sleep}
-		}
-	default:
-		step = sim.Step{Action: sim.Listen}
-	}
-	step.NextWake = s.sourceNextWake(r)
-	return step
-}
-
-func (s *Source) sourceNextWake(r uint64) uint64 {
-	if s.send.Done() {
-		return sim.NoWake
-	}
-	_, slot, sub := s.sh.G.At(r + 1)
-	if slot == schedule.SourceSlot && sub != 0 {
-		return r + 1
-	}
-	return s.sh.G.NextStart(r+1, schedule.SourceSlot)
-}
-
-// Deliver implements sim.Device.
-func (s *Source) Deliver(r uint64, obs radio.Obs) {
-	if s.tx == nil || s.cur > r || r-s.cur >= uint64(s.sh.G.SlotLen) {
-		return
-	}
-	sub := int(r - s.cur)
-	s.tx.Observe(sub, obs.Busy)
-	if sub == twobit.R6 {
-		s.send.SlotDone(s.tx.Outcome() == twobit.Success)
-		s.tx = nil
-	}
+	return onehop.NewSource(sh.SourceID, sh.D.Pos[sh.SourceID], sh.G.Cycle, schedule.SourceSlot, onehop.Pairs(msg.Bools()))
 }
 
 // SendPosition exposes the node's stream position (bits successfully

@@ -5,6 +5,7 @@ import (
 
 	"authradio/internal/bitcodec"
 	"authradio/internal/geom"
+	"authradio/internal/proto/onehop"
 	"authradio/internal/radio"
 	"authradio/internal/schedule"
 	"authradio/internal/sim"
@@ -19,7 +20,7 @@ type world struct {
 	sh     *Shared
 	eng    *sim.Engine
 	nodes  map[int]*Node
-	source *Source
+	source *onehop.Source
 }
 
 type worldCfg struct {

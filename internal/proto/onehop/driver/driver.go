@@ -52,11 +52,11 @@ func (Driver) Build(cfg core.Config, b *core.WorldBuilder) error {
 	for i := 0; i < d.N(); i++ {
 		switch {
 		case i == cfg.SourceID:
-			b.AddDevice(newSender(i, d.Pos[i], cfg.Msg, false))
+			b.AddDevice(newSender(i, d.Pos[i], cyc, cfg.Msg, false))
 		case b.Role(i) == core.Honest:
 			b.AddNode(i, newReceiver(i, d.Pos[i], cfg.Msg.Len))
 		case b.Role(i) == core.Liar:
-			b.AddLiar(i, newSender(i, d.Pos[i], cfg.FakeMsg, true))
+			b.AddLiar(i, newSender(i, d.Pos[i], cyc, cfg.FakeMsg, true))
 		}
 	}
 	return nil
@@ -65,71 +65,14 @@ func (Driver) Build(cfg core.Config, b *core.WorldBuilder) error {
 // sender streams a message over consecutive 2Bit slots: the source
 // role, also replayed by liars with a fake message.
 type sender struct {
-	id   int
-	pos  geom.Point
+	*onehop.Source
 	msg  bitcodec.Message
 	liar bool
-
-	str *onehop.StreamSender
-	tb  *twobit.Sender
-	on  bool // a 2Bit exchange is in flight this slot
 }
 
-func newSender(id int, pos geom.Point, msg bitcodec.Message, liar bool) *sender {
-	s := &sender{id: id, pos: pos, msg: msg, liar: liar, str: onehop.NewStreamSender(msg.Len)}
-	for i := 0; i < msg.Len; i++ {
-		s.str.Append(msg.Bit(i))
-	}
-	return s
-}
-
-// ID implements sim.Device.
-func (s *sender) ID() int { return s.id }
-
-// Pos implements sim.Device.
-func (s *sender) Pos() geom.Point { return s.pos }
-
-// Wake implements sim.Device.
-func (s *sender) Wake(r uint64) sim.Step {
-	sub := int(r % uint64(twobit.NumRounds))
-	if sub == twobit.R1 {
-		p, _, ok := s.str.Current()
-		if !ok { // stream fully delivered
-			return sim.Step{Action: sim.Sleep, NextWake: sim.NoWake}
-		}
-		s.tb = twobit.NewSender(p.B1, p.B2)
-		s.on = true
-	}
-	if !s.on {
-		return sim.Step{Action: sim.Sleep, NextWake: r + 1}
-	}
-	switch sub {
-	case twobit.R1, twobit.R3:
-		if s.tb.Transmits(sub) {
-			return sim.Step{Action: sim.Transmit, Frame: radio.Frame{Kind: radio.KindData}, NextWake: r + 1}
-		}
-		return sim.Step{Action: sim.Sleep, NextWake: r + 1}
-	case twobit.R5:
-		if s.tb.Transmits(sub) {
-			return sim.Step{Action: sim.Transmit, Frame: radio.Frame{Kind: radio.KindVeto}, NextWake: r + 1}
-		}
-		return sim.Step{Action: sim.Sleep, NextWake: r + 1}
-	default: // R2, R4, R6: the sender listens for acks and relayed vetoes
-		return sim.Step{Action: sim.Listen, NextWake: r + 1}
-	}
-}
-
-// Deliver implements sim.Device.
-func (s *sender) Deliver(r uint64, obs radio.Obs) {
-	if !s.on {
-		return
-	}
-	sub := int(r % uint64(twobit.NumRounds))
-	s.tb.Observe(sub, obs.Busy)
-	if sub == twobit.R6 {
-		s.str.SlotDone(s.tb.Outcome() == twobit.Success)
-		s.on = false
-	}
+func newSender(id int, pos geom.Point, cyc schedule.Cycle, msg bitcodec.Message, liar bool) *sender {
+	src := onehop.NewSource(id, pos, cyc, 0, onehop.Pairs(msg.Bools()))
+	return &sender{Source: src, msg: msg, liar: liar}
 }
 
 // IsLiar implements core.Status.
@@ -182,19 +125,8 @@ func (n *receiver) Wake(r uint64) sim.Step {
 	if n.rx == nil { // joined mid-slot (first cycle only)
 		return sim.Step{Action: sim.Sleep, NextWake: r + 1}
 	}
-	switch sub {
-	case twobit.R1, twobit.R3, twobit.R5:
-		return sim.Step{Action: sim.Listen, NextWake: r + 1}
-	default: // R2, R4, R6: echo/veto rounds
-		if n.rx.Transmits(sub) {
-			kind := radio.KindAck
-			if sub == twobit.R6 {
-				kind = radio.KindVeto
-			}
-			return sim.Step{Action: sim.Transmit, Frame: radio.Frame{Kind: kind}, NextWake: r + 1}
-		}
-		return sim.Step{Action: sim.Sleep, NextWake: r + 1}
-	}
+	act, kind := n.rx.Act(sub)
+	return sim.Step{Action: act, Frame: radio.Frame{Kind: kind}, NextWake: r + 1}
 }
 
 // Deliver implements sim.Device.

@@ -26,6 +26,13 @@
 //     even length, with idle gaps allowed between frames — the
 //     discipline used by MultiPathRB for its SOURCE/COMMIT/HEARD
 //     messages.
+//
+// Source is the one device that streams a list of pairs known up
+// front: the broadcast source of NeighborWatchRB, MultiPathRB and
+// OneHopRB. It runs the 2Bit sender role in one slot of a schedule
+// cycle and moves to the next pair only after a successful exchange.
+// Pairs builds its list from message bits; MultiPathRB concatenates one
+// list per SOURCE frame.
 package onehop
 
 // parityAt returns the control-bit value for stream position i

@@ -17,18 +17,27 @@
 // veto and therefore a visible failure (Theorem 1), at the cost of at
 // least one Byzantine broadcast.
 //
-// The types here are pure, engine-independent state machines: callers
-// feed them the sub-round number (0..5) and channel observations, and
-// read back the transmit decisions and the outcome. They are composed
-// into full devices by the onehop, nwatch and multipath packages. A
-// third role, Watcher, implements NeighborWatchRB's monitoring: a square
-// member that has not committed the bit being sent listens during
-// R1..R4 and jams R5 and R6 on any activity, blocking the transfer
-// ("node n blocks the 1Hop-Protocol initiated by the other node, by
-// broadcasting during veto rounds").
+// Each role is a small state machine: callers feed it the sub-round
+// number (0..5) and channel observations, and read back its radio
+// action and the outcome. Act maps a role to the engine's radio action
+// for a sub-round, so this package alone decides who listens, who
+// transmits, and which frame kind each sub-round carries (R1 and R3
+// data, R2 and R4 acknowledgements, R5 and R6 vetoes); Transmits is the
+// bare decision behind it. The roles are composed into full devices by
+// the onehop, nwatch and multipath packages. A third role, Watcher,
+// implements NeighborWatchRB's monitoring: a square member that has not
+// committed the bit being sent listens during R1..R4 and jams R5 and R6
+// on any activity, blocking the transfer ("node n blocks the
+// 1Hop-Protocol initiated by the other node, by broadcasting during
+// veto rounds").
 package twobit
 
-import "fmt"
+import (
+	"fmt"
+
+	"authradio/internal/radio"
+	"authradio/internal/sim"
+)
 
 // Sub-round indices within a slot.
 const (
@@ -41,6 +50,26 @@ const (
 	// NumRounds is the slot length.
 	NumRounds
 )
+
+// kindOf is the frame kind each sub-round carries.
+var kindOf = [NumRounds]radio.FrameKind{
+	R1: radio.KindData, R2: radio.KindAck,
+	R3: radio.KindData, R4: radio.KindAck,
+	R5: radio.KindVeto, R6: radio.KindVeto,
+}
+
+// act is a role's radio action in sub-round sub: listen when the role
+// listens, else transmit or sleep as tx says. The frame kind is the
+// sub-round's, whatever the action.
+func act(sub int, listens, tx bool) (sim.Action, radio.FrameKind) {
+	switch {
+	case listens:
+		return sim.Listen, kindOf[sub]
+	case tx:
+		return sim.Transmit, kindOf[sub]
+	}
+	return sim.Sleep, kindOf[sub]
+}
 
 // Outcome is the result of one 2Bit exchange.
 type Outcome uint8
@@ -92,6 +121,12 @@ func (s *Sender) Transmits(sub int) bool {
 	default:
 		return false
 	}
+}
+
+// Act returns the sender's radio action for sub-round sub: it listens
+// in R2, R4 and R6 and transmits in R1, R3 and R5 when Transmits holds.
+func (s *Sender) Act(sub int) (sim.Action, radio.FrameKind) {
+	return act(sub, sub&1 == 1, s.Transmits(sub))
 }
 
 // vetoes evaluates the paper's four sender-veto conditions.
@@ -154,6 +189,12 @@ func (r *Receiver) Transmits(sub int) bool {
 	}
 }
 
+// Act returns the receiver's radio action for sub-round sub: it listens
+// in R1, R3 and R5 and transmits in R2, R4 and R6 when Transmits holds.
+func (r *Receiver) Act(sub int) (sim.Action, radio.FrameKind) {
+	return act(sub, sub&1 == 0, r.Transmits(sub))
+}
+
 // Observe delivers the channel activity for a listening sub-round
 // (R1, R3, R5).
 func (r *Receiver) Observe(sub int, busy bool) {
@@ -210,6 +251,14 @@ func NewWatcher(unconditional bool) *Watcher { return &Watcher{sawAny: unconditi
 // Transmits reports whether the watcher jams the given sub-round.
 func (w *Watcher) Transmits(sub int) bool {
 	return (sub == R5 || sub == R6) && w.sawAny
+}
+
+// Act returns the watcher's radio action for sub-round sub: it listens
+// in R1..R4, data and acknowledgement rounds alike (an acknowledgement
+// also means someone sent data), and jams R5 and R6 when Transmits
+// holds.
+func (w *Watcher) Act(sub int) (sim.Action, radio.FrameKind) {
+	return act(sub, sub <= R4, w.Transmits(sub))
 }
 
 // Observe delivers channel activity for the monitoring rounds R1..R4.

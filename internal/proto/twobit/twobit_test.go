@@ -3,6 +3,9 @@ package twobit
 import (
 	"testing"
 	"testing/quick"
+
+	"authradio/internal/radio"
+	"authradio/internal/sim"
 )
 
 // neighborhood simulates one schedule slot in a single shared
@@ -450,5 +453,56 @@ func BenchmarkExchange(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		n := &neighborhood{sender: NewSender(true, false), receivers: []*Receiver{NewReceiver(), NewReceiver()}}
 		n.run()
+	}
+}
+
+// TestActMatchesTransmits checks each role's radio action against
+// Transmits in every reachable state: the sender listens in R2, R4 and
+// R6, the receiver in R1, R3 and R5, the watcher in R1..R4, and in every
+// other sub-round a role transmits iff Transmits holds. The frame kind
+// is the sub-round's: data in R1/R3, ack in R2/R4, veto in R5/R6.
+func TestActMatchesTransmits(t *testing.T) {
+	kinds := [NumRounds]radio.FrameKind{radio.KindData, radio.KindAck, radio.KindData, radio.KindAck, radio.KindVeto, radio.KindVeto}
+	type role interface {
+		Act(sub int) (sim.Action, radio.FrameKind)
+		Transmits(sub int) bool
+	}
+	// listens has bit sub set for each sub-round the role listens in.
+	check := func(name string, r role, listens uint8) {
+		t.Helper()
+		for sub := 0; sub < NumRounds; sub++ {
+			want := sim.Sleep
+			switch {
+			case listens&(1<<sub) != 0:
+				want = sim.Listen
+			case r.Transmits(sub):
+				want = sim.Transmit
+			}
+			if act, kind := r.Act(sub); act != want || kind != kinds[sub] {
+				t.Errorf("%s sub-round %d: Act = (%v, %v), want (%v, %v)", name, sub, act, kind, want, kinds[sub])
+			}
+		}
+	}
+	for _, p := range pairs() {
+		for _, acks := range pairs() {
+			s := NewSender(p[0], p[1])
+			s.Observe(R2, acks[0])
+			s.Observe(R4, acks[1])
+			check("sender", s, 1<<R2|1<<R4|1<<R6)
+		}
+	}
+	for heard := 0; heard < 8; heard++ {
+		r := NewReceiver()
+		r.Observe(R1, heard&1 != 0)
+		r.Observe(R3, heard&2 != 0)
+		r.Observe(R5, heard&4 != 0)
+		check("receiver", r, 1<<R1|1<<R3|1<<R5)
+	}
+	for _, unconditional := range []bool{false, true} {
+		for _, busy := range []bool{false, true} {
+			w := NewWatcher(unconditional)
+			w.Observe(R3, busy)
+			check("watcher", w, 1<<R1|1<<R2|1<<R3|1<<R4)
+		}
 	}
 }

@@ -71,6 +71,27 @@ func (c Cycle) NextStart(after uint64, slot int) uint64 {
 	return base + k*cr
 }
 
+// NextIn returns the first round >= after that lies inside one of the
+// given slots, which must be ascending; ^uint64(0) if there are none.
+// This is when a device that takes part in exactly those slots next
+// needs its radio.
+func (c Cycle) NextIn(after uint64, slots []int) uint64 {
+	cycle, cur, sub := c.At(after)
+	for _, s := range slots {
+		switch {
+		case s < cur:
+			continue
+		case s == cur && sub != 0:
+			return after
+		}
+		return c.Start(cycle, s)
+	}
+	if len(slots) == 0 {
+		return ^uint64(0)
+	}
+	return c.Start(cycle+1, slots[0])
+}
+
 // Square identifies one cell of the plane partition by its integer grid
 // coordinates.
 type Square struct {

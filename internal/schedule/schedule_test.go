@@ -371,3 +371,62 @@ func BenchmarkGreedyNodeSchedule4096(b *testing.B) {
 		_ = GreedyNodeSchedule(d, 3*d.R, SlotLen, true, 0)
 	}
 }
+
+// nextInOracle is the per-slot formula NextIn replaced: stay in the
+// current slot if it is one of slots and after is past its start, else
+// take the earliest next start over all slots.
+func nextInOracle(c Cycle, after uint64, slots []int) uint64 {
+	_, slot, sub := c.At(after)
+	if sub != 0 {
+		for _, s := range slots {
+			if s == slot {
+				return after
+			}
+		}
+	}
+	best := uint64(1<<63 - 1)
+	for _, s := range slots {
+		if w := c.NextStart(after, s); w < best {
+			best = w
+		}
+	}
+	return best
+}
+
+// TestCycleNextInProperty checks NextIn against the per-slot oracle on
+// random cycles, slot sets and rounds, including every slot's start, its
+// last round (R6 of a six-round slot) and the round after it.
+func TestCycleNextInProperty(t *testing.T) {
+	rng := xrand.New(41)
+	for trial := 0; trial < 2000; trial++ {
+		c := Cycle{NumSlots: 1 + rng.Intn(40), SlotLen: 1 + rng.Intn(8)}
+		var slots []int
+		for s := 0; s < c.NumSlots; s++ {
+			if rng.Bool(0.3) {
+				slots = append(slots, s)
+			}
+		}
+		if len(slots) == 0 {
+			slots = []int{rng.Intn(c.NumSlots)}
+		}
+		cycle := uint64(rng.Intn(1 << 20))
+		rounds := []uint64{0, rng.Uint64() >> 24, c.Start(cycle, 0)}
+		for s := 0; s < c.NumSlots; s++ {
+			start := c.Start(cycle, s)
+			end := start + uint64(c.SlotLen) - 1
+			rounds = append(rounds, start, start+1, end, end+1)
+			if start > 0 {
+				rounds = append(rounds, start-1)
+			}
+		}
+		for _, after := range rounds {
+			got, want := c.NextIn(after, slots), nextInOracle(c, after, slots)
+			if got != want {
+				t.Fatalf("%+v slots %v: NextIn(%d) = %d, oracle %d", c, slots, after, got, want)
+			}
+		}
+	}
+	if got := (Cycle{NumSlots: 3, SlotLen: 6}).NextIn(5, nil); got != ^uint64(0) {
+		t.Fatalf("NextIn with no slots = %d", got)
+	}
+}
