@@ -56,7 +56,7 @@ serve-smoke:
 # regime — single iterations, 3 counts, -benchmem — plus the opt-in
 # million-device round when BENCH_SCALE_1M=1 is exported.
 bench:
-	go test -run '^$$' -bench 'BenchmarkDenseRound(Linear|Indexed|4096|Disk)|BenchmarkSingleBroadcast(NW|MP)$$|BenchmarkSparseCalendar' \
+	go test -run '^$$' -bench 'BenchmarkDenseRound(Linear|Indexed|4096|Disk)|BenchmarkSingleBroadcast(NW|MP|Epidemic)$$|BenchmarkSparseCalendar' \
 		-count 5 -benchtime 0.3s . ./internal/sim
 
 bench-scale:

@@ -65,7 +65,7 @@ func (j *Jammer) Pos() geom.Point { return j.pos }
 // Deliver implements sim.Device (jammers never listen).
 func (j *Jammer) Deliver(uint64, radio.Obs) {}
 
-// Spent returns how many broadcasts of the original budget remain.
+// Spent reports whether the jammer has used up its broadcast budget.
 func (j *Jammer) Spent() bool { return j.Budget <= 0 }
 
 // Wake implements sim.Device.

@@ -129,6 +129,11 @@ func TestSkippedSlotKeepsBudget(t *testing.T) {
 	if transmits != 3 {
 		t.Fatalf("holder spent %d of fanout 3 in %d wakes", transmits, wakes)
 	}
+	// Every wake is at the holder's slot start, so each one without a
+	// transmission is a lost coin flip.
+	if wakes == transmits {
+		t.Fatal("no slot skipped at probability 0.35")
+	}
 }
 
 func TestLiarFloodsFake(t *testing.T) {

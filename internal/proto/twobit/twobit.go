@@ -126,7 +126,7 @@ func (s *Sender) Transmits(sub int) bool {
 // Act returns the sender's radio action for sub-round sub: it listens
 // in R2, R4 and R6 and transmits in R1, R3 and R5 when Transmits holds.
 func (s *Sender) Act(sub int) (sim.Action, radio.FrameKind) {
-	return act(sub, sub&1 == 1, s.Transmits(sub))
+	return act(sub, sub == R2 || sub == R4 || sub == R6, s.Transmits(sub))
 }
 
 // vetoes evaluates the paper's four sender-veto conditions.
@@ -192,7 +192,7 @@ func (r *Receiver) Transmits(sub int) bool {
 // Act returns the receiver's radio action for sub-round sub: it listens
 // in R1, R3 and R5 and transmits in R2, R4 and R6 when Transmits holds.
 func (r *Receiver) Act(sub int) (sim.Action, radio.FrameKind) {
-	return act(sub, sub&1 == 0, r.Transmits(sub))
+	return act(sub, sub == R1 || sub == R3 || sub == R5, r.Transmits(sub))
 }
 
 // Observe delivers the channel activity for a listening sub-round
