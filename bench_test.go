@@ -12,7 +12,6 @@ import (
 	"strings"
 	"testing"
 
-	"authradio/internal/core"
 	"authradio/internal/experiment"
 )
 
@@ -211,7 +210,7 @@ func BenchmarkDenseRoundDisk(b *testing.B)       { benchDenseRoundDisk(b, false)
 // broadcast (the library's core operation) for ns/op tracking.
 func BenchmarkSingleBroadcastNW(b *testing.B) {
 	s := experiment.Scenario{
-		Name: "bench", Protocol: core.NeighborWatchRB, Deploy: experiment.GridDeploy,
+		Name: "bench", ProtocolName: "NeighborWatchRB", Deploy: experiment.GridDeploy,
 		GridW: 9, Range: 2, MsgLen: 4, Seed: 1, MaxRounds: 500_000,
 	}
 	b.ResetTimer()
@@ -224,11 +223,11 @@ func BenchmarkSingleBroadcastNW(b *testing.B) {
 }
 
 // BenchmarkSingleBroadcastMP measures one end-to-end MultiPathRB
-// broadcast.
+// broadcast at tolerance t=1.
 func BenchmarkSingleBroadcastMP(b *testing.B) {
 	s := experiment.Scenario{
-		Name: "bench", Protocol: core.MultiPathRB, Deploy: experiment.GridDeploy,
-		GridW: 7, Range: 2, MsgLen: 3, T: 1, Seed: 1, MaxRounds: 3_000_000,
+		Name: "bench", ProtocolName: "MultiPathRB/t1", Deploy: experiment.GridDeploy,
+		GridW: 7, Range: 2, MsgLen: 3, Seed: 1, MaxRounds: 3_000_000,
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -243,7 +242,7 @@ func BenchmarkSingleBroadcastMP(b *testing.B) {
 // flood.
 func BenchmarkSingleBroadcastEpidemic(b *testing.B) {
 	s := experiment.Scenario{
-		Name: "bench", Protocol: core.EpidemicRB, Deploy: experiment.GridDeploy,
+		Name: "bench", ProtocolName: "Epidemic", Deploy: experiment.GridDeploy,
 		GridW: 9, Range: 2, MsgLen: 4, Seed: 1, MaxRounds: 500_000,
 	}
 	b.ResetTimer()

@@ -102,7 +102,7 @@ type sweepRequest struct {
 	// or "families" (instances × the fixed 10%-liar families mix).
 	Exp string `json:"exp"`
 	// Instances restricts the protocol-instance axis (registry
-	// instance names; empty = all).
+	// names, aliases or instance names, any case; empty = all).
 	Instances []string `json:"instances"`
 	// Mixes restricts the adversary axis by compact label
 	// ("clean", "liar15", "jam10b32"; matrix grid only; empty = the
@@ -151,17 +151,17 @@ func (s *server) handleSweep(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	// Unknown instances would panic deep in the scenario runner;
-	// validate the whole request up front.
-	known := make(map[string]bool)
-	for _, inst := range core.Instances() {
-		known[inst] = true
-	}
-	for _, inst := range req.Instances {
-		if !known[inst] {
+	// validate the whole request up front. Each name is replaced by
+	// its canonical registry name, so an alias addresses the same
+	// cells, labels and round caps as the name it resolves to.
+	for i, inst := range req.Instances {
+		drv, ok := core.Lookup(inst)
+		if !ok {
 			http.Error(w, fmt.Sprintf("unknown instance %q (see core.Instances: %s)",
 				inst, strings.Join(core.Instances(), ", ")), http.StatusBadRequest)
 			return
 		}
+		req.Instances[i] = drv.Name()
 	}
 	var mixes []experiment.AdversaryMix
 	if len(req.Mixes) > 0 {

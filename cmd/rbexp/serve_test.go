@@ -101,6 +101,19 @@ func TestServeSweepWarmCache(t *testing.T) {
 			t.Fatalf("warm result drifted for %s: %+v vs %+v", c.Label, prev.Result, c.Result)
 		}
 	}
+
+	// An alias addresses the same cells, under the same labels, as the
+	// canonical name.
+	alias, aliasDone := postSweep(t, s, strings.Replace(body, `"GossipRB"`, `"gossip"`, 1))
+	if aliasDone.Executed != 0 || aliasDone.Hits != 2 {
+		t.Fatalf("alias trailer %+v, want executed=0 hits=2", aliasDone)
+	}
+	for _, c := range alias {
+		prev, ok := byID[c.ID]
+		if !ok || prev.Label != c.Label {
+			t.Fatalf("alias request produced cell %s (%s), not one of the cold run's", c.ID, c.Label)
+		}
+	}
 }
 
 // TestServeConcurrentClients: several clients submit the same grid at

@@ -51,6 +51,7 @@ import (
 	"authradio/internal/faultnet"
 	netmedium "authradio/internal/medium/net"
 	"authradio/internal/metrics"
+	"authradio/internal/proto/multipath"
 	"authradio/internal/trace"
 
 	_ "authradio/internal/protocols"
@@ -76,7 +77,7 @@ func main() {
 		sigma    = flag.Float64("sigma", 2.5, "cluster spread")
 		msgStr   = flag.String("msg", "0b1011", "message bits (0b... or decimal)")
 		msgLen   = flag.Int("msglen", 4, "message length in bits")
-		t        = flag.Int("t", 3, "MultiPathRB tolerance")
+		t        = flag.Int("t", 3, "MultiPathRB tolerance: sets the multipath.t knob (-param multipath.t wins)")
 		liars    = flag.Float64("liars", 0, "fraction of lying devices")
 		jammers  = flag.Float64("jammers", 0, "fraction of jamming devices")
 		crash    = flag.Float64("crash", 0, "fraction of crashed devices")
@@ -154,9 +155,8 @@ func main() {
 		Range:        *rng,
 		MsgBits:      bits,
 		MsgLen:       *msgLen,
-		T:            *t,
 		AdversaryMix: adv,
-		Params:       params.Params,
+		Params:       core.Params{multipath.ParamT: *t}.Merge(params.Params),
 		Seed:         *seed,
 		MaxRounds:    *maxR,
 	}

@@ -43,12 +43,12 @@ func main() {
 	fakePayload := bitcodec.NewMessage(^payload.Bits, payload.Len)
 
 	flood, err := core.Build(core.Config{
-		Deploy:   deploy,
-		Protocol: core.EpidemicRB,
-		Msg:      payload,
-		FakeMsg:  fakePayload,
-		SourceID: -1,
-		Roles:    roles,
+		Deploy:       deploy,
+		ProtocolName: "Epidemic",
+		Msg:          payload,
+		FakeMsg:      fakePayload,
+		SourceID:     -1,
+		Roles:        roles,
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -59,12 +59,12 @@ func main() {
 	// deployment (disjoint schedule; in a deployment the two phases
 	// can interleave). The liar pushes the digest of its fake payload.
 	auth, err := core.Build(core.Config{
-		Deploy:   deploy,
-		Protocol: core.NeighborWatchRB,
-		Msg:      digest,
-		FakeMsg:  fakePayload.Digest(digestBits),
-		SourceID: -1,
-		Roles:    roles,
+		Deploy:       deploy,
+		ProtocolName: "NeighborWatchRB",
+		Msg:          digest,
+		FakeMsg:      fakePayload.Digest(digestBits),
+		SourceID:     -1,
+		Roles:        roles,
 	})
 	if err != nil {
 		log.Fatal(err)

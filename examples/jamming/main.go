@@ -11,7 +11,6 @@ package main
 import (
 	"fmt"
 
-	"authradio/internal/core"
 	"authradio/internal/experiment"
 	"authradio/internal/stats"
 
@@ -28,13 +27,13 @@ func main() {
 	var xs, ys []float64
 	for _, budget := range []int{0, 4, 8, 16, 32} {
 		s := experiment.Scenario{
-			Name:     "jam",
-			Protocol: core.NeighborWatchRB,
-			Deploy:   experiment.Uniform,
-			Nodes:    180,
-			MapSide:  12,
-			Range:    3,
-			MsgLen:   4,
+			Name:         "jam",
+			ProtocolName: "NeighborWatchRB",
+			Deploy:       experiment.Uniform,
+			Nodes:        180,
+			MapSide:      12,
+			Range:        3,
+			MsgLen:       4,
 			AdversaryMix: experiment.AdversaryMix{
 				JamFrac:   0.10,
 				JamBudget: budget,

@@ -10,7 +10,6 @@ package main
 import (
 	"fmt"
 
-	"authradio/internal/core"
 	"authradio/internal/experiment"
 
 	// Protocol drivers register themselves; core resolves them by name.
@@ -23,18 +22,18 @@ func main() {
 	fmt.Println()
 	fmt.Printf("%8s  %10s  %16s  %10s\n", "% liars", "epidemic", "NeighborWatchRB", "NW-2vote")
 
-	protocols := []core.Protocol{core.EpidemicRB, core.NeighborWatchRB, core.NeighborWatch2RB}
+	protocols := []string{"Epidemic", "NeighborWatchRB", "NeighborWatchRB-2vote"}
 	for _, frac := range []float64{0, 0.05, 0.10, 0.20} {
 		row := []interface{}{100 * frac}
 		for _, p := range protocols {
 			s := experiment.Scenario{
-				Name:     "lying",
-				Protocol: p,
-				Deploy:   experiment.Uniform,
-				Nodes:    200,
-				MapSide:  12,
-				Range:    4,
-				MsgLen:   4,
+				Name:         "lying",
+				ProtocolName: p,
+				Deploy:       experiment.Uniform,
+				Nodes:        200,
+				MapSide:      12,
+				Range:        4,
+				MsgLen:       4,
 				AdversaryMix: experiment.AdversaryMix{
 					LiarFrac: frac,
 				},

@@ -31,10 +31,10 @@ func main() {
 	// 3. Build the network: the source sits at the map center and
 	//    every other device runs the NeighborWatchRB protocol.
 	world, err := core.Build(core.Config{
-		Deploy:   deploy,
-		Protocol: core.NeighborWatchRB,
-		Msg:      msg,
-		SourceID: -1, // center node
+		Deploy:       deploy,
+		ProtocolName: "NeighborWatchRB",
+		Msg:          msg,
+		SourceID:     -1, // center node
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -17,9 +17,9 @@
 //
 //	d := topo.Uniform(600, 20, 4, xrand.New(seed))
 //	w, err := core.Build(core.Config{
-//		Deploy:   d,
-//		Protocol: core.NeighborWatchRB,
-//		Msg:      bitcodec.NewMessage(0b1011, 4),
+//		Deploy:       d,
+//		ProtocolName: "NeighborWatchRB",
+//		Msg:          bitcodec.NewMessage(0b1011, 4),
 //	})
 //	res := w.Run(10_000_000)
 //
@@ -34,7 +34,6 @@ import (
 
 	"authradio/internal/adversary"
 	"authradio/internal/bitcodec"
-	"authradio/internal/geom"
 	"authradio/internal/radio"
 	"authradio/internal/schedule"
 	"authradio/internal/sim"
@@ -42,42 +41,9 @@ import (
 	"authradio/internal/xrand"
 )
 
-// Protocol selects one of the paper's protocols under test. The enum is
-// a thin alias layer over the driver registry: each value resolves to
-// the registered driver of the same canonical name, so the two
-// addressing modes (enum and Config.ProtocolName) build identical
-// worlds.
-type Protocol uint8
-
-// The protocols of the paper's evaluation.
-const (
-	// NeighborWatchRB is the paper's first protocol (Section 4).
-	NeighborWatchRB Protocol = iota
-	// NeighborWatch2RB is the "2-voting" variant, committing bits only
-	// when two distinct neighboring squares deliver them.
-	NeighborWatch2RB
-	// MultiPathRB is the optimally resilient voting protocol.
-	MultiPathRB
-	// EpidemicRB is the unauthenticated flooding baseline.
-	EpidemicRB
-)
-
-// String implements fmt.Stringer; the value is the protocol's canonical
-// registry name.
-func (p Protocol) String() string {
-	switch p {
-	case NeighborWatchRB:
-		return "NeighborWatchRB"
-	case NeighborWatch2RB:
-		return "NeighborWatchRB-2vote"
-	case MultiPathRB:
-		return "MultiPathRB"
-	case EpidemicRB:
-		return "Epidemic"
-	default:
-		return fmt.Sprintf("Protocol(%d)", uint8(p))
-	}
-}
+// DefaultProtocol is the registry name Build resolves when
+// Config.ProtocolName is empty: the paper's first protocol.
+const DefaultProtocol = "NeighborWatchRB"
 
 // Role is a device's behaviour in a run.
 type Role uint8
@@ -109,12 +75,10 @@ const (
 type Config struct {
 	// Deploy is the device deployment. Required.
 	Deploy *topo.Deployment
-	// Protocol selects the broadcast protocol by enum.
-	Protocol Protocol
-	// ProtocolName selects the broadcast protocol by registry name or
-	// alias (case-insensitive); when non-empty it takes precedence over
-	// Protocol. This is how protocols registered outside this package
-	// are addressed.
+	// ProtocolName selects the broadcast protocol by registry name,
+	// alias or family instance ("MultiPathRB/t1"), case-insensitively;
+	// empty selects DefaultProtocol. Protocols registered outside this
+	// package are addressed the same way.
 	ProtocolName string
 	// Msg is the broadcast payload. Required.
 	Msg bitcodec.Message
@@ -127,12 +91,6 @@ type Config struct {
 	// Roles assigns per-device behaviour; nil means all honest. The
 	// source must be honest.
 	Roles []Role
-	// T is MultiPathRB's tolerance parameter (ignored otherwise).
-	T int
-	// SquareSide is NeighborWatchRB's square partition side; 0 selects
-	// R/2 under the analytical (L-infinity) metric and R/3 under the
-	// simulation (Euclidean) metric, the paper's two choices.
-	SquareSide float64
 	// JamBudget is each jammer's broadcast budget; 0 means unlimited.
 	JamBudget int
 	// JamProb is the per-veto-round jam probability (default 1/5).
@@ -146,8 +104,8 @@ type Config struct {
 	// cycles (downtime is split into windows of roughly one cycle each);
 	// 0 selects adversary.DefaultChurnOutage, negative disables outages.
 	ChurnOutage int
-	// Medium overrides the channel model; nil selects the analytical
-	// disk medium matching the deployment's metric. A custom medium
+	// Medium is the channel model; nil selects the analytical disk
+	// medium matching the deployment's metric. A custom medium
 	// that embeds one of the built-in media and overrides only Observe
 	// must also set LinearChannel: the promoted cell methods would
 	// otherwise bypass the override on dense rounds (see
@@ -156,37 +114,21 @@ type Config struct {
 	Medium radio.Medium
 	// Seed drives all run randomness (jammer decisions etc.).
 	Seed uint64
-	// Workers configures engine-internal parallelism (<=1 sequential).
-	Workers int
 	// LinearChannel forces the engine's O(listeners × transmissions)
 	// channel resolution instead of the spatially indexed cell path.
 	// Observations are identical either way; the knob exists for
 	// equivalence testing, benchmarking, and wrapper media (see
 	// Medium).
 	LinearChannel bool
-	// EpidemicRepeats is how often epidemic holders rebroadcast
-	// (default 1).
-	EpidemicRepeats int
-	// MPHeardCap overrides MultiPathRB's HEARD relay cap per
-	// (bit, value); 0 keeps the default 3(t+1).
-	MPHeardCap int
 	// Params carries named typed knobs for protocol drivers (float64,
 	// int, bool or string values — see Params and the WorldBuilder's
-	// typed getters); built-in protocols default their family knobs
-	// from the dedicated fields above. Keys are conventionally
-	// "<protocol>.<knob>", e.g. "gossip.fanout". Wrongly-typed values
-	// surface as Build errors. When the configuration addresses a
+	// typed getters); each driver defaults and range-checks its own
+	// knobs. Keys are conventionally "<protocol>.<knob>", e.g.
+	// "multipath.t" or "gossip.fanout". Wrongly-typed or out-of-range
+	// values surface as Build errors. When the configuration addresses a
 	// family instance ("GossipRB/f2p0.5"), the preset's knobs are
 	// merged over this bag, preset winning.
 	Params Params
-}
-
-// driverName returns the registry name the configuration addresses.
-func (cfg Config) driverName() string {
-	if cfg.ProtocolName != "" {
-		return cfg.ProtocolName
-	}
-	return cfg.Protocol.String()
 }
 
 // Status is the uniform read-only view of a protocol node.
@@ -223,17 +165,11 @@ type World struct {
 
 // Build validates cfg, resolves its protocol through the driver
 // registry, and constructs the network. Options cover run-harness
-// concerns (see WithRoundHook, WithMedium, WithWorkers).
+// concerns (see WithRoundHook, WithWorkers, WithTransport).
 func Build(cfg Config, opts ...Option) (*World, error) {
 	var bo buildOptions
 	for _, o := range opts {
 		o(&bo)
-	}
-	if bo.medium != nil {
-		cfg.Medium = bo.medium
-	}
-	if bo.workersSet {
-		cfg.Workers = bo.workers
 	}
 
 	d := cfg.Deploy
@@ -272,23 +208,16 @@ func Build(cfg Config, opts ...Option) (*World, error) {
 	if cfg.SpoofProb == 0 {
 		cfg.SpoofProb = adversary.DefaultSpoofProb
 	}
-	if cfg.EpidemicRepeats == 0 {
-		cfg.EpidemicRepeats = 1
-	}
 	if cfg.Medium == nil {
 		cfg.Medium = &radio.DiskMedium{R: d.R, Metric: d.Metric}
 	}
-	if cfg.SquareSide == 0 {
-		if d.Metric == geom.LInf {
-			cfg.SquareSide = d.R / 2
-		} else {
-			cfg.SquareSide = d.R / 3
-		}
+	if cfg.ProtocolName == "" {
+		cfg.ProtocolName = DefaultProtocol
 	}
 
-	drv, ok := Lookup(cfg.driverName())
+	drv, ok := Lookup(cfg.ProtocolName)
 	if !ok {
-		return nil, fmt.Errorf("core: unknown protocol %s (registered: %v)", cfg.driverName(), Names())
+		return nil, fmt.Errorf("core: unknown protocol %s (registered: %v)", cfg.ProtocolName, Names())
 	}
 	if id, isInstance := drv.(instanceDriver); isInstance {
 		// Family presets pin knobs: overlay them here so the merged bag
@@ -315,7 +244,7 @@ func Build(cfg Config, opts ...Option) (*World, error) {
 		Nodes:      make(map[int]Status),
 		byzIDs:     make(map[int]bool),
 	}
-	w.Eng.Workers = cfg.Workers
+	w.Eng.Workers = bo.workers
 	w.Eng.DisableIndex = cfg.LinearChannel
 
 	b := &WorldBuilder{cfg: cfg, w: w, active: active, jamVetoOnly: true}

@@ -6,11 +6,15 @@
 package core_test
 
 import (
+	"math"
 	"strings"
 	"testing"
 
 	"authradio/internal/bitcodec"
+	"authradio/internal/proto/multipath"
+	"authradio/internal/proto/nwatch"
 	"authradio/internal/radio"
+	"authradio/internal/schedule"
 	"authradio/internal/topo"
 	"authradio/internal/xrand"
 
@@ -37,7 +41,7 @@ func TestBuildErrors(t *testing.T) {
 			return r
 		}()}, "source device must be honest"},
 		{"fake-len", Config{Deploy: d, Msg: msg4(), SourceID: -1, FakeMsg: bitcodec.NewMessage(1, 2)}, "fake message length"},
-		{"bad-protocol", Config{Deploy: d, Msg: msg4(), SourceID: -1, Protocol: Protocol(9)}, "unknown protocol"},
+		{"bad-protocol", Config{Deploy: d, Msg: msg4(), SourceID: -1, ProtocolName: "NoSuchProtocol"}, "unknown protocol"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -50,14 +54,14 @@ func TestBuildErrors(t *testing.T) {
 }
 
 func TestAllProtocolsCleanRun(t *testing.T) {
-	for _, p := range []Protocol{NeighborWatchRB, NeighborWatch2RB, MultiPathRB, EpidemicRB} {
-		t.Run(p.String(), func(t *testing.T) {
+	for _, p := range []string{"NeighborWatchRB", "NeighborWatchRB-2vote", "MultiPathRB", "Epidemic"} {
+		t.Run(p, func(t *testing.T) {
 			cfg := Config{
-				Deploy:   topo.Grid(7, 7, 2),
-				Protocol: p,
-				Msg:      bitcodec.NewMessage(0b101, 3),
-				SourceID: -1,
-				T:        1,
+				Deploy:       topo.Grid(7, 7, 2),
+				ProtocolName: p,
+				Msg:          bitcodec.NewMessage(0b101, 3),
+				SourceID:     -1,
+				Params:       Params{multipath.ParamT: 1},
 			}
 			w, err := Build(cfg)
 			if err != nil {
@@ -93,19 +97,19 @@ func TestRolesMixedRun(t *testing.T) {
 	roles[1] = Crashed
 	roles[8] = Jammer
 	cfg := Config{
-		Deploy:   d,
-		Protocol: NeighborWatchRB,
-		Msg:      msg4(),
-		SourceID: -1,
-		Roles:    roles,
+		Deploy:       d,
+		ProtocolName: "NeighborWatchRB",
+		Msg:          msg4(),
+		SourceID:     -1,
+		Roles:        roles,
 		// Side-2 squares hold 2x2 grid nodes, so the single liar has
 		// honest square-mates and is vetoed (the t < ⌈R/2⌉² regime).
 		// With side R/2=1 every square is a singleton and one liar is
 		// an all-Byzantine square, which legitimately corrupts its
 		// neighborhood.
-		SquareSide: 2,
-		JamBudget:  10,
-		Seed:       7,
+		Params:    Params{nwatch.ParamSide: 2.0},
+		JamBudget: 10,
+		Seed:      7,
 	}
 	w, err := Build(cfg)
 	if err != nil {
@@ -132,7 +136,7 @@ func TestRolesMixedRun(t *testing.T) {
 
 func TestFakeMsgDefaultsToComplement(t *testing.T) {
 	d := topo.Grid(5, 5, 2)
-	w, err := Build(Config{Deploy: d, Protocol: EpidemicRB, Msg: msg4(), SourceID: -1})
+	w, err := Build(Config{Deploy: d, ProtocolName: "Epidemic", Msg: msg4(), SourceID: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,11 +150,11 @@ func TestFriisMediumRun(t *testing.T) {
 	d := topo.Uniform(150, 12, 3, xrand.New(21))
 	m := radio.NewFriisMedium(d.R, 21)
 	w, err := Build(Config{
-		Deploy:   d,
-		Protocol: NeighborWatchRB,
-		Msg:      bitcodec.NewMessage(0b11, 2),
-		SourceID: -1,
-		Medium:   m,
+		Deploy:       d,
+		ProtocolName: "NeighborWatchRB",
+		Msg:          bitcodec.NewMessage(0b11, 2),
+		SourceID:     -1,
+		Medium:       m,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -166,33 +170,47 @@ func TestFriisMediumRun(t *testing.T) {
 	}
 }
 
+// TestSquareSideDefaults checks NeighborWatchRB's default square side
+// through the squares its nodes land in: side 1 is R/2 on the L-infinity
+// grid (range 2) and R/3 on the Euclidean uniform map (range 3), so
+// every node's square is its position floored.
 func TestSquareSideDefaults(t *testing.T) {
-	grid := topo.Grid(5, 5, 2)
-	w, err := Build(Config{Deploy: grid, Protocol: NeighborWatchRB, Msg: msg4(), SourceID: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w.Cfg.SquareSide != 1 { // R/2
-		t.Errorf("grid square side = %v, want R/2 = 1", w.Cfg.SquareSide)
-	}
-	u := topo.Uniform(50, 10, 3, xrand.New(1))
-	w, err = Build(Config{Deploy: u, Protocol: NeighborWatchRB, Msg: msg4(), SourceID: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w.Cfg.SquareSide != 1 { // R/3
-		t.Errorf("uniform square side = %v, want R/3 = 1", w.Cfg.SquareSide)
+	for name, d := range map[string]*topo.Deployment{
+		"grid":    topo.Grid(5, 5, 2),
+		"uniform": topo.Uniform(50, 10, 3, xrand.New(1)),
+	} {
+		w, err := Build(Config{Deploy: d, ProtocolName: "NeighborWatchRB", Msg: msg4(), SourceID: -1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for id, n := range w.Nodes {
+			p := d.Pos[id]
+			want := schedule.Square{SX: int(math.Floor(p.X)), SY: int(math.Floor(p.Y))}
+			if got := n.(*nwatch.Node).Square(); got != want {
+				t.Fatalf("%s: node %d at %v in square %v, want %v (side 1)", name, id, p, got, want)
+			}
+		}
 	}
 }
 
+// TestProtocolString checks that names, aliases and case variants build
+// the driver they name, that the empty name builds DefaultProtocol, and
+// that an unknown name fails to build.
 func TestProtocolString(t *testing.T) {
-	for p, want := range map[Protocol]string{
-		NeighborWatchRB: "NeighborWatchRB", NeighborWatch2RB: "NeighborWatchRB-2vote",
-		MultiPathRB: "MultiPathRB", EpidemicRB: "Epidemic", Protocol(9): "Protocol(9)",
+	for name, want := range map[string]string{
+		"": "NeighborWatchRB", "nw2": "NeighborWatchRB-2vote",
+		"mp": "MultiPathRB", "EPIDEMICRB": "Epidemic",
 	} {
-		if p.String() != want {
-			t.Errorf("%d.String() = %q", p, p)
+		w, err := Build(Config{Deploy: topo.Grid(5, 5, 2), ProtocolName: name, Msg: msg4(), SourceID: -1})
+		if err != nil {
+			t.Fatalf("%q: %v", name, err)
 		}
+		if w.DriverName != want {
+			t.Errorf("%q built %q, want %q", name, w.DriverName, want)
+		}
+	}
+	if _, err := Build(Config{Deploy: topo.Grid(5, 5, 2), ProtocolName: "NoSuchProtocol", Msg: msg4(), SourceID: -1}); err == nil {
+		t.Error("unknown protocol name built")
 	}
 }
 
@@ -212,7 +230,7 @@ func TestDeterministicResults(t *testing.T) {
 		roles := make([]Role, d.N())
 		roles[3] = Jammer
 		w, err := Build(Config{
-			Deploy: d, Protocol: NeighborWatchRB, Msg: msg4(),
+			Deploy: d, ProtocolName: "NeighborWatchRB", Msg: msg4(),
 			SourceID: -1, Roles: roles, JamBudget: 20, Seed: 99,
 		})
 		if err != nil {
@@ -239,14 +257,14 @@ func TestEngineWorkersPreserveResults(t *testing.T) {
 		roles[5] = Liar
 		roles[11] = Jammer
 		cfg := Config{
-			Deploy: d, Protocol: NeighborWatchRB, Msg: msg4(),
+			Deploy: d, ProtocolName: "NeighborWatchRB", Msg: msg4(),
 			SourceID: -1, Roles: roles, JamBudget: 30, Seed: 4,
-			Workers: workers, LinearChannel: linear,
+			LinearChannel: linear,
 		}
 		if friis {
 			cfg.Medium = radio.NewFriisMedium(d.R, 17)
 		}
-		w, err := Build(cfg)
+		w, err := Build(cfg, WithWorkers(workers))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -279,8 +297,8 @@ func TestMultiPathUnderJamming(t *testing.T) {
 	roles[3] = Jammer
 	roles[45] = Jammer
 	w, err := Build(Config{
-		Deploy: d, Protocol: MultiPathRB, Msg: bitcodec.NewMessage(0b101, 3),
-		SourceID: -1, Roles: roles, T: 1, JamBudget: 25, Seed: 11,
+		Deploy: d, ProtocolName: "MultiPathRB", Msg: bitcodec.NewMessage(0b101, 3),
+		SourceID: -1, Roles: roles, Params: Params{multipath.ParamT: 1}, JamBudget: 25, Seed: 11,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -305,7 +323,7 @@ func TestEpidemicJammerUsesAllRounds(t *testing.T) {
 	roles := make([]Role, d.N())
 	roles[0] = Jammer
 	w, err := Build(Config{
-		Deploy: d, Protocol: EpidemicRB, Msg: msg4(),
+		Deploy: d, ProtocolName: "Epidemic", Msg: msg4(),
 		SourceID: -1, Roles: roles, JamBudget: 50, Seed: 2,
 	})
 	if err != nil {
@@ -325,7 +343,7 @@ func TestSpooferRoleBuildsAndSpendsBudget(t *testing.T) {
 	roles := make([]Role, d.N())
 	roles[1], roles[3] = Spoofer, Spoofer
 	w, err := Build(Config{
-		Deploy: d, Protocol: NeighborWatchRB, Msg: msg4(),
+		Deploy: d, ProtocolName: "NeighborWatchRB", Msg: msg4(),
 		SourceID: -1, Roles: roles, SpoofBudget: 6, SpoofProb: 1, Seed: 8,
 	})
 	if err != nil {

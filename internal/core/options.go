@@ -8,18 +8,15 @@ import (
 )
 
 // Option adjusts how Build constructs a world, without growing Config:
-// options cover run-harness concerns (tracing hooks, medium overrides,
-// engine parallelism) that callers previously patched onto the built
-// world post hoc.
+// options cover run-harness concerns (tracing hooks, engine
+// parallelism, transports) that never change a run's result.
 type Option func(*buildOptions)
 
 type buildOptions struct {
-	hooks      []func(uint64, []radio.Tx)
-	obsHooks   []sim.ObsHook
-	medium     radio.Medium
-	transport  sim.Transport
-	workers    int
-	workersSet bool
+	hooks     []func(uint64, []radio.Tx)
+	obsHooks  []sim.ObsHook
+	transport sim.Transport
+	workers   int
 }
 
 // WithRoundHook registers a per-round observer on the engine (invoked
@@ -29,20 +26,12 @@ func WithRoundHook(h func(r uint64, txs []radio.Tx)) Option {
 	return func(o *buildOptions) { o.hooks = append(o.hooks, h) }
 }
 
-// WithMedium overrides the channel model, taking precedence over
-// Config.Medium. The caveat on Config.Medium about wrapper media that
-// embed a built-in medium, and LinearChannel, applies here too.
-func WithMedium(m radio.Medium) Option {
-	return func(o *buildOptions) { o.medium = m }
-}
-
-// WithWorkers sets the engine's intra-round parallelism, taking
-// precedence over Config.Workers (<=1 runs sequentially). Results are
-// identical across worker counts; run-level fan-out (experiment
-// repetitions) is usually preferable, so this is for runs where that
-// fan-out is idle.
+// WithWorkers sets the engine's intra-round parallelism (<=1 runs
+// sequentially). Results are identical across worker counts; run-level
+// fan-out (experiment repetitions) is usually preferable, so this is
+// for runs where that fan-out is idle.
 func WithWorkers(n int) Option {
-	return func(o *buildOptions) { o.workers, o.workersSet = n, true }
+	return func(o *buildOptions) { o.workers = n }
 }
 
 // WithDeliverHook registers a per-observation observer on the engine

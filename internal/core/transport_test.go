@@ -60,11 +60,11 @@ func (t *relayTransport) Driver(e *sim.Engine) (sim.RoundDriver, error) {
 func TestWithTransportPreservesResults(t *testing.T) {
 	mk := func() Config {
 		return Config{
-			Deploy:   topo.Grid(7, 7, 2),
-			Protocol: EpidemicRB,
-			Msg:      bitcodec.NewMessage(0b101, 3),
-			SourceID: -1,
-			Seed:     42,
+			Deploy:       topo.Grid(7, 7, 2),
+			ProtocolName: "Epidemic",
+			Msg:          bitcodec.NewMessage(0b101, 3),
+			SourceID:     -1,
+			Seed:         42,
 		}
 	}
 
@@ -112,10 +112,10 @@ func (errTransport) Error() string { return "transport exploded" }
 
 func TestWithTransportBuildError(t *testing.T) {
 	cfg := Config{
-		Deploy:   topo.Grid(5, 5, 2),
-		Protocol: EpidemicRB,
-		Msg:      bitcodec.NewMessage(0b101, 3),
-		SourceID: -1,
+		Deploy:       topo.Grid(5, 5, 2),
+		ProtocolName: "Epidemic",
+		Msg:          bitcodec.NewMessage(0b101, 3),
+		SourceID:     -1,
 	}
 	_, err := Build(cfg, WithTransport(failTransport{}))
 	if err == nil || !strings.Contains(err.Error(), "transport exploded") {
@@ -128,11 +128,11 @@ func TestWithTransportBuildError(t *testing.T) {
 // listener observation of the run.
 func TestWithDeliverHook(t *testing.T) {
 	cfg := Config{
-		Deploy:   topo.Grid(5, 5, 2),
-		Protocol: EpidemicRB,
-		Msg:      bitcodec.NewMessage(0b101, 3),
-		SourceID: -1,
-		Seed:     7,
+		Deploy:       topo.Grid(5, 5, 2),
+		ProtocolName: "Epidemic",
+		Msg:          bitcodec.NewMessage(0b101, 3),
+		SourceID:     -1,
+		Seed:         7,
 	}
 	var first, second atomic.Int64
 	w, err := Build(cfg,

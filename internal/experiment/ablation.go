@@ -2,6 +2,10 @@ package experiment
 
 import (
 	"fmt"
+
+	"authradio/internal/core"
+	"authradio/internal/proto/multipath"
+	"authradio/internal/proto/nwatch"
 )
 
 // Ablation exercises the design choices DESIGN.md calls out:
@@ -78,7 +82,7 @@ func Ablation(o Options) []Table {
 			MapSide:      mapSide,
 			Range:        r,
 			MsgLen:       4,
-			SquareSide:   r / div,
+			Params:       core.Params{nwatch.ParamSide: r / div},
 			Seed:         seed,
 			MaxRounds:    600_000,
 		}
@@ -106,8 +110,7 @@ func Ablation(o Options) []Table {
 			MapSide:      mpSide,
 			Range:        3,
 			MsgLen:       3,
-			T:            2,
-			MPHeardCap:   cap,
+			Params:       core.Params{multipath.ParamT: 2, multipath.ParamHeardCap: cap},
 			Seed:         seed,
 			MaxRounds:    4_000_000,
 		}

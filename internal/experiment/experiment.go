@@ -6,12 +6,12 @@
 package experiment
 
 import (
-	"runtime"
 	"sync"
 
 	"authradio/internal/bitcodec"
 	"authradio/internal/core"
 	"authradio/internal/stats"
+	"authradio/internal/sweep"
 	"authradio/internal/topo"
 	"authradio/internal/xrand"
 
@@ -37,11 +37,9 @@ const (
 // adversary mix, and a message.
 type Scenario struct {
 	Name string
-	// Protocol selects the broadcast protocol by enum; ProtocolName,
-	// when non-empty, selects it by registry name or alias instead and
-	// takes precedence — sweeps can enumerate core.Names() and address
-	// protocols registered outside core.
-	Protocol     core.Protocol
+	// ProtocolName selects the broadcast protocol by registry name,
+	// alias or family instance (see core.Config.ProtocolName); sweeps
+	// enumerate core.Instances().
 	ProtocolName string
 
 	Deploy   DeployKind
@@ -55,20 +53,15 @@ type Scenario struct {
 	MsgBits uint64
 	MsgLen  int
 
-	T          int     // MultiPathRB tolerance
-	MPHeardCap int     // MultiPathRB HEARD relay cap override (0 = default)
-	SquareSide float64 // NeighborWatchRB square side (0 = default)
-
 	// AdversaryMix is the cell's adversary dimension; its fields
 	// (LiarFrac, JamBudget, …) promote onto the scenario. Matrix sweeps
 	// assign whole mixes; single-figure experiments set the promoted
 	// fields directly.
 	AdversaryMix
 
-	EpidemicRepeats int
-
-	// Params carries named typed knobs for protocol drivers (see
-	// core.Config.Params; family presets overlay it, preset winning).
+	// Params carries named typed knobs for protocol drivers, such as
+	// "multipath.t" (see core.Config.Params; family presets overlay
+	// it, preset winning).
 	Params core.Params
 
 	MaxRounds uint64
@@ -213,23 +206,18 @@ func (s Scenario) BuildWorld(rep int, opts ...core.Option) (*core.World, error) 
 	d := s.deployment(rep)
 	src := d.CenterNode()
 	return core.Build(core.Config{
-		Deploy:          d,
-		Protocol:        s.Protocol,
-		ProtocolName:    s.ProtocolName,
-		Msg:             s.message(),
-		SourceID:        src,
-		Roles:           s.roles(d, src, rep),
-		T:               s.T,
-		MPHeardCap:      s.MPHeardCap,
-		SquareSide:      s.SquareSide,
-		JamBudget:       s.JamBudget,
-		JamProb:         s.JamProb,
-		SpoofBudget:     s.SpoofBudget,
-		SpoofProb:       s.SpoofProb,
-		ChurnOutage:     s.ChurnOutage,
-		EpidemicRepeats: s.EpidemicRepeats,
-		Params:          s.Params,
-		Seed:            xrand.Hash64(s.Seed, uint64(rep)),
+		Deploy:       d,
+		ProtocolName: s.ProtocolName,
+		Msg:          s.message(),
+		SourceID:     src,
+		Roles:        s.roles(d, src, rep),
+		JamBudget:    s.JamBudget,
+		JamProb:      s.JamProb,
+		SpoofBudget:  s.SpoofBudget,
+		SpoofProb:    s.SpoofProb,
+		ChurnOutage:  s.ChurnOutage,
+		Params:       s.Params,
+		Seed:         xrand.Hash64(s.Seed, uint64(rep)),
 	}, opts...)
 }
 
@@ -247,52 +235,13 @@ func (s Scenario) message() bitcodec.Message {
 	return bitcodec.NewMessage(bits, length)
 }
 
-// Repeat runs reps repetitions of the scenario, fanning out across
-// workers goroutines (0 = GOMAXPROCS). Results are ordered by
-// repetition and deterministic regardless of worker count.
+// Repeat runs reps repetitions of the scenario on the sweep pool with
+// workers goroutines (0 = GOMAXPROCS); a single repetition spends the
+// worker budget inside the engine instead (see SweepCells). Results
+// are ordered by repetition and deterministic regardless of worker
+// count.
 func Repeat(s Scenario, reps, workers int) []core.Result {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if reps == 1 && workers > 1 {
-		// The repetition fan-out is idle: spend the worker budget inside
-		// the engine instead. Intra-round parallelism never changes
-		// results (pinned by core's worker-equivalence tests). An
-		// explicit workers=1 bound is respected by falling through to
-		// the sequential path.
-		return []core.Result{s.run(0, core.WithWorkers(workers))}
-	}
-	if workers > reps {
-		workers = reps
-	}
-	out := make([]core.Result, reps)
-	var next int
-	var wg sync.WaitGroup
-	var mu sync.Mutex
-	take := func() int {
-		mu.Lock()
-		defer mu.Unlock()
-		if next >= reps {
-			return -1
-		}
-		next++
-		return next - 1
-	}
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				rep := take()
-				if rep < 0 {
-					return
-				}
-				out[rep] = s.Run(rep)
-			}
-		}()
-	}
-	wg.Wait()
-	return out
+	return sweep.Run(SweepCells(s, Options{Workers: workers}, reps), sweep.Config{Workers: workers})
 }
 
 // Agg summarises a batch of repetitions.

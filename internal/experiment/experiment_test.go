@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"authradio/internal/core"
+	"authradio/internal/proto/multipath"
 	"authradio/internal/topo"
 	"authradio/internal/xrand"
 )
@@ -12,15 +13,15 @@ import (
 // tiny returns a scenario that runs in milliseconds.
 func tiny() Scenario {
 	return Scenario{
-		Name:      "tiny",
-		Protocol:  core.NeighborWatchRB,
-		Deploy:    GridDeploy,
-		GridW:     7,
-		Range:     2,
-		MsgLen:    3,
-		MsgBits:   0b101,
-		Seed:      5,
-		MaxRounds: 300_000,
+		Name:         "tiny",
+		ProtocolName: "NeighborWatchRB",
+		Deploy:       GridDeploy,
+		GridW:        7,
+		Range:        2,
+		MsgLen:       3,
+		MsgBits:      0b101,
+		Seed:         5,
+		MaxRounds:    300_000,
 	}
 }
 
@@ -252,18 +253,20 @@ func TestDualModeSmoke(t *testing.T) {
 	}
 }
 
-// TestProtocolNameAddressing verifies the two protocol addressing
-// modes agree: a scenario naming its protocol through the registry
-// (canonical name or alias, any case) produces exactly the enum
-// scenario's results.
+// TestProtocolNameAddressing verifies that every way of naming a
+// protocol — the empty default, an alias, a case variant — produces
+// exactly the canonical name's results and shares its cell key.
 func TestProtocolNameAddressing(t *testing.T) {
-	byEnum := tiny().Run(0)
-	for _, name := range []string{"NeighborWatchRB", "nw", "NEIGHBORWATCH"} {
+	byName := tiny().Run(0)
+	key := CellKeyFor(tiny(), Options{}, 0).String()
+	for _, name := range []string{"", "nw", "NEIGHBORWATCH"} {
 		s := tiny()
-		s.Protocol = 0
 		s.ProtocolName = name
-		if got := s.Run(0); got != byEnum {
-			t.Fatalf("ProtocolName %q diverged from enum:\n%+v\n%+v", name, got, byEnum)
+		if got := s.Run(0); got != byName {
+			t.Fatalf("ProtocolName %q diverged from NeighborWatchRB:\n%+v\n%+v", name, got, byName)
+		}
+		if got := CellKeyFor(s, Options{}, 0).String(); got != key {
+			t.Fatalf("ProtocolName %q keyed apart from NeighborWatchRB:\n%s\n%s", name, got, key)
 		}
 	}
 	// Registry enumeration: every registered protocol is a buildable
@@ -271,9 +274,8 @@ func TestProtocolNameAddressing(t *testing.T) {
 	for _, name := range core.Names() {
 		s := tiny()
 		s.Name = "tiny/" + name
-		s.Protocol = 0
 		s.ProtocolName = name
-		s.T = 1
+		s.Params = core.Params{multipath.ParamT: 1}
 		if r := s.Run(0); !r.AllComplete {
 			t.Errorf("scenario over registry name %q incomplete: %+v", name, r)
 		}
@@ -308,7 +310,7 @@ func TestDeploymentCacheSharesAcrossCells(t *testing.T) {
 	d0 := base.deployment(0)
 
 	same := base
-	same.Protocol = 2
+	same.ProtocolName = "MultiPathRB"
 	same.LiarFrac = 0.2
 	same.MaxRounds = 123
 	if same.deployment(0) != d0 {

@@ -19,7 +19,6 @@ func SweepInstances(base Scenario, instances []string) []Scenario {
 	out := make([]Scenario, len(instances))
 	for i, inst := range instances {
 		s := base
-		s.Protocol = 0
 		s.ProtocolName = inst
 		if base.Name != "" {
 			s.Name = base.Name + "/" + inst

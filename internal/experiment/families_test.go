@@ -9,7 +9,7 @@ import (
 
 func TestSweepInstances(t *testing.T) {
 	base := Scenario{
-		Name: "grid", Protocol: core.MultiPathRB, Deploy: GridDeploy,
+		Name: "grid", ProtocolName: "MultiPathRB", Deploy: GridDeploy,
 		GridW: 7, Range: 2, MsgLen: 3, Seed: 9,
 	}
 	insts := []string{"Epidemic", "GossipRB/f2p0.5"}
@@ -20,9 +20,6 @@ func TestSweepInstances(t *testing.T) {
 	for i, s := range ss {
 		if s.ProtocolName != insts[i] {
 			t.Errorf("scenario %d addresses %q", i, s.ProtocolName)
-		}
-		if s.Protocol != 0 {
-			t.Errorf("scenario %d kept the base enum", i)
 		}
 		if s.Name != "grid/"+insts[i] {
 			t.Errorf("scenario %d named %q", i, s.Name)
@@ -110,5 +107,25 @@ func TestWriteJSONStable(t *testing.T) {
 	}
 	if !strings.HasSuffix(a, "\n") {
 		t.Error("JSON document must end in a newline")
+	}
+	for _, absent := range []string{`"reps"`, `"params"`, `"mixes"`} {
+		if strings.Contains(a, absent) {
+			t.Errorf("default options rendered %s:\n%s", absent, a)
+		}
+	}
+
+	// Overrides change the tables, so the header records them.
+	var sb strings.Builder
+	o := Options{Seed: 3, Reps: 2, Params: core.Params{"multipath.t": 5}, Mixes: []AdversaryMix{{}, {Label: "liar10", LiarFrac: 0.1}}}
+	if err := WriteJSON(&sb, "demo", o, tables); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		`"reps": 2`, `"params": "multipath.t=i:5"`,
+		"\"mixes\": [\n    \"clean\",\n    \"liar10\"\n  ]",
+	} {
+		if !strings.Contains(sb.String(), want) {
+			t.Errorf("overridden JSON missing %s:\n%s", want, sb.String())
+		}
 	}
 }

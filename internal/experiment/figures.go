@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"authradio/internal/core"
+	"authradio/internal/proto/multipath"
 	"authradio/internal/stats"
 	"authradio/internal/sweep"
 )
@@ -42,22 +43,23 @@ func correctOfHonest(rs []core.Result) float64 {
 	return s / float64(len(rs))
 }
 
-// fig5Protocols are the four curves of Figure 5 and 6. Protocols are
-// addressed by driver registry name (core.Names / core.Lookup).
+// protoVariant is one curve of Figures 5, 6 and 7: a protocol
+// addressed by driver registry name (core.Lookup) and the knobs it is
+// given (nil for the NeighborWatchRB rows).
 type protoVariant struct {
-	label string
-	proto string
-	t     int
+	label  string
+	proto  string
+	params core.Params
 }
 
 func variants(full bool) []protoVariant {
 	vs := []protoVariant{
-		{"NeighborWatchRB", "NeighborWatchRB", 0},
-		{"NW-2vote", "NeighborWatchRB-2vote", 0},
-		{"MultiPathRB t=3", "MultiPathRB", 3},
+		{"NeighborWatchRB", "NeighborWatchRB", nil},
+		{"NW-2vote", "NeighborWatchRB-2vote", nil},
+		{"MultiPathRB t=3", "MultiPathRB", core.Params{multipath.ParamT: 3}},
 	}
 	if full {
-		vs = append(vs, protoVariant{"MultiPathRB t=5", "MultiPathRB", 5})
+		vs = append(vs, protoVariant{"MultiPathRB t=5", "MultiPathRB", core.Params{multipath.ParamT: 5}})
 	}
 	return vs
 }
@@ -107,7 +109,7 @@ func Fig5Crash(o Options) []Table {
 				MapSide:      p.mapSide,
 				Range:        p.r,
 				MsgLen:       p.msgLen,
-				T:            v.t,
+				Params:       v.params,
 				Seed:         o.seed(),
 				MaxRounds:    maxR,
 			}
@@ -220,7 +222,7 @@ func Fig6Lying(o Options) []Table {
 				MapSide:      p.mapSide,
 				Range:        p.r,
 				MsgLen:       4,
-				T:            v.t,
+				Params:       v.params,
 				AdversaryMix: AdversaryMix{LiarFrac: frac},
 				Seed:         o.seed(),
 				MaxRounds:    maxR,
@@ -256,11 +258,7 @@ func Fig7Density(o Options) []Table {
 	}
 	reps := o.reps(2, 4)
 
-	vs := []protoVariant{
-		{"NeighborWatchRB", "NeighborWatchRB", 0},
-		{"NW-2vote", "NeighborWatchRB-2vote", 0},
-		{"MultiPathRB t=3", "MultiPathRB", 3},
-	}
+	vs := variants(false) // Figure 7 plots MultiPathRB at t=3 only, at every scale
 	tbl := Table{
 		Title:  "Figure 7 — max % Byzantine tolerated for >=90% of honest nodes correct, vs density",
 		Note:   fmt.Sprintf("map %.0fx%.0f, R=%.1f, %d reps; paper: NW benefits most from density, tolerating up to 25%% at high density; MP capped at density %.0f", p.mapSide, p.mapSide, p.r, reps, p.mpMaxDens),
@@ -287,7 +285,7 @@ func Fig7Density(o Options) []Table {
 					MapSide:      p.mapSide,
 					Range:        p.r,
 					MsgLen:       4,
-					T:            v.t,
+					Params:       v.params,
 					AdversaryMix: AdversaryMix{LiarFrac: frac},
 					Seed:         o.seed(),
 					MaxRounds:    maxRoundsFor(v.proto, o.Full),

@@ -3,6 +3,8 @@ package experiment
 import (
 	"fmt"
 
+	"authradio/internal/core"
+	"authradio/internal/proto/multipath"
 	"authradio/internal/stats"
 )
 
@@ -159,7 +161,7 @@ func EpidemicComparison(o Options) []Table {
 			mp := base
 			mp.Name = fmt.Sprintf("epidemic/%.0f/mp", side)
 			mp.ProtocolName = "MultiPathRB"
-			mp.T = 3
+			mp.Params = core.Params{multipath.ParamT: 3}
 			mp.MaxRounds = 20_000_000
 			mpReps := reps
 			if mpReps > 3 {

@@ -40,13 +40,19 @@ func CellKeyFor(s Scenario, o Options, rep int) sweep.CellKey {
 	}
 }
 
-// instanceOf names the protocol under test: the registry instance name
-// when the scenario uses one, the enum otherwise.
+// instanceOf names the protocol under test by its canonical registry
+// name, so an alias, a case variant and the empty default name share
+// cells with the name they resolve to. A name that resolves to nothing
+// is kept as given (Build rejects it).
 func instanceOf(s Scenario) string {
-	if s.ProtocolName != "" {
-		return s.ProtocolName
+	name := s.ProtocolName
+	if name == "" {
+		name = core.DefaultProtocol
 	}
-	return fmt.Sprintf("enum:%d", s.Protocol)
+	if drv, ok := core.Lookup(name); ok {
+		return drv.Name()
+	}
+	return name
 }
 
 // g renders a float canonically: the shortest form that parses back
@@ -72,10 +78,10 @@ func canonDeploy(s Scenario) string {
 }
 
 // canonExtra renders the remaining result-determining scenario knobs:
-// the message, the per-protocol tolerances and caps, and the round cap.
+// the message and the round cap. Protocol knobs reach the key through
+// canonParams.
 func canonExtra(s Scenario) string {
-	return fmt.Sprintf("msg=%d/%d,t=%d,hc=%d,sq=%s,er=%d,maxr=%d",
-		s.MsgBits, s.MsgLen, s.T, s.MPHeardCap, g(s.SquareSide), s.EpidemicRepeats, s.MaxRounds)
+	return fmt.Sprintf("msg=%d/%d,maxr=%d", s.MsgBits, s.MsgLen, s.MaxRounds)
 }
 
 // canonParams renders the typed knob bag canonically: keys sorted,
@@ -120,12 +126,12 @@ func escapeParam(s string) string {
 // SweepCells renders scenario s into its addressable sweep cells, one
 // per repetition, with o's command-line param overlay merged in (the
 // same precedence cell() has always applied: scenario defaults, then
-// -param, then family presets at Build). The compute closures keep
-// Repeat's scheduling choice: a single-repetition batch with an idle
-// worker budget spends it inside the engine (core.WithWorkers), which
-// never changes results (pinned by core's worker-equivalence tests) —
-// callers pooling many single-rep scenarios should pass o.Workers=1
-// and parallelize across cells instead.
+// -param, then family presets at Build). A single-repetition batch
+// with an idle worker budget spends it inside the engine
+// (core.WithWorkers), which never changes results (pinned by core's
+// worker-equivalence tests) — callers pooling many single-rep
+// scenarios should pass o.Workers=1 and parallelize across cells
+// instead.
 func SweepCells(s Scenario, o Options, reps int) []sweep.Cell {
 	s.Params = s.Params.Merge(o.Params)
 	workers := o.Workers

@@ -109,15 +109,21 @@ func (t *Table) CSV(w io.Writer) error {
 // JSONReport is the machine-readable form of one named experiment's
 // output (rbexp's -json flag): the experiment, the knobs that
 // determine its content, and its rendered tables. Every cell is a
-// formatted string, so for a fixed (experiment, seed, full, reps) the
-// serialization is byte-identical across runs and machines — CI diffs
-// it against a golden file to pin family enumeration and metric
-// computation.
+// formatted string, so for fixed knobs the serialization is
+// byte-identical across runs and machines — CI diffs it against a
+// golden file to pin family enumeration and metric computation. The
+// overrides (Options.Reps, Params and Mixes) appear only when set.
 type JSONReport struct {
-	Experiment string      `json:"experiment"`
-	Seed       uint64      `json:"seed"`
-	Full       bool        `json:"full"`
-	Tables     []JSONTable `json:"tables"`
+	Experiment string `json:"experiment"`
+	Seed       uint64 `json:"seed"`
+	Full       bool   `json:"full"`
+	Reps       int    `json:"reps,omitempty"`
+	// Params is the command-line knob bag in the cell keys' canonical
+	// rendering.
+	Params string `json:"params,omitempty"`
+	// Mixes are the labels of the overriding adversary ladder.
+	Mixes  []string    `json:"mixes,omitempty"`
+	Tables []JSONTable `json:"tables"`
 }
 
 // JSONTable mirrors Table for serialization.
@@ -131,7 +137,13 @@ type JSONTable struct {
 // WriteJSON emits the experiment's tables as one indented JSON
 // document followed by a newline.
 func WriteJSON(w io.Writer, experiment string, o Options, tables []Table) error {
-	rep := JSONReport{Experiment: experiment, Seed: o.seed(), Full: o.Full}
+	rep := JSONReport{
+		Experiment: experiment, Seed: o.seed(), Full: o.Full,
+		Reps: o.Reps, Params: canonParams(o.Params),
+	}
+	for _, m := range o.Mixes {
+		rep.Mixes = append(rep.Mixes, m.Mix())
+	}
 	for _, t := range tables {
 		jt := JSONTable{Title: t.Title, Note: t.Note, Header: t.Header, Rows: t.Rows}
 		if jt.Rows == nil {

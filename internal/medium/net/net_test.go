@@ -19,8 +19,8 @@ import (
 // maxRounds, and requires identical results. It also traces both runs'
 // observation streams through the deliver hook and requires them equal
 // event for event, which pins not just the summary but the full
-// per-round channel behavior.
-func run(t *testing.T, cfg core.Config, maxRounds uint64) core.Result {
+// per-round channel behavior. opts apply to both builds.
+func run(t *testing.T, cfg core.Config, maxRounds uint64, opts ...core.Option) core.Result {
 	t.Helper()
 
 	type obsEvent struct {
@@ -35,14 +35,14 @@ func run(t *testing.T, cfg core.Config, maxRounds uint64) core.Result {
 	}
 
 	var directObs []obsEvent
-	direct, err := core.Build(cfg, record(&directObs))
+	direct, err := core.Build(cfg, append([]core.Option{record(&directObs)}, opts...)...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	directRes := direct.Run(maxRounds)
 
 	var udpObs []obsEvent
-	routed, err := core.Build(cfg, record(&udpObs), core.WithTransport(netmedium.Transport{}))
+	routed, err := core.Build(cfg, append([]core.Option{record(&udpObs), core.WithTransport(netmedium.Transport{})}, opts...)...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,8 +129,7 @@ func TestUDPParallelResolver(t *testing.T) {
 		Msg:          bitcodec.NewMessage(0b101, 3),
 		SourceID:     -1,
 		Seed:         9,
-		Workers:      4,
-	}, 200_000)
+	}, 200_000, core.WithWorkers(4))
 	if !res.AllComplete {
 		t.Fatalf("parallel run incomplete: %+v", res)
 	}

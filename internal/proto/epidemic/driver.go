@@ -7,10 +7,9 @@ import (
 	"authradio/internal/schedule"
 )
 
-// ParamRepeats is the typed knob (core.Config.Params key) overriding
-// how often each holder rebroadcasts; it takes precedence over the
-// dedicated core.Config.EpidemicRepeats field, and is what the family
-// presets pin.
+// ParamRepeats is the typed knob (core.Config.Params key) setting how
+// often each holder rebroadcasts (default 1); the family presets pin
+// it.
 const ParamRepeats = "epidemic.repeats"
 
 // Driver wires the epidemic flooding baseline into a world. It
@@ -36,7 +35,7 @@ func (Driver) Instances() []core.Instance {
 
 // Build implements core.ProtocolDriver.
 func (Driver) Build(cfg core.Config, b *core.WorldBuilder) error {
-	repeats := b.IntParam(ParamRepeats, cfg.EpidemicRepeats)
+	repeats := b.IntParam(ParamRepeats, 1)
 	if repeats < 1 {
 		return fmt.Errorf("epidemic: %s must be an integer >= 1, got %v", ParamRepeats, repeats)
 	}

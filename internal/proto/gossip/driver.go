@@ -16,8 +16,8 @@
 //
 // GossipRB is not one of the paper's protocols. It exists as the proof
 // of core's protocol-driver registry: the package registers its driver
-// itself and core builds it without naming it — no enum entry, no
-// switch arm, no core edit.
+// itself and core builds it without naming it — no switch arm, no
+// core edit.
 package gossip
 
 import (
@@ -44,10 +44,9 @@ const (
 	DefaultProb   = 0.8
 )
 
-// Driver wires GossipRB into a world. The knobs arrive through the
-// typed Params bag rather than dedicated core.Config fields — this
-// driver deliberately uses only the registry's public extension
-// surface. It registers as a protocol family: the fanout/probability
+// Driver wires GossipRB into a world. Like every driver it takes its
+// knobs through the typed Params bag, and it deliberately uses only
+// the registry's public extension surface. It registers as a protocol family: the fanout/probability
 // presets below are addressable as "GossipRB/<preset>" and enumerated
 // by core.Instances(), so family sweeps compare forwarding policies in
 // one grid.

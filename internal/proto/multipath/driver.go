@@ -7,10 +7,15 @@ import (
 	"authradio/internal/schedule"
 )
 
-// ParamT is the typed knob (core.Config.Params key) overriding the
-// tolerance parameter t; it takes precedence over the dedicated
-// core.Config.T field, and is what the family presets pin.
-const ParamT = "multipath.t"
+// Knob names accepted through core.Config.Params.
+const (
+	// ParamT is the tolerance parameter t (default 0); the family
+	// presets pin it.
+	ParamT = "multipath.t"
+	// ParamHeardCap bounds the HEARD relays per (bit, value) (default
+	// 3(t+1), see Shared.HeardCap).
+	ParamHeardCap = "multipath.heardcap"
+)
 
 // Driver wires MultiPathRB into a world: the greedy per-device
 // schedule, the source, and one protocol node per participating device.
@@ -36,7 +41,7 @@ func (Driver) Instances() []core.Instance {
 
 // Build implements core.ProtocolDriver.
 func (Driver) Build(cfg core.Config, b *core.WorldBuilder) error {
-	t := b.IntParam(ParamT, cfg.T)
+	t := b.IntParam(ParamT, 0)
 	if t < 0 {
 		return fmt.Errorf("multipath: %s must be an integer >= 0, got %v", ParamT, t)
 	}
@@ -45,8 +50,9 @@ func (Driver) Build(cfg core.Config, b *core.WorldBuilder) error {
 	// mutually undetectable: spacing > 2R + sense range.
 	ns := b.NodeSchedule(2*d.R+cfg.Medium.SenseRange(), schedule.SlotLen, true)
 	sh := NewShared(d, ns, cfg.Msg.Len, cfg.SourceID, t, b.Active())
-	if cfg.MPHeardCap > 0 {
-		sh.HeardCap = cfg.MPHeardCap
+	sh.HeardCap = b.IntParam(ParamHeardCap, sh.HeardCap)
+	if sh.HeardCap < 1 {
+		return fmt.Errorf("multipath: %s must be an integer >= 1, got %v", ParamHeardCap, sh.HeardCap)
 	}
 	b.SetCycle(ns.Cycle, ns.NumSlots)
 	b.AddDevice(NewSource(sh, cfg.Msg))

@@ -2,14 +2,23 @@ package nwatch
 
 import (
 	"fmt"
+	"math"
 
 	"authradio/internal/core"
+	"authradio/internal/geom"
 )
 
-// ParamVotes is the typed knob (core.Config.Params key) overriding the
-// driver's vote requirement: the number of distinct neighboring
-// squares that must deliver a bit before it is committed.
-const ParamVotes = "nwatch.votes"
+// Knob names accepted through core.Config.Params.
+const (
+	// ParamVotes overrides the driver's vote requirement: the number
+	// of distinct neighboring squares that must deliver a bit before
+	// it is committed (default Driver.Votes).
+	ParamVotes = "nwatch.votes"
+	// ParamSide is the square partition side. The default is R/2 under
+	// the analytical (L-infinity) metric and R/3 under the simulation
+	// (Euclidean) metric, the paper's two choices.
+	ParamSide = "nwatch.side"
+)
 
 // Driver wires NeighborWatchRB (or its k-voting variants) into a
 // world: the square-grid schedule, the source, and one protocol node
@@ -64,7 +73,15 @@ func (dr Driver) Build(cfg core.Config, b *core.WorldBuilder) error {
 		return fmt.Errorf("nwatch: %s must be an integer >= 1, got %v", ParamVotes, votes)
 	}
 	d := b.Deployment()
-	g := b.SquareGrid(cfg.SquareSide)
+	side := d.R / 3
+	if d.Metric == geom.LInf {
+		side = d.R / 2
+	}
+	side = b.FloatParam(ParamSide, side)
+	if !(side > 0) || math.IsInf(side, 1) {
+		return fmt.Errorf("nwatch: %s must be positive and finite, got %v", ParamSide, side)
+	}
+	g := b.SquareGrid(side)
 	sh := NewShared(d, g, cfg.Msg.Len, cfg.SourceID, votes, b.Active())
 	b.SetCycle(g.Cycle, g.NumSlots)
 	b.AddDevice(NewSource(sh, cfg.Msg))

@@ -1,13 +1,16 @@
 package protocols_test
 
 import (
+	"math"
 	"slices"
 	"strings"
 	"testing"
 
 	"authradio/internal/bitcodec"
 	"authradio/internal/core"
+	"authradio/internal/proto/epidemic"
 	"authradio/internal/proto/gossip"
+	"authradio/internal/proto/multipath"
 	"authradio/internal/proto/nwatch"
 	"authradio/internal/radio"
 	"authradio/internal/topo"
@@ -42,7 +45,7 @@ func TestEveryDriverRoundTrip(t *testing.T) {
 				ProtocolName: name,
 				Msg:          bitcodec.NewMessage(0b101, 3),
 				SourceID:     -1,
-				T:            1,
+				Params:       core.Params{multipath.ParamT: 1},
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -93,7 +96,7 @@ func TestEveryInstanceBuilds(t *testing.T) {
 				ProtocolName: name,
 				Msg:          bitcodec.NewMessage(0b101, 3),
 				SourceID:     -1,
-				T:            1,
+				Params:       core.Params{multipath.ParamT: 1},
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -112,9 +115,9 @@ func TestEveryInstanceBuilds(t *testing.T) {
 }
 
 // TestInstancePresetsMatchDedicatedFields pins the family presets to
-// the dedicated-Config-field builds they alias: an instance is a name
-// for a parameterisation, not a different protocol, so the runs must
-// agree bit-for-bit, down to every transmission and observation.
+// the builds that set the same knobs through Params: an instance is a
+// name for a parameterisation, not a different protocol, so the runs
+// must agree bit-for-bit, down to every transmission and observation.
 func TestInstancePresetsMatchDedicatedFields(t *testing.T) {
 	run := func(mutate func(*core.Config)) streamPin {
 		cfg := core.Config{
@@ -133,16 +136,16 @@ func TestInstancePresetsMatchDedicatedFields(t *testing.T) {
 	}{
 		{"MultiPathRB/t1 == T:1", func(c *core.Config) {
 			c.ProtocolName = "MultiPathRB/t1"
-			c.T = 99 // preset must win over the dedicated field
+			c.Params = core.Params{multipath.ParamT: 99} // the preset must win
 		}, func(c *core.Config) {
 			c.ProtocolName = "MultiPathRB"
-			c.T = 1
+			c.Params = core.Params{multipath.ParamT: 1}
 		}},
 		{"Epidemic/r2 == EpidemicRepeats:2", func(c *core.Config) {
 			c.ProtocolName = "Epidemic/r2"
 		}, func(c *core.Config) {
 			c.ProtocolName = "Epidemic"
-			c.EpidemicRepeats = 2
+			c.Params = core.Params{epidemic.ParamRepeats: 2}
 		}},
 		{"NeighborWatchRB votes:2 == 2vote", func(c *core.Config) {
 			c.ProtocolName = "NeighborWatchRB"
@@ -168,7 +171,7 @@ func TestInstancePresetsMatchDedicatedFields(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			a, b := run(tc.instance), run(tc.field)
 			if a != b {
-				t.Fatalf("instance and dedicated-field builds diverged:\n%+v\n%+v", a, b)
+				t.Fatalf("instance and Params builds diverged:\n%+v\n%+v", a, b)
 			}
 		})
 	}
@@ -207,34 +210,38 @@ func TestAliasesResolve(t *testing.T) {
 // pinnedConfig is the adversarial reference configuration whose
 // outcomes were captured on the PR 2 code (protocol wiring hard-coded
 // in core.Build's switch). The registry path must reproduce them
-// bit-for-bit.
-func pinnedConfig(p core.Protocol) core.Config {
+// bit-for-bit. MultiPathRB runs at t=1 unless an instance pins t.
+func pinnedConfig(name string) core.Config {
 	d := topo.Grid(7, 7, 2)
 	roles := make([]core.Role, d.N())
 	roles[3] = core.Liar
 	roles[10] = core.Jammer
 	return core.Config{
-		Deploy:    d,
-		Protocol:  p,
-		Msg:       bitcodec.NewMessage(0b101, 3),
-		SourceID:  -1,
-		Roles:     roles,
-		T:         1,
-		JamBudget: 15,
-		Seed:      13,
+		Deploy:       d,
+		ProtocolName: name,
+		Msg:          bitcodec.NewMessage(0b101, 3),
+		SourceID:     -1,
+		Roles:        roles,
+		Params:       core.Params{multipath.ParamT: 1},
+		JamBudget:    15,
+		Seed:         13,
 	}
 }
 
 // TestRegistryMatchesPR2Output pins the four paper protocols to the
 // exact Results the pre-registry code produced (captured on the PR 2
-// tree before the driver extraction), and checks the enum and
-// registry-name addressing modes agree with each other.
+// tree before the driver extraction), built once by canonical name and
+// once by an alias.
 func TestRegistryMatchesPR2Output(t *testing.T) {
-	want := map[core.Protocol]core.Result{
-		core.NeighborWatchRB:  {EndRound: 0x457, Honest: 46, Complete: 46, Correct: 11, AllComplete: true, LastCompletion: 0x388, HonestTx: 0x4d8, ByzTx: 0x23},
-		core.NeighborWatch2RB: {EndRound: 0x613, Honest: 46, Complete: 46, Correct: 46, AllComplete: true, LastCompletion: 0x544, HonestTx: 0x61c, ByzTx: 0x27},
-		core.MultiPathRB:      {EndRound: 0xf6eb, Honest: 46, Complete: 46, Correct: 46, AllComplete: true, LastCompletion: 0xf616, HonestTx: 0x19a61, ByzTx: 0x74c},
-		core.EpidemicRB:       {EndRound: 0x12d, Honest: 46, Complete: 46, Correct: 39, AllComplete: true, LastCompletion: 0xc0, HonestTx: 0x2c, ByzTx: 0x10},
+	want := map[string]core.Result{
+		"NeighborWatchRB":       {EndRound: 0x457, Honest: 46, Complete: 46, Correct: 11, AllComplete: true, LastCompletion: 0x388, HonestTx: 0x4d8, ByzTx: 0x23},
+		"NeighborWatchRB-2vote": {EndRound: 0x613, Honest: 46, Complete: 46, Correct: 46, AllComplete: true, LastCompletion: 0x544, HonestTx: 0x61c, ByzTx: 0x27},
+		"MultiPathRB":           {EndRound: 0xf6eb, Honest: 46, Complete: 46, Correct: 46, AllComplete: true, LastCompletion: 0xf616, HonestTx: 0x19a61, ByzTx: 0x74c},
+		"Epidemic":              {EndRound: 0x12d, Honest: 46, Complete: 46, Correct: 39, AllComplete: true, LastCompletion: 0xc0, HonestTx: 0x2c, ByzTx: 0x10},
+	}
+	alias := map[string]string{
+		"NeighborWatchRB": "nw", "NeighborWatchRB-2vote": "nw2",
+		"MultiPathRB": "mp", "Epidemic": "epidemicrb",
 	}
 	for p, r := range want {
 		// The partition metrics postdate the PR 2 capture and are pure
@@ -246,24 +253,20 @@ func TestRegistryMatchesPR2Output(t *testing.T) {
 		want[p] = r
 	}
 	for p, pinned := range want {
-		t.Run(p.String(), func(t *testing.T) {
-			byEnum, err := core.Build(pinnedConfig(p))
+		t.Run(p, func(t *testing.T) {
+			byName, err := core.Build(pinnedConfig(p))
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := byEnum.Run(3_000_000)
-			if got != pinned {
-				t.Fatalf("enum build diverged from PR 2 output:\ngot  %+v\nwant %+v", got, pinned)
+			if got := byName.Run(3_000_000); got != pinned {
+				t.Fatalf("name build diverged from the pinned Result:\ngot  %+v\nwant %+v", got, pinned)
 			}
-			cfg := pinnedConfig(p)
-			cfg.Protocol = 0
-			cfg.ProtocolName = p.String()
-			byName, err := core.Build(cfg)
+			byAlias, err := core.Build(pinnedConfig(alias[p]))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if gotName := byName.Run(3_000_000); gotName != pinned {
-				t.Fatalf("name build diverged:\ngot  %+v\nwant %+v", gotName, pinned)
+			if got := byAlias.Run(3_000_000); got != pinned {
+				t.Fatalf("alias %q build diverged:\ngot  %+v\nwant %+v", alias[p], got, pinned)
 			}
 		})
 	}
@@ -340,9 +343,55 @@ func TestGossipBadParamsError(t *testing.T) {
 	}
 }
 
+// TestBuiltinBadParamsError is TestGossipBadParamsError for the other
+// built-in drivers' knobs: every out-of-range or wrongly-typed value
+// fails Build.
+func TestBuiltinBadParamsError(t *testing.T) {
+	type build struct {
+		proto  string
+		params core.Params
+	}
+	cases := map[string]build{
+		"negative-t":    {"MultiPathRB", core.Params{multipath.ParamT: -1}},
+		"zero-heardcap": {"MultiPathRB", core.Params{multipath.ParamHeardCap: 0}},
+		"zero-votes":    {"NeighborWatchRB", core.Params{nwatch.ParamVotes: 0}},
+		"zero-side":     {"NeighborWatchRB", core.Params{nwatch.ParamSide: 0.0}},
+		"negative-side": {"NeighborWatchRB", core.Params{nwatch.ParamSide: -1.0}},
+		"infinite-side": {"NeighborWatchRB", core.Params{nwatch.ParamSide: math.Inf(1)}},
+		"nan-side":      {"NeighborWatchRB", core.Params{nwatch.ParamSide: math.NaN()}},
+		"bool-side":     {"NeighborWatchRB", core.Params{nwatch.ParamSide: true}},
+		"string-side":   {"NeighborWatchRB", core.Params{nwatch.ParamSide: "1"}},
+		"zero-repeats":  {"Epidemic", core.Params{epidemic.ParamRepeats: 0}},
+	}
+	// Counts take neither a bool, a string nor a fraction.
+	for key, proto := range map[string]string{
+		multipath.ParamT:        "MultiPathRB",
+		multipath.ParamHeardCap: "MultiPathRB",
+		nwatch.ParamVotes:       "NeighborWatchRB",
+		epidemic.ParamRepeats:   "Epidemic",
+	} {
+		for kind, v := range map[string]any{"bool": true, "string": "2", "fractional": 2.5} {
+			cases[kind+"-"+key] = build{proto, core.Params{key: v}}
+		}
+	}
+	for name, tc := range cases {
+		t.Run(name, func(t *testing.T) {
+			_, err := core.Build(core.Config{
+				Deploy:       topo.Grid(5, 5, 2),
+				ProtocolName: tc.proto,
+				Msg:          bitcodec.NewMessage(0b101, 3),
+				SourceID:     -1,
+				Params:       tc.params,
+			})
+			if err == nil {
+				t.Fatalf("%s accepted Params %v", tc.proto, tc.params)
+			}
+		})
+	}
+}
+
 // TestBuildOptions exercises the functional options end to end on a
-// real protocol: medium override, engine workers, and chained round
-// hooks.
+// real protocol: engine workers and chained round hooks.
 func TestBuildOptions(t *testing.T) {
 	cfg := core.Config{
 		Deploy:       topo.Grid(5, 5, 2),
@@ -350,10 +399,8 @@ func TestBuildOptions(t *testing.T) {
 		Msg:          bitcodec.NewMessage(0b11, 2),
 		SourceID:     -1,
 	}
-	m := &radio.DiskMedium{R: 2, Metric: topo.Grid(5, 5, 2).Metric}
 	var rounds, txs int
 	w, err := core.Build(cfg,
-		core.WithMedium(m),
 		core.WithWorkers(4),
 		core.WithRoundHook(func(uint64, []radio.Tx) { rounds++ }),
 		core.WithRoundHook(func(_ uint64, t []radio.Tx) { txs += len(t) }),
@@ -361,11 +408,8 @@ func TestBuildOptions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if w.Cfg.Medium != radio.Medium(m) {
-		t.Fatal("WithMedium did not override the medium")
-	}
-	if w.Cfg.Workers != 4 || w.Eng.Workers != 4 {
-		t.Fatalf("WithWorkers not applied: cfg %d eng %d", w.Cfg.Workers, w.Eng.Workers)
+	if w.Eng.Workers != 4 {
+		t.Fatalf("WithWorkers not applied: engine workers %d", w.Eng.Workers)
 	}
 	res := w.Run(100_000)
 	if rounds == 0 || uint64(txs) != res.HonestTx+res.ByzTx {

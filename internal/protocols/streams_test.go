@@ -72,8 +72,7 @@ func TestProtocolStreamsPinned(t *testing.T) {
 		for _, adv := range []bool{false, true} {
 			k := pinKey{name, adv}
 			seen[k] = true
-			cfg := pinnedConfig(0)
-			cfg.ProtocolName = name
+			cfg := pinnedConfig(name)
 			if !adv {
 				cfg.Roles = nil
 			}
