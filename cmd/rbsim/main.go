@@ -76,7 +76,7 @@ func main() {
 		clusters = flag.Int("clusters", 0, "deploy in clusters (0 = uniform)")
 		sigma    = flag.Float64("sigma", 2.5, "cluster spread")
 		msgStr   = flag.String("msg", "0b1011", "message bits (0b... or decimal)")
-		msgLen   = flag.Int("msglen", 4, "message length in bits")
+		msgLen   = flag.Int("msglen", 4, "message length in bits (1..64)")
 		t        = flag.Int("t", 3, "MultiPathRB tolerance: sets the multipath.t knob (-param multipath.t wins)")
 		liars    = flag.Float64("liars", 0, "fraction of lying devices")
 		jammers  = flag.Float64("jammers", 0, "fraction of jamming devices")
@@ -121,6 +121,10 @@ func main() {
 
 	bits, err := parseBits(*msgStr)
 	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
+	if err := checkMsgLen(*msgLen); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
@@ -312,6 +316,16 @@ func runScenario(s experiment.Scenario, rep int, stats bool, traceN int, traceRx
 	}
 	res := w.Run(maxRounds)
 	return res, coll, w.Close()
+}
+
+// checkMsgLen rejects a -msglen the message codec cannot carry. Zero is
+// rejected too: the scenario would silently read it as its 4-bit
+// default.
+func checkMsgLen(n int) error {
+	if n < 1 || n > 64 {
+		return fmt.Errorf("-msglen %d out of range; want 1..64", n)
+	}
+	return nil
 }
 
 func parseBits(s string) (uint64, error) {

@@ -52,3 +52,22 @@ func TestParseBits(t *testing.T) {
 		}
 	}
 }
+
+func TestCheckMsgLen(t *testing.T) {
+	cases := []struct {
+		n   int
+		err bool
+	}{
+		{-1, true},
+		{0, true},
+		{1, false},
+		{4, false},
+		{64, false},
+		{65, true},
+	}
+	for _, tc := range cases {
+		if err := checkMsgLen(tc.n); (err != nil) != tc.err {
+			t.Errorf("checkMsgLen(%d) err = %v, want err=%v", tc.n, err, tc.err)
+		}
+	}
+}

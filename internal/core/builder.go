@@ -23,9 +23,8 @@ type ProtocolNode interface {
 // indices at Add, so a driver must add devices in a deterministic order
 // for runs to be reproducible.
 type WorldBuilder struct {
-	cfg    Config
-	w      *World
-	active []bool
+	cfg Config
+	w   *World
 	// jamVetoOnly is the veto-round targeting for any jammers built
 	// after the driver (true unless the driver's slots have no veto
 	// rounds; see SetJamVetoOnly).
@@ -44,19 +43,17 @@ func (b *WorldBuilder) Deployment() *topo.Deployment { return b.cfg.Deploy }
 // crash-recover behaviour at AddNode. Drivers that must distinguish
 // (none do today) can consult the raw Config.
 func (b *WorldBuilder) Role(i int) Role {
-	if b.cfg.Roles == nil {
-		return Honest
+	if r := b.cfg.role(i); r != Churn {
+		return r
 	}
-	if b.cfg.Roles[i] == Churn {
-		return Honest
-	}
-	return b.cfg.Roles[i]
+	return Honest
 }
 
 // Active returns the participation mask: active[i] is true for devices
-// that take protocol steps (honest and lying devices; crashed devices
-// and jammers do not participate in the protocol).
-func (b *WorldBuilder) Active() []bool { return b.active }
+// that take protocol steps (honest, lying and churn devices; crashed
+// devices, jammers and spoofers do not participate in the protocol).
+// Summarize reads the same mask for the partition metrics.
+func (b *WorldBuilder) Active() []bool { return b.w.live }
 
 // The typed param getters read driver knobs from Config.Params (after
 // any family-preset overlay), falling back to def when the knob is
@@ -101,13 +98,9 @@ func (b *WorldBuilder) noteParamErr(err error) {
 	}
 }
 
-// SetCycle records the schedule cycle in force and the number of slots
-// used. Every driver must call it: jammers, probing and reporting all
-// read the cycle.
-func (b *WorldBuilder) SetCycle(c schedule.Cycle, slotsUsed int) {
-	b.w.Cycle = c
-	b.w.SlotsUsed = slotsUsed
-}
+// SetCycle records the schedule cycle in force. Every driver must call
+// it: jammers, probing and reporting all read the cycle.
+func (b *WorldBuilder) SetCycle(c schedule.Cycle) { b.w.Cycle = c }
 
 // SetJamVetoOnly selects what jammers attack: true (the default) aims
 // their budget at the 2Bit veto rounds; drivers whose slots carry whole
@@ -127,7 +120,7 @@ func (b *WorldBuilder) AddDevice(d sim.Device) { b.w.Eng.Add(d, 0) }
 // is known.
 func (b *WorldBuilder) AddNode(id int, n ProtocolNode) {
 	b.w.Nodes[id] = n
-	if b.cfg.Roles != nil && b.cfg.Roles[id] == Churn {
+	if b.cfg.role(id) == Churn {
 		c := adversary.NewChurner(n)
 		b.w.Churners = append(b.w.Churners, c)
 		b.w.Eng.Add(c, 0)
@@ -136,12 +129,11 @@ func (b *WorldBuilder) AddNode(id int, n ProtocolNode) {
 	b.w.Eng.Add(n, 0)
 }
 
-// AddLiar registers a lying protocol node for device id, accounting its
-// transmissions as Byzantine.
+// AddLiar registers a lying protocol node for device id. Summarize
+// counts the transmissions of every Liar-role device as Byzantine.
 func (b *WorldBuilder) AddLiar(id int, n ProtocolNode) {
 	b.w.Nodes[id] = n
 	b.w.Eng.Add(n, 0)
-	b.w.byzIDs[id] = true
 }
 
 // Schedules are pure functions of their knobs, and read-only once

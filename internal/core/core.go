@@ -157,10 +157,28 @@ type World struct {
 	// Cycle is the schedule cycle in force (for jammers, probing and
 	// reporting).
 	Cycle schedule.Cycle
-	// SlotsUsed is the number of schedule slots.
-	SlotsUsed int
 
-	byzIDs map[int]bool // liars and jammers, for energy accounting
+	// live is the participation mask derived from Config.Roles: true for
+	// honest, liar and churn devices.
+	live []bool
+}
+
+// role returns device i's configured behaviour (Honest when Roles is
+// nil).
+func (c *Config) role(i int) Role {
+	if c.Roles == nil {
+		return Honest
+	}
+	return c.Roles[i]
+}
+
+// unlimitedIfZero maps a zero adversary broadcast budget to an
+// effectively unlimited one.
+func unlimitedIfZero(budget int) int {
+	if budget == 0 {
+		return 1 << 30
+	}
+	return budget
 }
 
 // Build validates cfg, resolves its protocol through the driver
@@ -226,15 +244,10 @@ func Build(cfg Config, opts ...Option) (*World, error) {
 		cfg.Params = id.mergedParams(cfg.Params)
 	}
 
-	role := func(i int) Role {
-		if cfg.Roles == nil {
-			return Honest
-		}
-		return cfg.Roles[i]
-	}
-	active := make([]bool, d.N())
-	for i := range active {
-		active[i] = role(i) == Honest || role(i) == Liar || role(i) == Churn
+	live := make([]bool, d.N())
+	for i := range live {
+		r := cfg.role(i)
+		live[i] = r == Honest || r == Liar || r == Churn
 	}
 
 	w := &World{
@@ -242,12 +255,12 @@ func Build(cfg Config, opts ...Option) (*World, error) {
 		DriverName: drv.Name(),
 		Eng:        sim.NewEngine(cfg.Medium),
 		Nodes:      make(map[int]Status),
-		byzIDs:     make(map[int]bool),
+		live:       live,
 	}
 	w.Eng.Workers = bo.workers
 	w.Eng.DisableIndex = cfg.LinearChannel
 
-	b := &WorldBuilder{cfg: cfg, w: w, active: active, jamVetoOnly: true}
+	b := &WorldBuilder{cfg: cfg, w: w, jamVetoOnly: true}
 	if err := drv.Build(cfg, b); err != nil {
 		return nil, fmt.Errorf("core: building %s: %w", drv.Name(), err)
 	}
@@ -260,36 +273,26 @@ func Build(cfg Config, opts ...Option) (*World, error) {
 
 	// Jammers attack whatever slot structure the protocol uses.
 	for i := 0; i < d.N(); i++ {
-		if role(i) != Jammer || i == cfg.SourceID {
+		if cfg.role(i) != Jammer || i == cfg.SourceID {
 			continue
 		}
-		budget := cfg.JamBudget
-		if budget == 0 {
-			budget = 1 << 30 // effectively unlimited
-		}
-		j := adversary.NewJammer(i, d.Pos[i], w.Cycle, budget, cfg.JamProb,
+		j := adversary.NewJammer(i, d.Pos[i], w.Cycle, unlimitedIfZero(cfg.JamBudget), cfg.JamProb,
 			xrand.Derive(cfg.Seed, xrand.LaneJam, uint64(i)))
 		j.VetoOnly = b.jamVetoOnly
 		w.Jammers = append(w.Jammers, j)
 		w.Eng.Add(j, 0)
-		w.byzIDs[i] = true
 	}
 
 	// Spoofers are schedule-oblivious: they attack arbitrary rounds, so
 	// they need nothing from the cycle.
 	for i := 0; i < d.N(); i++ {
-		if role(i) != Spoofer || i == cfg.SourceID {
+		if cfg.role(i) != Spoofer || i == cfg.SourceID {
 			continue
 		}
-		budget := cfg.SpoofBudget
-		if budget == 0 {
-			budget = 1 << 30 // effectively unlimited
-		}
-		sp := adversary.NewSpoofer(i, d.Pos[i], budget, cfg.SpoofProb,
+		sp := adversary.NewSpoofer(i, d.Pos[i], unlimitedIfZero(cfg.SpoofBudget), cfg.SpoofProb,
 			xrand.Derive(cfg.Seed, xrand.LaneSpoof, uint64(i)))
 		w.Spoofers = append(w.Spoofers, sp)
 		w.Eng.Add(sp, 0)
-		w.byzIDs[i] = true
 	}
 
 	// Churners were registered during the driver's build (AddNode wraps
@@ -358,8 +361,9 @@ type Result struct {
 	// LastCompletion is the largest completion round among complete
 	// honest nodes (the broadcast's finish time when AllComplete).
 	LastCompletion uint64
-	// HonestTx / ByzTx split total transmissions by allegiance
-	// (the source counts as honest).
+	// HonestTx / ByzTx split total transmissions by configured role:
+	// liars, jammers and spoofers are Byzantine, every other device
+	// (the source included) honest.
 	HonestTx, ByzTx uint64
 
 	// Components is the number of connected components of the live
@@ -434,37 +438,24 @@ func (w *World) Summarize(end uint64) Result {
 		}
 	}
 	res.AllComplete = res.Complete == res.Honest
-	for id := range w.Nodes {
-		if w.byzIDs[id] {
-			res.ByzTx += w.Eng.TxCount(id)
-		} else {
-			res.HonestTx += w.Eng.TxCount(id)
+	// Allegiance follows the configured role; devices never added (the
+	// crashed ones) have a TxCount of 0.
+	for i := range w.Cfg.Deploy.N() {
+		switch w.Cfg.role(i) {
+		case Liar, Jammer, Spoofer:
+			res.ByzTx += w.Eng.TxCount(i)
+		default:
+			res.HonestTx += w.Eng.TxCount(i)
 		}
 	}
-	for _, j := range w.Jammers {
-		res.ByzTx += w.Eng.TxCount(j.ID())
-	}
-	for _, sp := range w.Spoofers {
-		res.ByzTx += w.Eng.TxCount(sp.ID())
-	}
-	res.HonestTx += w.Eng.TxCount(w.Cfg.SourceID)
 
 	// Partition-aware view: a union-find over the live communication
 	// graph (protocol participants only — crashed devices and pure
 	// attackers removed) splits the run into components, and delivery is
 	// restricted to the source's. These fields are pure functions of the
 	// deployment and roles, so they are identical across transports.
-	d := w.Cfg.Deploy
-	alive := make([]bool, d.N())
-	for i := range alive {
-		r := Honest
-		if w.Cfg.Roles != nil {
-			r = w.Cfg.Roles[i]
-		}
-		alive[i] = r == Honest || r == Liar || r == Churn
-	}
-	uf := d.LiveComponents(alive)
-	for i, a := range alive {
+	uf := w.Cfg.Deploy.LiveComponents(w.live)
+	for i, a := range w.live {
 		if a && uf.Find(i) == i {
 			res.Components++
 		}

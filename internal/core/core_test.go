@@ -373,3 +373,30 @@ func TestSpooferRoleBuildsAndSpendsBudget(t *testing.T) {
 		}
 	}
 }
+
+// TestZeroAdversaryBudgetIsUnlimited pins the budget convention jammers
+// and spoofers share: 0 means unlimited, anything else is taken as is.
+func TestZeroAdversaryBudgetIsUnlimited(t *testing.T) {
+	d := topo.Grid(5, 5, 2)
+	roles := make([]Role, d.N())
+	roles[0], roles[1] = Jammer, Spoofer
+	for _, budget := range []int{0, 3} {
+		w, err := Build(Config{
+			Deploy: d, ProtocolName: "NeighborWatchRB", Msg: msg4(),
+			SourceID: -1, Roles: roles, JamBudget: budget, SpoofBudget: budget,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := budget
+		if budget == 0 {
+			want = 1 << 30
+		}
+		if got := w.Jammers[0].Budget; got != want {
+			t.Errorf("JamBudget %d: jammer budget %d, want %d", budget, got, want)
+		}
+		if got := w.Spoofers[0].Budget; got != want {
+			t.Errorf("SpoofBudget %d: spoofer budget %d, want %d", budget, got, want)
+		}
+	}
+}

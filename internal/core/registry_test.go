@@ -49,7 +49,7 @@ func (d fakeDriver) Build(cfg Config, b *WorldBuilder) error {
 		return d.err
 	}
 	dep := b.Deployment()
-	b.SetCycle(schedule.Cycle{NumSlots: 1, SlotLen: 1}, 1)
+	b.SetCycle(schedule.Cycle{NumSlots: 1, SlotLen: 1})
 	for i := 0; i < dep.N(); i++ {
 		if i == cfg.SourceID || b.Role(i) != Honest {
 			continue

@@ -83,9 +83,7 @@ type deployKey struct {
 // deployCache shares deployments across experiment cells. Experiments
 // sweep a protocol or adversary dimension over a fixed deployment
 // family, so without the cache every cell rebuilds (positions, spatial
-// index, neighborhoods) the same deployment per repetition. Cached
-// deployments have their spatial index pre-built, making them safe for
-// the read-only concurrent use the repetition fan-out needs.
+// index, neighborhoods) the same deployment per repetition.
 var (
 	deployMu    sync.Mutex
 	deployCache = make(map[deployKey]*topo.Deployment)
@@ -121,7 +119,6 @@ func (s Scenario) deployment(rep int) *topo.Deployment {
 	default:
 		d = topo.Uniform(s.Nodes, s.MapSide, s.Range, rng)
 	}
-	d.Index() // pre-build so cached deployments are read-only thereafter
 	deployMu.Lock()
 	if len(deployCache) >= maxDeployCache {
 		clear(deployCache)

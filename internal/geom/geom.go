@@ -1,7 +1,8 @@
 // Package geom provides the planar geometry primitives used throughout the
 // simulator: points, the L-infinity and Euclidean metrics from the paper's
-// analytical and simulation models, rectangles, and a spatial hash index
-// for fast range queries over deployments.
+// analytical and simulation models, rectangles, and GridIndex, the one
+// spatial hash. GridIndex answers the range queries over a deployment's
+// fixed positions and the box gathers over each round's transmissions.
 //
 // The paper analyses the protocols on a two-dimensional grid under the
 // L-infinity norm ("we say that v is in the neighborhood of w if

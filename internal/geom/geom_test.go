@@ -130,7 +130,8 @@ func TestIndexWithinMatchesBruteForce(t *testing.T) {
 			pts[i] = Point{rng.Float64() * 30, rng.Float64() * 30}
 		}
 		cell := 0.5 + rng.Float64()*5
-		ix := NewIndex(pts, cell)
+		var ix GridIndex
+		ix.Reset(pts, cell)
 		if ix.Len() != n {
 			t.Fatalf("Len = %d, want %d", ix.Len(), n)
 		}
@@ -160,20 +161,17 @@ func TestIndexWithinMatchesBruteForce(t *testing.T) {
 }
 
 func TestIndexEmptyAndAt(t *testing.T) {
-	ix := NewIndex(nil, 1)
+	var ix GridIndex
+	ix.Reset(nil, 1)
 	if got := ix.Within(nil, Point{0, 0}, 100, L2); len(got) != 0 {
 		t.Errorf("empty index returned %v", got)
-	}
-	pts := []Point{{1, 1}, {2, 2}}
-	ix = NewIndex(pts, 1)
-	if ix.At(1) != (Point{2, 2}) {
-		t.Error("At(1) wrong")
 	}
 }
 
 func TestIndexAppendsToDst(t *testing.T) {
 	pts := []Point{{0, 0}, {1, 0}}
-	ix := NewIndex(pts, 1)
+	var ix GridIndex
+	ix.Reset(pts, 1)
 	dst := []int{99}
 	dst = ix.Within(dst, Point{0, 0}, 0.5, L2)
 	if len(dst) != 2 || dst[0] != 99 {
@@ -184,10 +182,11 @@ func TestIndexAppendsToDst(t *testing.T) {
 func TestIndexBadCell(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Error("NewIndex with non-positive cell did not panic")
+			t.Error("Reset with non-positive cell did not panic")
 		}
 	}()
-	NewIndex([]Point{{0, 0}}, 0)
+	var ix GridIndex
+	ix.Reset([]Point{{0, 0}}, 0)
 }
 
 func TestGridIndexWithinMatchesIndex(t *testing.T) {
@@ -208,7 +207,7 @@ func TestGridIndexWithinMatchesIndex(t *testing.T) {
 			p := Point{rng.Float64() * 30, rng.Float64() * 30}
 			r := rng.Float64() * 8
 			for _, m := range []Metric{LInf, L2} {
-				got := g.WithinInts(nil, p, r, m)
+				got := g.Within(nil, p, r, m)
 				sort.Ints(got)
 				var want []int
 				for i, pt := range pts {
@@ -257,7 +256,7 @@ func TestGridIndexCellClamp(t *testing.T) {
 		if cells := g.cols * g.rows; cells <= 0 || cells > maxCellsFactor*len(pts)+16 {
 			t.Fatalf("cell %v: grid has %d cells for %d points", cell, cells, len(pts))
 		}
-		got := g.WithinInts(nil, Point{0, 0}, 1, L2)
+		got := g.Within(nil, Point{0, 0}, 1, L2)
 		if len(got) != 1 || got[0] != 0 {
 			t.Errorf("cell %v: clamped-grid query = %v, want [0]", cell, got)
 		}
@@ -267,7 +266,7 @@ func TestGridIndexCellClamp(t *testing.T) {
 func TestGridIndexEmptyAndBadCell(t *testing.T) {
 	var g GridIndex
 	g.Reset(nil, 1)
-	if got := g.WithinInts(nil, Point{0, 0}, 100, L2); len(got) != 0 {
+	if got := g.Within(nil, Point{0, 0}, 100, L2); len(got) != 0 {
 		t.Errorf("empty grid index returned %v", got)
 	}
 	defer func() {
@@ -300,7 +299,8 @@ func BenchmarkIndexWithin(b *testing.B) {
 	for i := range pts {
 		pts[i] = Point{rng.Float64() * 60, rng.Float64() * 60}
 	}
-	ix := NewIndex(pts, 4)
+	var ix GridIndex
+	ix.Reset(pts, 4)
 	buf := make([]int, 0, 256)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

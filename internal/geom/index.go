@@ -2,57 +2,6 @@ package geom
 
 import "math"
 
-// grid is the shared cell geometry of the spatial hashes: a uniform
-// cols×rows cell grid anchored at (minX, minY). Out-of-range points
-// clamp to the border cells, so cellOf and window are total.
-type grid struct {
-	cell       float64
-	minX, minY float64
-	cols, rows int
-}
-
-func (g *grid) cellOf(p Point) int {
-	cx := int((p.X - g.minX) / g.cell)
-	cy := int((p.Y - g.minY) / g.cell)
-	if cx < 0 {
-		cx = 0
-	}
-	if cy < 0 {
-		cy = 0
-	}
-	if cx >= g.cols {
-		cx = g.cols - 1
-	}
-	if cy >= g.rows {
-		cy = g.rows - 1
-	}
-	return cy*g.cols + cx
-}
-
-// window returns the inclusive cell-coordinate rectangle overlapping
-// the axis-aligned box of half-width r around p, clamped to the grid.
-// The result may be empty (cx0 > cx1 or cy0 > cy1) when the box lies
-// entirely outside.
-func (g *grid) window(p Point, r float64) (cx0, cy0, cx1, cy1 int) {
-	cx0 = int((p.X - r - g.minX) / g.cell)
-	cy0 = int((p.Y - r - g.minY) / g.cell)
-	cx1 = int((p.X + r - g.minX) / g.cell)
-	cy1 = int((p.Y + r - g.minY) / g.cell)
-	if cx0 < 0 {
-		cx0 = 0
-	}
-	if cy0 < 0 {
-		cy0 = 0
-	}
-	if cx1 >= g.cols {
-		cx1 = g.cols - 1
-	}
-	if cy1 >= g.rows {
-		cy1 = g.rows - 1
-	}
-	return
-}
-
 // bounds returns the bounding box of pts.
 func bounds(pts []Point) (minX, minY, maxX, maxY float64) {
 	minX, minY = math.Inf(1), math.Inf(1)
@@ -66,54 +15,22 @@ func bounds(pts []Point) (minX, minY, maxX, maxY float64) {
 	return
 }
 
-// Index is a spatial hash over a fixed set of points, supporting fast
-// "all points within distance r of p" queries. It is the workhorse behind
-// neighborhood computation for deployments of thousands of devices.
-//
-// The cell size is chosen at construction; queries may use any radius.
-// An Index is immutable after construction and safe for concurrent reads.
-// It is a thin immutable view over a GridIndex, so building one is two
-// array allocations (CSR layout) rather than one bucket per cell.
-type Index struct {
-	g GridIndex
-}
-
-// NewIndex builds a spatial hash over pts with the given cell size.
-// cell should be on the order of the typical query radius; it is grown
-// as needed to keep the cell grid proportional to the point count.
-func NewIndex(pts []Point, cell float64) *Index {
-	if cell <= 0 {
-		panic("geom: cell size must be positive")
-	}
-	ix := &Index{}
-	ix.g.Reset(pts, cell)
-	return ix
-}
-
-// Len returns the number of indexed points.
-func (ix *Index) Len() int { return ix.g.Len() }
-
-// At returns the i'th indexed point.
-func (ix *Index) At(i int) Point { return ix.g.pts[i] }
-
-// Within appends to dst the ids of all indexed points q with
-// m.Dist(p, q) <= r, and returns the extended slice. The point p itself
-// is included if it is one of the indexed points. Results are in
-// ascending id order within each visited cell but not globally sorted.
-func (ix *Index) Within(dst []int, p Point, r float64, m Metric) []int {
-	return ix.g.WithinInts(dst, p, r, m)
-}
-
-// GridIndex is a resettable spatial hash for point sets that change
-// every round, such as the transmissions of a simulated radio round.
-// Unlike Index, whose per-cell bucket slices are rebuilt from scratch,
-// GridIndex stores its buckets in CSR layout (one ids array plus
-// per-cell offsets) so that Reset reuses all backing arrays: after
-// warm-up, rebuilding the index allocates nothing.
+// GridIndex is a spatial hash over a point set, supporting "all points
+// within distance r of p" queries and cell-grouped box gathers. It
+// serves both the fixed positions of a deployment and the
+// transmissions of each simulated radio round: the cells are a uniform
+// cols×rows grid anchored at the points' bounding box, and the buckets
+// are stored in CSR layout (one ids array plus per-cell offsets), so
+// Reset reuses all backing arrays and, after warm-up, rebuilding the
+// index allocates nothing. Queries may use any radius; out-of-range
+// points clamp to the border cells.
 //
 // A GridIndex is safe for concurrent reads between Resets.
 type GridIndex struct {
-	grid
+	cell       float64
+	minX, minY float64
+	cols, rows int
+
 	pts   []Point
 	start []int32 // cell -> offset into ids; len cells+1
 	ids   []int32 // point ids grouped by cell, ascending within a cell
@@ -175,7 +92,7 @@ func (g *GridIndex) Reset(pts []Point, cell float64) {
 		start[i] = 0
 	}
 	for _, p := range pts {
-		start[g.cellOf(p)+1]++
+		start[g.CellOf(p)+1]++
 	}
 	for c := 1; c <= cells; c++ {
 		start[c] += start[c-1]
@@ -187,7 +104,7 @@ func (g *GridIndex) Reset(pts []Point, cell float64) {
 	// cursor reuses the start offsets: fill advances start[c], then the
 	// offsets are restored by shifting back one cell.
 	for i, p := range pts {
-		c := g.cellOf(p)
+		c := g.CellOf(p)
 		ids[start[c]] = int32(i)
 		start[c]++
 	}
@@ -204,15 +121,63 @@ func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 // Len returns the number of indexed points.
 func (g *GridIndex) Len() int { return len(g.pts) }
 
-// WithinInts appends to dst the ids of all indexed points q with
+// Cells returns the number of cells in the current grid.
+func (g *GridIndex) Cells() int { return g.cols * g.rows }
+
+// CellOf returns the index of the grid cell containing p, in
+// [0, Cells()). Out-of-range points clamp to the border cells. The
+// assignment is only valid until the next Reset.
+func (g *GridIndex) CellOf(p Point) int {
+	cx := int((p.X - g.minX) / g.cell)
+	cy := int((p.Y - g.minY) / g.cell)
+	if cx < 0 {
+		cx = 0
+	}
+	if cy < 0 {
+		cy = 0
+	}
+	if cx >= g.cols {
+		cx = g.cols - 1
+	}
+	if cy >= g.rows {
+		cy = g.rows - 1
+	}
+	return cy*g.cols + cx
+}
+
+// window returns the inclusive cell-coordinate rectangle overlapping
+// the axis-aligned box [lo-r, hi+r], clamped to the grid. The result
+// may be empty (cx0 > cx1 or cy0 > cy1) when the box lies entirely
+// outside.
+func (g *GridIndex) window(lo, hi Point, r float64) (cx0, cy0, cx1, cy1 int) {
+	cx0 = int((lo.X - r - g.minX) / g.cell)
+	cy0 = int((lo.Y - r - g.minY) / g.cell)
+	cx1 = int((hi.X + r - g.minX) / g.cell)
+	cy1 = int((hi.Y + r - g.minY) / g.cell)
+	if cx0 < 0 {
+		cx0 = 0
+	}
+	if cy0 < 0 {
+		cy0 = 0
+	}
+	if cx1 >= g.cols {
+		cx1 = g.cols - 1
+	}
+	if cy1 >= g.rows {
+		cy1 = g.rows - 1
+	}
+	return
+}
+
+// Within appends to dst the ids of all indexed points q with
 // m.Dist(p, q) <= r and returns the extended slice. Ids are ascending
 // within each visited cell but not globally sorted. The destination is
 // []int so that callers can mix the ids into int-typed adjacency lists.
-func (g *GridIndex) WithinInts(dst []int, p Point, r float64, m Metric) []int {
+func (g *GridIndex) Within(dst []int, p Point, r float64, m Metric) []int {
 	if len(g.pts) == 0 {
 		return dst
 	}
-	cx0, cy0, cx1, cy1 := g.window(p, r)
+	cx0, cy0, cx1, cy1 := g.window(p, p, r)
 	for cy := cy0; cy <= cy1; cy++ {
 		row := cy * g.cols
 		for cx := cx0; cx <= cx1; cx++ {
@@ -227,14 +192,6 @@ func (g *GridIndex) WithinInts(dst []int, p Point, r float64, m Metric) []int {
 	return dst
 }
 
-// Cells returns the number of cells in the current grid.
-func (g *GridIndex) Cells() int { return g.cols * g.rows }
-
-// CellOf returns the index of the grid cell containing p, in
-// [0, Cells()). Out-of-range points clamp to the border cells. The
-// assignment is only valid until the next Reset.
-func (g *GridIndex) CellOf(p Point) int { return g.cellOf(p) }
-
 // GatherBox appends to dst the ids of every indexed point whose cell
 // overlaps the axis-aligned box [lo-r, hi+r] and returns the extended
 // slice. No distance predicate is applied: the result is a superset of
@@ -246,22 +203,7 @@ func (g *GridIndex) GatherBox(dst []int32, lo, hi Point, r float64) []int32 {
 	if len(g.pts) == 0 {
 		return dst
 	}
-	cx0 := int((lo.X - r - g.minX) / g.cell)
-	cy0 := int((lo.Y - r - g.minY) / g.cell)
-	cx1 := int((hi.X + r - g.minX) / g.cell)
-	cy1 := int((hi.Y + r - g.minY) / g.cell)
-	if cx0 < 0 {
-		cx0 = 0
-	}
-	if cy0 < 0 {
-		cy0 = 0
-	}
-	if cx1 >= g.cols {
-		cx1 = g.cols - 1
-	}
-	if cy1 >= g.rows {
-		cy1 = g.rows - 1
-	}
+	cx0, cy0, cx1, cy1 := g.window(lo, hi, r)
 	if cx0 > cx1 || cy0 > cy1 {
 		return dst // box entirely outside the grid
 	}

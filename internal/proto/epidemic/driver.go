@@ -46,7 +46,7 @@ func (Driver) Build(cfg core.Config, b *core.WorldBuilder) error {
 	// like-for-like.
 	ns := b.NodeSchedule(2*d.R+cfg.Medium.SenseRange(), schedule.SlotLen, true)
 	sh := NewShared(d, ns, cfg.Msg.Len, cfg.SourceID, repeats, 1, cfg.Seed)
-	b.SetCycle(ns.Cycle, ns.NumSlots)
+	b.SetCycle(ns.Cycle)
 	// 1-round-message slots have no veto rounds for jammers to target.
 	b.SetJamVetoOnly(false)
 	for i := 0; i < d.N(); i++ {

@@ -91,7 +91,7 @@ func (Driver) Build(cfg core.Config, b *core.WorldBuilder) error {
 		return fmt.Errorf("gossip: %s must be in (0, 1], got %v", ParamProb, prob)
 	}
 	sh := epidemic.NewShared(d, ns, cfg.Msg.Len, cfg.SourceID, fanout, prob, cfg.Seed)
-	b.SetCycle(ns.Cycle, ns.NumSlots)
+	b.SetCycle(ns.Cycle)
 	// Whole-message slots have no veto rounds for jammers to target.
 	b.SetJamVetoOnly(false)
 	for i := 0; i < d.N(); i++ {

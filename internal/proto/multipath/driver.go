@@ -54,7 +54,7 @@ func (Driver) Build(cfg core.Config, b *core.WorldBuilder) error {
 	if sh.HeardCap < 1 {
 		return fmt.Errorf("multipath: %s must be an integer >= 1, got %v", ParamHeardCap, sh.HeardCap)
 	}
-	b.SetCycle(ns.Cycle, ns.NumSlots)
+	b.SetCycle(ns.Cycle)
 	b.AddDevice(NewSource(sh, cfg.Msg))
 	for i := 0; i < d.N(); i++ {
 		if i == cfg.SourceID {

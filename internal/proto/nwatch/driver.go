@@ -83,7 +83,7 @@ func (dr Driver) Build(cfg core.Config, b *core.WorldBuilder) error {
 	}
 	g := b.SquareGrid(side)
 	sh := NewShared(d, g, cfg.Msg.Len, cfg.SourceID, votes, b.Active())
-	b.SetCycle(g.Cycle, g.NumSlots)
+	b.SetCycle(g.Cycle)
 	b.AddDevice(NewSource(sh, cfg.Msg))
 	for i := 0; i < d.N(); i++ {
 		if i == cfg.SourceID {

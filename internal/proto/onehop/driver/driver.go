@@ -48,7 +48,7 @@ func (Driver) Aliases() []string { return []string{"onehop", "1hop"} }
 func (Driver) Build(cfg core.Config, b *core.WorldBuilder) error {
 	d := b.Deployment()
 	cyc := schedule.Cycle{NumSlots: 1, SlotLen: twobit.NumRounds}
-	b.SetCycle(cyc, 1)
+	b.SetCycle(cyc)
 	for i := 0; i < d.N(); i++ {
 		switch {
 		case i == cfg.SourceID:

@@ -76,13 +76,12 @@ type CellState struct {
 // takes effect.
 type CellMedium interface {
 	Medium
-	// ObserveCand resolves one listener against a precomputed candidate
-	// list: cand holds indices into txs, must be ascending, and must be
-	// a superset of the transmissions the listener can detect (see
-	// TxSet.GatherBox; the exact range/power predicates are re-applied
-	// per candidate, so extra candidates never change the observation).
-	// It must return exactly the Obs that Observe returns for the same
-	// (round, listener, txs).
+	// ObserveCand resolves one listener against a candidate list: cand
+	// holds ascending indices into txs, a superset of those the listener
+	// can detect (see TxSet.GatherBox). It must return exactly the Obs
+	// that Observe returns for the same (round, listener, txs), so the
+	// built-in media ignore cand and scan. The engine never calls it; it
+	// stays only because bench/trace.go forwards it.
 	ObserveCand(round uint64, listenerID int, at geom.Point, txs []Tx, cand []int32) Obs
 	// BeginCell resolves the shared half for the cell whose listeners
 	// all lie inside the axis-aligned box [lo, hi].
@@ -123,15 +122,7 @@ func boxDelta(lo, hi, x float64) (min, max float64) {
 func (m *FriisMedium) BeginCell(cs *CellState, round uint64, set *TxSet, lo, hi geom.Point) {
 	cs.txs = set.txs
 	cs.raw = set.ix.GatherBox(cs.raw[:0], lo, hi, m.SenseRange()*SenseMargin)
-	cs.gate2 = math.Inf(1)
-	if m.CSThreshold > 0 {
-		g := m.SenseRange()
-		if nf := m.Lambda / (4 * math.Pi); g < nf {
-			g = nf
-		}
-		g *= 1 + 1e-6
-		cs.gate2 = g * g
-	}
+	cs.gate2 = m.senseGate2()
 	cs.near = m.Lambda / (4 * math.Pi)
 	cs.idx = cs.idx[:0]
 	for _, i := range cs.raw {
@@ -160,9 +151,9 @@ func (m *FriisMedium) BeginCell(cs *CellState, round uint64, set *TxSet, lo, hi 
 	}
 }
 
-// ObserveCell implements CellMedium: the per-listener half of resolve,
+// ObserveCell implements CellMedium: the per-listener half of Observe,
 // streaming the cell's pre-pruned candidate arrays. Arithmetic mirrors
-// resolve/powerAt expression by expression (the hypot of the signed
+// Observe/powerAt expression by expression (the hypot of the signed
 // deltas equals L2.Dist's hypot of their absolutes), so the returned
 // Obs is bit-for-bit the linear scan's.
 func (m *FriisMedium) ObserveCell(cs *CellState, round uint64, listenerID int, at geom.Point) Obs {

@@ -22,6 +22,12 @@
 // effect"), and optional random frame loss — "the setup captures
 // realistic behavior missed by our theoretical analysis (real topology,
 // lost messages, capture effect)".
+//
+// Each medium has two resolution paths, pinned to each other by the
+// tests: Observe, its one scan over a round's transmissions, and the
+// CellMedium cell methods, which the engine uses on dense rounds (see
+// TxSet). CellMedium.ObserveCand is answered by the scan; it stays in
+// the interface only because bench/trace.go forwards it.
 package radio
 
 import (
@@ -161,28 +167,12 @@ type DiskMedium struct {
 // beyond R.
 func (m *DiskMedium) SenseRange() float64 { return m.R }
 
-// Observe implements Medium.
+// Observe implements Medium. It is the disk medium's one scan: the
+// observation depends only on the in-range set.
 func (m *DiskMedium) Observe(round uint64, listenerID int, at geom.Point, txs []Tx) Obs {
-	return m.resolve(round, listenerID, at, txs, nil)
-}
-
-// resolve is the single channel-resolution path for the disk medium.
-// With idx nil it scans all of txs; otherwise it examines only the
-// listed transmission indices (any order — the observation is a pure
-// function of the in-range set), which must be a superset of the
-// in-range set.
-func (m *DiskMedium) resolve(round uint64, listenerID int, at geom.Point, txs []Tx, idx []int32) Obs {
-	n := len(txs)
-	if idx != nil {
-		n = len(idx)
-	}
 	inRange := 0
 	var f Frame
-	for k := 0; k < n; k++ {
-		i := k
-		if idx != nil {
-			i = int(idx[k])
-		}
+	for i := range txs {
 		if m.Metric.Within(at, txs[i].Pos, m.R) {
 			inRange++
 			if inRange > 1 {
@@ -243,6 +233,28 @@ func (m *FriisMedium) SenseRange() float64 {
 	return m.Lambda / (4 * math.Pi) * math.Sqrt(m.Pt/m.CSThreshold)
 }
 
+// senseGate2 returns the squared-distance gate of the Friis scans
+// (+Inf when carrier sensing is off): transmissions beyond the
+// (slightly inflated) sense range cannot pass the power test, so the
+// scans skip them without the hypot/division of powerAt. The margin
+// makes the gate a strict superset of the exact test, and gated-out
+// transmissions would have been skipped by the power test anyway, so
+// observations are unchanged. The near-field clamp keeps the gate
+// valid even for degenerate parameter sets whose sense range is inside
+// the near field.
+func (m *FriisMedium) senseGate2() float64 {
+	gate2 := math.Inf(1)
+	if m.CSThreshold > 0 {
+		g := m.SenseRange()
+		if nf := m.Lambda / (4 * math.Pi); g < nf {
+			g = nf
+		}
+		g *= 1 + 1e-6
+		gate2 = g * g
+	}
+	return gate2
+}
+
 // Fading-hash lane tags (xrand.LaneFadeListener / xrand.LaneFadeSrc).
 // Listener and transmitter ids enter the fade hash as separate words,
 // each XORed into the low bits of its own tagged word, so the two id
@@ -253,47 +265,15 @@ func (m *FriisMedium) SenseRange() float64 {
 // the words ever been combined or reordered. Changing the tags changes
 // every LossProb stream.
 
-// Observe implements Medium.
+// Observe implements Medium. It is the Friis medium's one scan;
+// incident power is accumulated in transmission order, so that order
+// determines the floating-point sum.
 func (m *FriisMedium) Observe(round uint64, listenerID int, at geom.Point, txs []Tx) Obs {
-	return m.resolve(round, listenerID, at, txs, nil)
-}
-
-// resolve is the single channel-resolution path for the Friis medium.
-// With idx nil it scans all of txs; otherwise it examines only the
-// listed transmission indices, which must be ascending (incident power
-// is accumulated in transmission order, so candidate order determines
-// the floating-point sum) and a superset of the transmissions at or
-// above the carrier-sense threshold.
-func (m *FriisMedium) resolve(round uint64, listenerID int, at geom.Point, txs []Tx, idx []int32) Obs {
-	n := len(txs)
-	if idx != nil {
-		n = len(idx)
-	}
-	// Squared-distance gate: transmissions beyond the (slightly
-	// inflated) sense range cannot pass the power test below, so skip
-	// them without the hypot/division of powerAt. The margin makes the
-	// gate a strict superset of the exact test, and gated-out
-	// transmissions would have been skipped by the power test anyway,
-	// so observations are unchanged. The near-field clamp keeps the
-	// gate valid even for degenerate parameter sets whose sense range
-	// is inside the near field.
-	gate2 := math.Inf(1)
-	if m.CSThreshold > 0 {
-		g := m.SenseRange()
-		if nf := m.Lambda / (4 * math.Pi); g < nf {
-			g = nf
-		}
-		g *= 1 + 1e-6
-		gate2 = g * g
-	}
+	gate2 := m.senseGate2()
 	var total float64
 	best := -1
 	var bestP float64
-	for k := 0; k < n; k++ {
-		i := k
-		if idx != nil {
-			i = int(idx[k])
-		}
+	for i := range txs {
 		dx := at.X - txs[i].Pos.X
 		dy := at.Y - txs[i].Pos.Y
 		if dx*dx+dy*dy > gate2 {

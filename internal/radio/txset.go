@@ -64,19 +64,19 @@ func (s *TxSet) GatherBox(dst []int32, lo, hi geom.Point, r float64) []int32 {
 	return dst
 }
 
-// ObserveCand implements CellMedium.
+// ObserveCand implements CellMedium with the full scan; cand is unused.
 func (m *DiskMedium) ObserveCand(round uint64, listenerID int, at geom.Point, txs []Tx, cand []int32) Obs {
-	return m.resolve(round, listenerID, at, txs, cand)
+	return m.Observe(round, listenerID, at, txs)
 }
 
-// ObserveCand implements CellMedium.
+// ObserveCand implements CellMedium with the full scan; cand is unused.
 func (m *FriisMedium) ObserveCand(round uint64, listenerID int, at geom.Point, txs []Tx, cand []int32) Obs {
-	return m.resolve(round, listenerID, at, txs, cand)
+	return m.Observe(round, listenerID, at, txs)
 }
 
 // SenseMargin slightly inflates an indexed query radius over
 // SenseRange so that floating-point disagreement between the distance
 // predicates cannot drop a transmission right at the sense boundary.
-// The per-candidate power test in resolve re-applies the exact
-// threshold, so extra candidates never change the observation.
+// The per-candidate range and power tests in ObserveCell re-apply the
+// exact thresholds, so extra candidates never change the observation.
 const SenseMargin = 1 + 1e-9

@@ -276,18 +276,18 @@ func GreedyNodeSchedule(d *topo.Deployment, spacing float64, slotLen int, reserv
 	maxSlot := first - 1
 	var buf []int
 	// used[s] == stamp of device i means slot s conflicts with i. The
-	// epoch stamp makes the per-device reset free, and the unordered
-	// range query skips a per-device sort: the greedy choice (smallest
-	// slot not used by any already-coloured conflicting device) is a
-	// pure function of the conflict set, so the colouring is identical
-	// to the sorted-query, map-based build.
+	// epoch stamp makes the per-device reset free, and the range query's
+	// order does not matter: the greedy choice (smallest slot not used
+	// by any already-coloured conflicting device) is a pure function of
+	// the conflict set, so the colouring is identical to the map-based
+	// build.
 	var used []int
 	for i := 0; i < n; i++ {
 		if slot[i] >= 0 {
 			continue
 		}
 		stamp := i + 1
-		buf = d.WithinRangeUnordered(buf[:0], d.Pos[i], spacing)
+		buf = d.WithinRange(buf[:0], d.Pos[i], spacing)
 		for _, j := range buf {
 			if j != i && slot[j] >= 0 {
 				s := slot[j]

@@ -310,9 +310,9 @@ func BenchmarkGreedyNodeSchedule(b *testing.B) {
 }
 
 // TestGreedyMatchesReferenceColouring pins the stamp-based greedy build
-// to a straightforward reference implementation (sorted queries, a
-// used-slot map): the colouring must be identical, because experiment
-// results depend on the exact slot assignment.
+// to a straightforward reference implementation (a used-slot map): the
+// colouring must be identical, because experiment results depend on the
+// exact slot assignment.
 func TestGreedyMatchesReferenceColouring(t *testing.T) {
 	for seed := uint64(1); seed <= 5; seed++ {
 		d := topo.Uniform(250, 18, 3, xrand.New(seed))

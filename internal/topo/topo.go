@@ -1,14 +1,19 @@
 // Package topo builds and analyses device deployments: the analytical
 // grid topology of the paper's proofs, and the uniform-random and
 // clustered deployments of its simulation section. It also provides the
-// neighborhood index, connectivity and hop-diameter analyses used by the
-// experiment harness.
+// connectivity and hop-diameter analyses used by the experiment harness.
+//
+// Neighborhoods come from one spatial index per deployment (Index, a
+// geom.GridIndex built on first use). WithinRange is the one range
+// query: it returns ids unordered, grouped by index cell, which is what
+// set-like callers (schedule colouring, connectivity) want. Neighbors
+// builds on it and sorts, excluding the device itself.
 package topo
 
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 	"sync"
 
 	"authradio/internal/geom"
@@ -27,7 +32,8 @@ type Deployment struct {
 	R      float64
 	Metric geom.Metric
 
-	index *geom.Index
+	indexOnce sync.Once
+	index     geom.GridIndex
 
 	fpOnce sync.Once
 	fp     uint64
@@ -61,19 +67,19 @@ func (d *Deployment) N() int { return len(d.Pos) }
 // number of nodes divided by the area of the map").
 func (d *Deployment) Density() float64 { return float64(len(d.Pos)) / d.Area.Area() }
 
-// Index returns (building lazily) the spatial index over the positions;
-// the index shares geom.GridIndex's CSR layout, so building it is two
-// array allocations even for many-thousand-device deployments. The
-// deployment must not be mutated after the first call.
-func (d *Deployment) Index() *geom.Index {
-	if d.index == nil {
+// Index returns the spatial index over the positions, built on first
+// use with cell size R. Building it is two array allocations even for
+// many-thousand-device deployments. The deployment must not be mutated
+// after the first call. Safe for concurrent use.
+func (d *Deployment) Index() *geom.GridIndex {
+	d.indexOnce.Do(func() {
 		cell := d.R
 		if cell <= 0 {
 			cell = 1
 		}
-		d.index = geom.NewIndex(d.Pos, cell)
-	}
-	return d.index
+		d.index.Reset(d.Pos, cell)
+	})
+	return &d.index
 }
 
 // Fingerprint returns a 64-bit content hash of everything that
@@ -102,37 +108,27 @@ func (d *Deployment) Fingerprint() uint64 {
 }
 
 // Neighbors appends to dst the ids of all devices within range R of
-// device i, excluding i itself, and returns the extended slice.
+// device i, excluding i itself, in ascending order, and returns the
+// extended slice.
 func (d *Deployment) Neighbors(dst []int, i int) []int {
 	start := len(dst)
-	dst = d.index4(dst, d.Pos[i], d.R)
-	// Remove i itself, preserving order.
+	dst = d.WithinRange(dst, d.Pos[i], d.R)
 	out := dst[:start]
 	for _, id := range dst[start:] {
 		if id != i {
 			out = append(out, id)
 		}
 	}
+	slices.Sort(out[start:])
 	return out
 }
 
-// WithinRange appends to dst all device ids within distance r of p.
+// WithinRange appends to dst all device ids within distance r of p and
+// returns the extended slice. The ids arrive grouped by index cell, not
+// sorted: callers that treat the result as a set (conflict-graph
+// colouring, connectivity, counting) pay no per-query sort.
 func (d *Deployment) WithinRange(dst []int, p geom.Point, r float64) []int {
-	return d.index4(dst, p, r)
-}
-
-// WithinRangeUnordered is WithinRange without the sort: ids arrive
-// grouped by spatial-hash cell. Callers that treat the result as a set
-// (conflict-graph colouring, counting) avoid an O(k log k) sort per
-// query.
-func (d *Deployment) WithinRangeUnordered(dst []int, p geom.Point, r float64) []int {
 	return d.Index().Within(dst, p, r, d.Metric)
-}
-
-func (d *Deployment) index4(dst []int, p geom.Point, r float64) []int {
-	dst = d.Index().Within(dst, p, r, d.Metric)
-	sort.Ints(dst)
-	return dst
 }
 
 // NeighborTable precomputes the full adjacency lists, sorted by id.

@@ -2,6 +2,8 @@ package topo
 
 import (
 	"math"
+	"slices"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -234,6 +236,49 @@ func TestWithinRange(t *testing.T) {
 	ids := d.WithinRange(nil, geom.Point{X: 1, Y: 1}, 0.5)
 	if len(ids) != 1 || ids[0] != 4 {
 		t.Errorf("WithinRange center 0.5 = %v, want [4]", ids)
+	}
+}
+
+// TestNeighborsAppendsToDst checks that both queries append: the
+// caller's prefix stays first and untouched, and only the appended ids
+// are the answer.
+func TestNeighborsAppendsToDst(t *testing.T) {
+	d := Grid(5, 5, 1)
+	got := d.Neighbors([]int{99}, 12)
+	want := []int{99, 6, 7, 8, 11, 13, 16, 17, 18}
+	if !slices.Equal(got, want) {
+		t.Errorf("Neighbors([99], 12) = %v, want %v", got, want)
+	}
+	got = d.WithinRange([]int{99}, d.Pos[12], d.R)
+	if len(got) != 10 || got[0] != 99 {
+		t.Fatalf("WithinRange([99], ...) = %v, want 99 then 9 ids", got)
+	}
+	ids := slices.Sorted(slices.Values(got[1:]))
+	if want := []int{6, 7, 8, 11, 12, 13, 16, 17, 18}; !slices.Equal(ids, want) {
+		t.Errorf("WithinRange appended %v, want the ids %v", got[1:], want)
+	}
+}
+
+// TestDeploymentIndexConcurrentFirstUse builds the lazy index from two
+// goroutines at once, as two worlds built from one fresh deployment do;
+// run under -race it catches an unsynchronised build.
+func TestDeploymentIndexConcurrentFirstUse(t *testing.T) {
+	d := Uniform(500, 20, 4, xrand.New(4))
+	want := Uniform(500, 20, 4, xrand.New(4)).NeighborTable()
+	var wg sync.WaitGroup
+	got := make([][]int, 2)
+	for g := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[g] = d.Neighbors(nil, g)
+		}()
+	}
+	wg.Wait()
+	for g, nbrs := range got {
+		if !slices.Equal(nbrs, want[g]) {
+			t.Errorf("goroutine %d: Neighbors = %v, want %v", g, nbrs, want[g])
+		}
 	}
 }
 

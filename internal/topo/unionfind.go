@@ -78,7 +78,7 @@ func (d *Deployment) LiveComponents(alive []bool) *UnionFind {
 		if alive != nil && !alive[i] {
 			continue
 		}
-		buf = d.Neighbors(buf[:0], i)
+		buf = d.WithinRange(buf[:0], d.Pos[i], d.R)
 		for _, j := range buf {
 			// Each edge is seen from both ends; Union is idempotent, so
 			// filtering j > i is an optimization, not a correctness need.

@@ -93,3 +93,18 @@ func TestLiveComponentsPartition(t *testing.T) {
 		t.Fatalf("half sizes %d/%d, want 6/6", u.SizeOf(0), u.SizeOf(4))
 	}
 }
+
+// BenchmarkLiveComponentsCluster4096 times the connectivity pass that
+// World.Summarize runs, on the densest shape the end-to-end benchmark
+// has: 4096 devices on the onehop-cluster-8k square (5.5×5.5, R 4),
+// nearly all within one hop of each other, so each query returns
+// about 4000 ids. The deployment and its index are built outside the
+// timer.
+func BenchmarkLiveComponentsCluster4096(b *testing.B) {
+	d := Uniform(4096, 5.5, 4, xrand.New(1))
+	d.Index()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = d.LiveComponents(nil)
+	}
+}
