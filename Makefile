@@ -52,13 +52,13 @@ serve-smoke:
 # The two measured benchmark suites, invoked exactly as the CI bench
 # job runs them (see .github/workflows/ci.yml) so local numbers are
 # comparable to the gated ones. bench is the sub-second dense-round,
-# small-broadcast, sparse-calendar and connectivity-pass suites;
-# bench-scale is the 100k+
-# regime — single iterations, 3 counts, -benchmem — plus the opt-in
-# million-device round when BENCH_SCALE_1M=1 is exported.
+# small-broadcast, sparse-calendar and connectivity-pass suites, with
+# -benchmem so their B/op and allocs/op are gated too; bench-scale is
+# the 100k+ regime — single iterations, 3 counts, -benchmem — plus the
+# opt-in million-device round when BENCH_SCALE_1M=1 is exported.
 bench:
 	go test -run '^$$' -bench 'BenchmarkDenseRound(Linear|Indexed|4096|Disk)|BenchmarkSingleBroadcast(NW|MP|Epidemic)$$|BenchmarkSparseCalendar|BenchmarkLiveComponentsCluster4096' \
-		-count 5 -benchtime 0.3s . ./internal/sim ./internal/topo
+		-count 5 -benchtime 0.3s -benchmem . ./internal/sim ./internal/topo
 
 bench-scale:
 	go test -run '^$$' -bench 'BenchmarkDenseRound(65536|262144|1M)$$' \

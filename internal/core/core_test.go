@@ -252,7 +252,9 @@ func TestEngineWorkersPreserveResults(t *testing.T) {
 	// Friis medium, and regardless of whether the spatially indexed
 	// channel resolution is in force.
 	build := func(workers int, friis, linear bool) Result {
-		d := topo.Uniform(200, 14, 3.5, xrand.New(17))
+		// Every node first wakes in round 0: 1024 wakes fan that round
+		// out to two of the eight workers.
+		d := topo.Uniform(1024, 32, 3.5, xrand.New(17))
 		roles := make([]Role, d.N())
 		roles[5] = Liar
 		roles[11] = Jammer

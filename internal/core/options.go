@@ -26,10 +26,13 @@ func WithRoundHook(h func(r uint64, txs []radio.Tx)) Option {
 	return func(o *buildOptions) { o.hooks = append(o.hooks, h) }
 }
 
-// WithWorkers sets the engine's intra-round parallelism (<=1 runs
-// sequentially). Results are identical across worker counts; run-level
-// fan-out (experiment repetitions) is usually preferable, so this is
-// for runs where that fan-out is idle.
+// WithWorkers sets the engine's intra-round parallelism: the most
+// goroutines one phase of a round fans out to (<=1 runs sequentially).
+// A phase fans out only when each worker gets at least 512 of its wakes
+// or listeners (see sim.Engine.Workers), so protocol-sized rounds run
+// sequentially at any setting. Results are identical across worker
+// counts; run-level fan-out (experiment repetitions) is usually
+// preferable, so this is for runs where that fan-out is idle.
 func WithWorkers(n int) Option {
 	return func(o *buildOptions) { o.workers = n }
 }

@@ -59,8 +59,17 @@ func (d fakeDriver) Build(cfg Config, b *WorldBuilder) error {
 	return nil
 }
 
+// registerOnce registers d unless its name already resolves. Register
+// writes the process-wide registry, so the fakes register through it to
+// keep the tests re-runnable in one process (go test -count=N).
+func registerOnce(d ProtocolDriver) {
+	if _, ok := Lookup(d.Name()); !ok {
+		Register(d)
+	}
+}
+
 func TestRegistryLookup(t *testing.T) {
-	Register(fakeDriver{name: "Fake-A", aliases: []string{"fka"}})
+	registerOnce(fakeDriver{name: "Fake-A", aliases: []string{"fka"}})
 	for _, name := range []string{"Fake-A", "fake-a", "FAKE-A", "fka", "FkA"} {
 		d, ok := Lookup(name)
 		if !ok {
@@ -86,7 +95,7 @@ func TestRegistryLookup(t *testing.T) {
 }
 
 func TestRegisterDuplicatePanics(t *testing.T) {
-	Register(fakeDriver{name: "Fake-Dup"})
+	registerOnce(fakeDriver{name: "Fake-Dup"})
 	for _, dup := range []fakeDriver{
 		{name: "fake-dup"}, // canonical name, other case
 		{name: "Fake-Dup2", aliases: []string{"FAKE-DUP"}}, // alias colliding with a name
@@ -103,7 +112,7 @@ func TestRegisterDuplicatePanics(t *testing.T) {
 }
 
 func TestBuildThroughFakeDriver(t *testing.T) {
-	Register(fakeDriver{name: "Fake-Build", aliases: []string{"fkb"}})
+	registerOnce(fakeDriver{name: "Fake-Build", aliases: []string{"fkb"}})
 	d := topo.Grid(4, 4, 2)
 	w, err := Build(Config{Deploy: d, ProtocolName: "fkb", Msg: bitcodec.NewMessage(1, 1), SourceID: -1})
 	if err != nil {
@@ -120,12 +129,16 @@ func TestBuildThroughFakeDriver(t *testing.T) {
 	}
 }
 
+// errBoom is Fake-Err's build error. It outlives one run of
+// TestBuildWrapsDriverError because Fake-Err, registered once per
+// process, keeps returning it.
+var errBoom = errors.New("boom")
+
 func TestBuildWrapsDriverError(t *testing.T) {
-	boom := errors.New("boom")
-	Register(fakeDriver{name: "Fake-Err", err: boom})
+	registerOnce(fakeDriver{name: "Fake-Err", err: errBoom})
 	d := topo.Grid(3, 3, 2)
 	_, err := Build(Config{Deploy: d, ProtocolName: "Fake-Err", Msg: bitcodec.NewMessage(1, 1), SourceID: -1})
-	if !errors.Is(err, boom) {
+	if !errors.Is(err, errBoom) {
 		t.Fatalf("err = %v, want wrapped boom", err)
 	}
 	if !strings.Contains(err.Error(), "Fake-Err") {
@@ -151,16 +164,21 @@ func (d fakeFamily) Build(cfg Config, b *WorldBuilder) error {
 	return d.fakeDriver.Build(cfg, b)
 }
 
+// famKnob receives the knob Fake-Fam's Build resolved. It outlives one
+// run of TestFamilyRegistration because Fake-Fam, registered once per
+// process, keeps pointing at it.
+var famKnob int
+
 func TestFamilyRegistration(t *testing.T) {
-	var saw int
-	Register(fakeFamily{
+	registerOnce(fakeFamily{
 		fakeDriver: fakeDriver{name: "Fake-Fam", aliases: []string{"ffam"}},
 		insts: []Instance{
 			{Name: "lo", Params: Params{"fam.knob": 1}},
 			{Name: "hi", Params: Params{"fam.knob": 9}},
 		},
-		sawKnob: &saw,
+		sawKnob: &famKnob,
 	})
+	famKnob = 0
 
 	// The base name and every instance resolve; instance lookups are
 	// case-insensitive on both components and work through aliases,
@@ -210,8 +228,8 @@ func TestFamilyRegistration(t *testing.T) {
 	if w.DriverName != "Fake-Fam/hi" {
 		t.Fatalf("DriverName = %q", w.DriverName)
 	}
-	if saw != 9 {
-		t.Fatalf("instance build resolved fam.knob=%d, want the preset's 9", saw)
+	if famKnob != 9 {
+		t.Fatalf("instance build resolved fam.knob=%d, want the preset's 9", famKnob)
 	}
 	if v, _ := w.Cfg.Params.Int("other"); v != 2 {
 		t.Fatal("merge dropped a caller key")
@@ -223,8 +241,8 @@ func TestFamilyRegistration(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if saw != 555 {
-		t.Fatalf("bare family build resolved fam.knob=%d, want the caller's 555", saw)
+	if famKnob != 555 {
+		t.Fatalf("bare family build resolved fam.knob=%d, want the caller's 555", famKnob)
 	}
 }
 
@@ -252,7 +270,7 @@ func TestRegisterBadFamilyPanics(t *testing.T) {
 // through the builder's typed getters fails the Build even though the
 // driver itself returns nil.
 func TestBuildSurfacesParamErrors(t *testing.T) {
-	Register(fakeFamily{
+	registerOnce(fakeFamily{
 		fakeDriver: fakeDriver{name: "Fake-Typed"},
 		sawKnob:    new(int),
 	})

@@ -119,19 +119,40 @@ func TestUDPMatchesSimWithLiar(t *testing.T) {
 	}
 }
 
+// fanoutListeners is the smallest phase B the resolver fans out to two
+// workers: twice sim's unexported minPerWorker.
+const fanoutListeners = 2 * 512
+
 // TestUDPParallelResolver routes callbacks over sockets while the
 // resolver runs its worker pool, checking the per-index serialization
-// contract under real concurrency.
+// contract under real concurrency. Every device is within range of the
+// central source, so the source's first broadcast reaches more than
+// fanoutListeners listeners at once and both of its phases fan out. On
+// seed 1 the source's first forwarding coin comes up heads, so that
+// broadcast is in round 0 and every device completes there; the rest
+// of the first schedule cycle wakes each device once, in its slot.
 func TestUDPParallelResolver(t *testing.T) {
+	var last uint64
+	var n, widest int
+	countListeners := core.WithDeliverHook(func(r uint64, _ int, _ radio.Obs) {
+		if r != last {
+			last, n = r, 0
+		}
+		n++
+		widest = max(widest, n)
+	})
 	res := run(t, core.Config{
-		Deploy:       topo.Grid(5, 5, 1.5),
+		Deploy:       topo.Grid(33, 33, 16),
 		ProtocolName: "GossipRB",
 		Msg:          bitcodec.NewMessage(0b101, 3),
 		SourceID:     -1,
-		Seed:         9,
-	}, 200_000, core.WithWorkers(4))
+		Seed:         1,
+	}, 200_000, core.WithWorkers(4), countListeners)
 	if !res.AllComplete {
 		t.Fatalf("parallel run incomplete: %+v", res)
+	}
+	if widest < fanoutListeners {
+		t.Fatalf("widest round delivered to %d listeners, want >= %d (a phase B that fans out)", widest, fanoutListeners)
 	}
 }
 

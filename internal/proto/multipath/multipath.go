@@ -119,13 +119,15 @@ type Node struct {
 	complete    bool
 	completedAt uint64
 
+	// Per-slot activity. The 2Bit roles are values, reset at slot
+	// start; only the one named by role is live.
 	cur struct {
 		active bool
 		start  uint64
 		slot   int
 		role   role
-		tx     *twobit.Sender
-		rx     *twobit.Receiver
+		tx     twobit.Sender
+		rx     twobit.Receiver
 		stream *rxState
 	}
 }
@@ -264,19 +266,19 @@ func (n *Node) beginSlot(start uint64, slot int) {
 	n.cur.active = true
 	n.cur.start = start
 	n.cur.slot = slot
-	n.cur.tx, n.cur.rx, n.cur.stream = nil, nil, nil
+	n.cur.stream = nil
 	switch {
 	case slot == n.mySlot:
 		if p, ok := n.send.Current(); ok {
 			n.cur.role = roleSender
-			n.cur.tx = twobit.NewSender(p.B1, p.B2)
+			n.cur.tx = twobit.Sender{B1: p.B1, B2: p.B2}
 		} else {
 			n.cur.role = roleIdle
 		}
 	default:
 		if s, ok := n.streams[slot]; ok {
 			n.cur.role = roleReceiver
-			n.cur.rx = twobit.NewReceiver()
+			n.cur.rx = twobit.Receiver{}
 			n.cur.stream = s
 		} else {
 			n.cur.role = roleIdle

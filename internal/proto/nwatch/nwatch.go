@@ -141,15 +141,16 @@ type Node struct {
 	rank       int
 	yielded    bool
 
-	// Per-slot activity.
+	// Per-slot activity. The 2Bit roles are values, reset at slot
+	// start; only the one named by role is live.
 	cur struct {
 		active bool
 		start  uint64
 		slot   int
 		role   role
-		tx     *twobit.Sender
-		watch  *twobit.Watcher
-		rx     *twobit.Receiver
+		tx     twobit.Sender
+		watch  twobit.Watcher
+		rx     twobit.Receiver
 		stream *rxStream
 	}
 }
@@ -296,25 +297,25 @@ func (n *Node) beginSlot(start uint64, slot int) {
 	n.cur.active = true
 	n.cur.start = start
 	n.cur.slot = slot
-	n.cur.tx, n.cur.watch, n.cur.rx, n.cur.stream = nil, nil, nil, nil
+	n.cur.stream = nil
 	switch {
 	case slot == n.mySlot:
 		if n.yielded {
 			n.cur.role = roleIdle
 		} else if p, _, ok := n.send.Current(); ok {
 			n.cur.role = roleSender
-			n.cur.tx = twobit.NewSender(p.B1, p.B2)
+			n.cur.tx = twobit.Sender{B1: p.B1, B2: p.B2}
 		} else {
 			// Nothing committed yet (or stream finished): monitor the
 			// square. Pre-stream positions expect parity 1, so the
 			// activity-triggered watcher suffices (see twobit.Watcher).
 			n.cur.role = roleWatcher
-			n.cur.watch = twobit.NewWatcher(false)
+			n.cur.watch = twobit.Watcher{}
 		}
 	default:
 		if s, ok := n.streams[slot]; ok {
 			n.cur.role = roleReceiver
-			n.cur.rx = twobit.NewReceiver()
+			n.cur.rx = twobit.Receiver{}
 			n.cur.stream = s
 		} else {
 			n.cur.role = roleIdle

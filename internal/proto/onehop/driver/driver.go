@@ -98,8 +98,11 @@ type receiver struct {
 	pos    geom.Point
 	msgLen int
 
-	str         *onehop.StreamReceiver
-	rx          *twobit.Receiver
+	str *onehop.StreamReceiver
+	rx  twobit.Receiver
+	// inSlot is false until the receiver's first R1: a receiver that
+	// joins mid-slot sleeps through the rest of it.
+	inSlot      bool
 	completedAt uint64
 }
 
@@ -120,9 +123,10 @@ func (n *receiver) Wake(r uint64) sim.Step {
 		if n.str.Complete() {
 			return sim.Step{Action: sim.Sleep, NextWake: sim.NoWake}
 		}
-		n.rx = twobit.NewReceiver()
+		n.rx = twobit.Receiver{}
+		n.inSlot = true
 	}
-	if n.rx == nil { // joined mid-slot (first cycle only)
+	if !n.inSlot { // joined mid-slot (first cycle only)
 		return sim.Step{Action: sim.Sleep, NextWake: r + 1}
 	}
 	act, kind := n.rx.Act(sub)
@@ -131,7 +135,7 @@ func (n *receiver) Wake(r uint64) sim.Step {
 
 // Deliver implements sim.Device.
 func (n *receiver) Deliver(r uint64, obs radio.Obs) {
-	if n.rx == nil {
+	if !n.inSlot {
 		return
 	}
 	sub := int(r % uint64(twobit.NumRounds))

@@ -216,10 +216,42 @@ func (s *FrameSender) SlotDone(success bool) {
 // per frame; lenOf inspects the bits received so far of the current
 // frame and returns the frame's total length once determinable (known
 // false while more bits are needed). Lengths returned must be even and
-// >= the current prefix length.
+// >= the current prefix length, and lenOf must not modify the prefix.
+//
+// Each frame is allocated once, at its final length. Until lenOf knows
+// that length, cur views the bits so far read-only: in shortPrefixes
+// for up to two bits, which covers the type bits that delimit a
+// bitcodec frame. A view has len == cap; the frame's own array has
+// room left until its last bit.
 type FrameReceiver struct {
 	lenOf func(prefix []bool) (total int, known bool)
 	cur   []bool
+}
+
+// shortPrefixes holds every string of one or two bits: "0" and "00"
+// start at 0, "01" at 1, "1" and "11" at 2, "10" at 3.
+var shortPrefixes = [5]bool{false, false, true, true, false}
+
+// extendPrefix returns a read-only view of prefix followed by b.
+func extendPrefix(prefix []bool, b bool) []bool {
+	var at int
+	switch {
+	case len(prefix) == 0:
+		at = 2 * b2i(b)
+	case len(prefix) == 1:
+		at = 2*b2i(prefix[0]) + b2i(prefix[0] != b)
+	default: // longer than shortPrefixes covers: a fresh array
+		return append(prefix[:len(prefix):len(prefix)], b)
+	}
+	n := len(prefix) + 1
+	return shortPrefixes[at : at+n : at+n]
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 // NewFrameReceiver returns a receiver using lenOf to delimit frames.
@@ -238,13 +270,24 @@ func (r *FrameReceiver) Accept(p Pair) (frame []bool, done bool) {
 	if j == 0 && !p.B1 {
 		return nil, false // defensive: cannot happen, parityAt(0)=true
 	}
-	r.cur = append(r.cur, p.B2)
-	if total, known := r.lenOf(r.cur); known && len(r.cur) >= total {
-		f := r.cur
-		r.cur = nil
-		return f, true
+	if len(r.cur) < cap(r.cur) {
+		r.cur = append(r.cur, p.B2)
+	} else {
+		prefix := extendPrefix(r.cur, p.B2)
+		total, known := r.lenOf(prefix)
+		if !known {
+			r.cur = prefix
+			return nil, false
+		}
+		r.cur = make([]bool, len(prefix), max(total, len(prefix)))
+		copy(r.cur, prefix)
 	}
-	return nil, false
+	if len(r.cur) < cap(r.cur) {
+		return nil, false
+	}
+	f := r.cur
+	r.cur = nil
+	return f, true
 }
 
 // Pending returns the number of bits of the in-progress frame.

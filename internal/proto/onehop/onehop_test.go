@@ -326,29 +326,68 @@ func frameLenOf(prefix []bool) (int, bool) {
 	return 4, true
 }
 
+// lateLenOf is a test delimiter that knows a frame's length only from
+// its third bit, past the prefixes a FrameReceiver holds without an
+// array: third bit 1 -> frame length 6, else 4.
+func lateLenOf(prefix []bool) (int, bool) {
+	if len(prefix) < 3 {
+		return 0, false
+	}
+	if prefix[2] {
+		return 6, true
+	}
+	return 4, true
+}
+
 func TestFrameRoundTrip(t *testing.T) {
-	s := NewFrameSender()
-	f1 := []bool{true, false, true, true, false, false}
-	f2 := []bool{false, true, true, false}
-	s.Enqueue(f1)
-	s.Enqueue(f2)
-	r := NewFrameReceiver(frameLenOf)
-	var got [][]bool
-	for slot := 0; !s.Idle(); slot++ {
-		p, ok := s.Current()
-		if !ok {
-			t.Fatal("sender idle with queued frames")
+	for _, lenOf := range []func([]bool) (int, bool){frameLenOf, lateLenOf} {
+		s := NewFrameSender()
+		f1 := []bool{true, false, true, true, false, false}
+		f2 := []bool{false, true, false, false}
+		s.Enqueue(f1)
+		s.Enqueue(f2)
+		r := NewFrameReceiver(lenOf)
+		var got [][]bool
+		for slot := 0; !s.Idle(); slot++ {
+			p, ok := s.Current()
+			if !ok {
+				t.Fatal("sender idle with queued frames")
+			}
+			if frame, done := r.Accept(p); done {
+				got = append(got, frame)
+			}
+			s.SlotDone(true)
+			if slot > 100 {
+				t.Fatal("no progress")
+			}
 		}
-		if frame, done := r.Accept(p); done {
-			got = append(got, frame)
-		}
-		s.SlotDone(true)
-		if slot > 100 {
-			t.Fatal("no progress")
+		if len(got) != 2 || !eq(got[0], f1) || !eq(got[1], f2) {
+			t.Fatalf("got frames %v", got)
 		}
 	}
-	if len(got) != 2 || !eq(got[0], f1) || !eq(got[1], f2) {
-		t.Fatalf("got frames %v", got)
+}
+
+// TestFrameReceiverAllocatesOncePerFrame pins that reassembling a frame
+// allocates once, at the frame's final length: the caller owns each
+// returned frame, and nothing grows by append.
+func TestFrameReceiverAllocatesOncePerFrame(t *testing.T) {
+	r := NewFrameReceiver(frameLenOf)
+	for _, f := range [][]bool{{false, true, true, false}, {true, false, true, true, false, false}} {
+		pairs := Pairs(f)
+		var got []bool
+		allocs := testing.AllocsPerRun(20, func() {
+			for _, p := range pairs {
+				if frame, done := r.Accept(p); done {
+					got = frame
+				}
+			}
+		})
+		if allocs != 1 {
+			t.Fatalf("frame of %d bits: %v allocations, want 1", len(f), allocs)
+		}
+		if !eq(got, f) || cap(got) != len(f) {
+			t.Fatalf("frame %v (cap %d), want %v", got, cap(got), f)
+		}
 	}
 }
 

@@ -96,6 +96,8 @@ func (o Outcome) String() string {
 }
 
 // Sender is the sender role for one slot, transmitting bits (B1, B2).
+// A fresh sender is the literal Sender{B1: b1, B2: b2}; devices keep
+// one by value in their slot state and reset it at each slot start.
 type Sender struct {
 	B1, B2 bool
 
@@ -103,9 +105,6 @@ type Sender struct {
 	sawR6      bool
 	seen       uint8 // bitmask of delivered observations
 }
-
-// NewSender returns a sender for the bit pair.
-func NewSender(b1, b2 bool) *Sender { return &Sender{B1: b1, B2: b2} }
 
 // Transmits reports whether the sender broadcasts in the given
 // sub-round. For R5 it is only valid once R2 and R4 observations have
@@ -163,15 +162,13 @@ func (s *Sender) Outcome() Outcome {
 	return Success
 }
 
-// Receiver is the receiver role for one slot.
+// Receiver is the receiver role for one slot. The zero Receiver is a
+// fresh one.
 type Receiver struct {
 	est1, est2 bool // activity observed in R1 / R3
 	sawVeto    bool // activity observed in R5
 	seen       uint8
 }
-
-// NewReceiver returns a fresh receiver.
-func NewReceiver() *Receiver { return &Receiver{} }
 
 // Transmits reports whether the receiver broadcasts in the given
 // sub-round: acknowledgements in R2/R4 echo sensed activity, and R6
@@ -232,21 +229,17 @@ func (r *Receiver) Bits() (b1, b2 bool) { return r.est1, r.est2 }
 // through R1..R4 and, upon any activity, broadcasts in both veto rounds,
 // failing the exchange for receivers (R5) and for co-senders (R6).
 //
-// When the pair being sent could legitimately be all-silent (an
-// even-parity position, whose encoding is ⟨0,data⟩ and whose data-0 case
-// transmits nothing), activity-triggered vetoing is insufficient: a
-// Byzantine square-mate could "send" a 0-bit by pure silence, which no
-// veto can distinguish after the fact. For those positions the watcher
-// vetoes unconditionally, spending two broadcasts to keep the square
-// stalled until every honest member has committed the bit.
+// The zero Watcher is a fresh, activity-triggered one. That suffices
+// only while the pair being sent cannot legitimately be all-silent. An
+// even-parity position, whose encoding is ⟨0,data⟩, transmits nothing
+// for data 0, so a Byzantine square-mate could "send" a 0-bit by pure
+// silence, which no veto can distinguish after the fact; a watcher of
+// such a position would have to veto unconditionally. NeighborWatchRB
+// never needs that: a member with nothing committed watches only
+// pre-stream positions, which expect parity 1.
 type Watcher struct {
 	sawAny bool
 }
-
-// NewWatcher returns a watcher. unconditional makes it veto even a
-// fully silent slot; NeighborWatchRB sets this for uncommitted
-// even-parity stream positions (see type comment).
-func NewWatcher(unconditional bool) *Watcher { return &Watcher{sawAny: unconditional} }
 
 // Transmits reports whether the watcher jams the given sub-round.
 func (w *Watcher) Transmits(sub int) bool {

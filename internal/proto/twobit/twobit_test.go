@@ -91,9 +91,9 @@ func pairs() [][2]bool {
 func TestCleanExchangeDelivers(t *testing.T) {
 	for _, p := range pairs() {
 		for nrx := 1; nrx <= 4; nrx++ {
-			n := &neighborhood{sender: NewSender(p[0], p[1])}
+			n := &neighborhood{sender: &Sender{B1: p[0], B2: p[1]}}
 			for i := 0; i < nrx; i++ {
-				n.receivers = append(n.receivers, NewReceiver())
+				n.receivers = append(n.receivers, &Receiver{})
 			}
 			n.run()
 			if n.sender.Outcome() != Success {
@@ -119,9 +119,9 @@ func TestTheorem1Authenticity(t *testing.T) {
 	for _, p := range pairs() {
 		for nrx := 1; nrx <= 3; nrx++ {
 			for jam := uint8(0); jam < 1<<NumRounds; jam++ {
-				n := &neighborhood{sender: NewSender(p[0], p[1]), jamMask: jam}
+				n := &neighborhood{sender: &Sender{B1: p[0], B2: p[1]}, jamMask: jam}
 				for i := 0; i < nrx; i++ {
-					n.receivers = append(n.receivers, NewReceiver())
+					n.receivers = append(n.receivers, &Receiver{})
 				}
 				n.run()
 				for i, r := range n.receivers {
@@ -146,9 +146,9 @@ func TestTheorem1Termination(t *testing.T) {
 	for _, p := range pairs() {
 		for nrx := 1; nrx <= 3; nrx++ {
 			for jam := uint8(0); jam < 1<<NumRounds; jam++ {
-				n := &neighborhood{sender: NewSender(p[0], p[1]), jamMask: jam}
+				n := &neighborhood{sender: &Sender{B1: p[0], B2: p[1]}, jamMask: jam}
 				for i := 0; i < nrx; i++ {
-					n.receivers = append(n.receivers, NewReceiver())
+					n.receivers = append(n.receivers, &Receiver{})
 				}
 				n.run()
 				if n.sender.Outcome() != Success {
@@ -171,9 +171,9 @@ func TestTheorem1Termination(t *testing.T) {
 func TestTheorem1Energy(t *testing.T) {
 	for _, p := range pairs() {
 		for nrx := 1; nrx <= 3; nrx++ {
-			n := &neighborhood{sender: NewSender(p[0], p[1])}
+			n := &neighborhood{sender: &Sender{B1: p[0], B2: p[1]}}
 			for i := 0; i < nrx; i++ {
-				n.receivers = append(n.receivers, NewReceiver())
+				n.receivers = append(n.receivers, &Receiver{})
 			}
 			n.run()
 			if n.sender.Outcome() == Failure {
@@ -193,8 +193,8 @@ func TestTheorem1Energy(t *testing.T) {
 // NeighborWatchRB square transmits.)
 func TestCoSendersAgreeingSucceed(t *testing.T) {
 	for _, p := range pairs() {
-		senders := []*Sender{NewSender(p[0], p[1]), NewSender(p[0], p[1]), NewSender(p[0], p[1])}
-		receivers := []*Receiver{NewReceiver(), NewReceiver()}
+		senders := []*Sender{{B1: p[0], B2: p[1]}, {B1: p[0], B2: p[1]}, {B1: p[0], B2: p[1]}}
+		receivers := []*Receiver{{}, {}}
 		for sub := 0; sub < NumRounds; sub++ {
 			var sTx []bool
 			anyS := false
@@ -261,9 +261,9 @@ func TestCoSendersConflictingFail(t *testing.T) {
 			if pa == pb {
 				continue
 			}
-			a := NewSender(pa[0], pa[1])
-			b := NewSender(pb[0], pb[1])
-			rx := NewReceiver()
+			a := &Sender{B1: pa[0], B2: pa[1]}
+			b := &Sender{B1: pb[0], B2: pb[1]}
+			rx := &Receiver{}
 			for sub := 0; sub < NumRounds; sub++ {
 				aTx, bTx, rTx := a.Transmits(sub), b.Transmits(sub), rx.Transmits(sub)
 				if !aTx && (sub == R2 || sub == R4 || sub == R6) {
@@ -300,9 +300,9 @@ func TestWatcherBlocksActivity(t *testing.T) {
 			continue // silent pair: covered by unconditional watcher test
 		}
 		n := &neighborhood{
-			sender:    NewSender(p[0], p[1]),
-			receivers: []*Receiver{NewReceiver()},
-			watchers:  []*Watcher{NewWatcher(false)},
+			sender:    &Sender{B1: p[0], B2: p[1]},
+			receivers: []*Receiver{{}},
+			watchers:  []*Watcher{{}},
 		}
 		n.run()
 		if !n.watchers[0].Blocked() {
@@ -318,12 +318,13 @@ func TestWatcherBlocksActivity(t *testing.T) {
 }
 
 // A conditional watcher cannot block the all-silent pair; the
-// unconditional watcher exists precisely for that case.
+// unconditional watcher (one that starts as if it had seen activity)
+// exists precisely for that case.
 func TestWatcherSilentPair(t *testing.T) {
 	n := &neighborhood{
-		sender:    NewSender(false, false),
-		receivers: []*Receiver{NewReceiver()},
-		watchers:  []*Watcher{NewWatcher(false)},
+		sender:    &Sender{B1: false, B2: false},
+		receivers: []*Receiver{{}},
+		watchers:  []*Watcher{{}},
 	}
 	n.run()
 	if n.receivers[0].Outcome() != Success {
@@ -331,9 +332,9 @@ func TestWatcherSilentPair(t *testing.T) {
 	}
 
 	n = &neighborhood{
-		sender:    NewSender(false, false),
-		receivers: []*Receiver{NewReceiver()},
-		watchers:  []*Watcher{NewWatcher(true)},
+		sender:    &Sender{B1: false, B2: false},
+		receivers: []*Receiver{{}},
+		watchers:  []*Watcher{{sawAny: true}},
 	}
 	n.run()
 	if n.receivers[0].Outcome() != Failure {
@@ -350,9 +351,9 @@ func TestAuthenticityWithWatchers(t *testing.T) {
 		for jam := uint8(0); jam < 1<<NumRounds; jam++ {
 			for _, uncond := range []bool{false, true} {
 				n := &neighborhood{
-					sender:    NewSender(p[0], p[1]),
-					receivers: []*Receiver{NewReceiver()},
-					watchers:  []*Watcher{NewWatcher(uncond)},
+					sender:    &Sender{B1: p[0], B2: p[1]},
+					receivers: []*Receiver{{}},
+					watchers:  []*Watcher{{sawAny: uncond}},
 				}
 				n.jamMask = jam
 				n.run()
@@ -368,11 +369,11 @@ func TestAuthenticityWithWatchers(t *testing.T) {
 }
 
 func TestOutcomePendingBeforeObservations(t *testing.T) {
-	s := NewSender(true, false)
+	s := &Sender{B1: true, B2: false}
 	if s.Outcome() != Pending {
 		t.Error("sender outcome should be pending initially")
 	}
-	r := NewReceiver()
+	r := &Receiver{}
 	if r.Outcome() != Pending {
 		t.Error("receiver outcome should be pending initially")
 	}
@@ -389,8 +390,8 @@ func TestOutcomePendingBeforeObservations(t *testing.T) {
 
 func TestObservePanicsOnWrongRound(t *testing.T) {
 	cases := []func(){
-		func() { NewSender(true, true).Observe(R1, true) },
-		func() { NewReceiver().Observe(R2, true) },
+		func() { (&Sender{B1: true, B2: true}).Observe(R1, true) },
+		func() { (&Receiver{}).Observe(R2, true) },
 	}
 	for i, f := range cases {
 		func() {
@@ -419,9 +420,9 @@ func TestOutcomeString(t *testing.T) {
 func TestQuickTheorem1(t *testing.T) {
 	f := func(b1, b2 bool, jam uint8, nrxRaw uint8) bool {
 		nrx := 1 + int(nrxRaw%5)
-		n := &neighborhood{sender: NewSender(b1, b2), jamMask: jam & ((1 << NumRounds) - 1)}
+		n := &neighborhood{sender: &Sender{B1: b1, B2: b2}, jamMask: jam & ((1 << NumRounds) - 1)}
 		for i := 0; i < nrx; i++ {
-			n.receivers = append(n.receivers, NewReceiver())
+			n.receivers = append(n.receivers, &Receiver{})
 		}
 		n.run()
 		for _, r := range n.receivers {
@@ -451,7 +452,7 @@ func TestQuickTheorem1(t *testing.T) {
 
 func BenchmarkExchange(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		n := &neighborhood{sender: NewSender(true, false), receivers: []*Receiver{NewReceiver(), NewReceiver()}}
+		n := &neighborhood{sender: &Sender{B1: true, B2: false}, receivers: []*Receiver{{}, {}}}
 		n.run()
 	}
 }
@@ -485,14 +486,14 @@ func TestActMatchesTransmits(t *testing.T) {
 	}
 	for _, p := range pairs() {
 		for _, acks := range pairs() {
-			s := NewSender(p[0], p[1])
+			s := &Sender{B1: p[0], B2: p[1]}
 			s.Observe(R2, acks[0])
 			s.Observe(R4, acks[1])
 			check("sender", s, 1<<R2|1<<R4|1<<R6)
 		}
 	}
 	for heard := 0; heard < 8; heard++ {
-		r := NewReceiver()
+		r := &Receiver{}
 		r.Observe(R1, heard&1 != 0)
 		r.Observe(R3, heard&2 != 0)
 		r.Observe(R5, heard&4 != 0)
@@ -500,7 +501,7 @@ func TestActMatchesTransmits(t *testing.T) {
 	}
 	for _, unconditional := range []bool{false, true} {
 		for _, busy := range []bool{false, true} {
-			w := NewWatcher(unconditional)
+			w := &Watcher{sawAny: unconditional}
 			w.Observe(R3, busy)
 			check("watcher", w, 1<<R1|1<<R2|1<<R3|1<<R4)
 		}

@@ -51,8 +51,7 @@ func (e *Engine) schedule(ix int32, r uint64) {
 	cb := e.wheelBase >> wheelBits
 	switch c := r >> wheelBits; {
 	case c == cb:
-		e.wheel[r&wheelMask] = append(e.wheel[r&wheelMask], ix)
-		e.wheelCount++
+		e.push(r, ix)
 	case c-cb < wheel1Size:
 		e.wheel1[c&wheel1Mask] = append(e.wheel1[c&wheel1Mask], spillEntry{round: r, ix: ix})
 		e.wheel1Count++
@@ -62,6 +61,21 @@ func (e *Engine) schedule(ix int32, r uint64) {
 		}
 		e.spill = append(e.spill, spillEntry{round: r, ix: ix})
 	}
+}
+
+// push appends ix to the level-0 slot of round r. An empty slot holds
+// no array: it takes its first from the free list of drained ones, so
+// the wheel holds one array per slot that is non-empty at the same
+// time, not one per slot it has ever used.
+func (e *Engine) push(r uint64, ix int32) {
+	slot := r & wheelMask
+	b := e.wheel[slot]
+	if b == nil && len(e.wheelFree) > 0 {
+		b = e.wheelFree[len(e.wheelFree)-1]
+		e.wheelFree = e.wheelFree[:len(e.wheelFree)-1]
+	}
+	e.wheel[slot] = append(b, ix)
+	e.wheelCount++
 }
 
 // horizon1 returns the first round past the level-1 window of the
@@ -89,7 +103,8 @@ func (e *Engine) rebaseTo(r uint64) {
 		for _, ix := range b {
 			e.spill = append(e.spill, spillEntry{round: round, ix: ix})
 		}
-		e.wheel[slot] = b[:0]
+		e.wheel[slot] = nil
+		e.wheelFree = append(e.wheelFree, b[:0])
 	}
 	for slot, b := range e.wheel1 {
 		if len(b) == 0 {
@@ -124,8 +139,7 @@ func (e *Engine) migrateSpill(cb, horizon uint64) {
 			continue
 		}
 		if c := en.round >> wheelBits; c == cb {
-			e.wheel[en.round&wheelMask] = append(e.wheel[en.round&wheelMask], en.ix)
-			e.wheelCount++
+			e.push(en.round, en.ix)
 		} else {
 			e.wheel1[c&wheel1Mask] = append(e.wheel1[c&wheel1Mask], en)
 			e.wheel1Count++
@@ -169,11 +183,10 @@ func (e *Engine) wheelNext() (uint64, bool) {
 					if en.round < min {
 						min = en.round
 					}
-					e.wheel[en.round&wheelMask] = append(e.wheel[en.round&wheelMask], en.ix)
+					e.push(en.round, en.ix)
 				}
 				e.wheel1[c&wheel1Mask] = b[:0]
 				e.wheel1Count -= len(b)
-				e.wheelCount += len(b)
 				e.wheelBase = min
 				break
 			}
@@ -232,11 +245,11 @@ func (e *Engine) RunUntil(stop Stop, pollEvery, maxRound uint64) uint64 {
 			return e.round
 		}
 		// Detach the round's wake bucket (wheelNext left it non-empty at
-		// the base). Its backing array is reattached (emptied) after the
+		// the base). Its backing array goes to the free list after the
 		// round: follow-up wake-ups land in other slots of the current
 		// coarse bucket or in level 1 (scheduling round r again
 		// mid-round is impossible — non-future wakes panic), so the
-		// array is free for reuse.
+		// array is free for reuse by whichever slot fills next.
 		slot := r & wheelMask
 		bkt := e.wheel[slot]
 		e.wheel[slot] = nil
@@ -249,7 +262,7 @@ func (e *Engine) RunUntil(stop Stop, pollEvery, maxRound uint64) uint64 {
 		if e.OnRound != nil {
 			e.OnRound(r, txs)
 		}
-		e.wheel[slot] = bkt[:0]
+		e.wheelFree = append(e.wheelFree, bkt[:0])
 		e.round = r + 1
 		e.rounds++
 		if stop != nil && (pollEvery == 0 || r >= lastPoll+pollEvery) {

@@ -129,7 +129,7 @@ func TestDriverMatchesLegacyEngine(t *testing.T) {
 		},
 	}
 	const (
-		n        = 200
+		n        = chaosFanout
 		seed     = 11
 		maxRound = 12_000
 	)
@@ -304,7 +304,7 @@ func TestObsHookDeterministicOrder(t *testing.T) {
 		e.OnDeliver = func(r uint64, dev int, obs radio.Obs) {
 			events = append(events, obsEvent{r: r, dev: dev, obs: obs})
 		}
-		devs := buildChaos(e, 400, 21)
+		devs := buildChaos(e, 2*chaosFanout, 21)
 		e.RunUntil(nil, 0, 500)
 		return events, devs
 	}

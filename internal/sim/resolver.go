@@ -18,9 +18,9 @@ import (
 // (Deliver) resolves the channel for every listener, either by the
 // linear scan or, on dense rounds over a radio.CellMedium, cell by cell
 // over a spatial transmission index. Both phases reach devices only
-// through block handlers (block.go) and fan out through one worker
-// pool (parallel). All bookkeeping lives here so that every transport
-// behind the seam shares it bit for bit.
+// through block handlers (block.go) and, when big enough, fan out
+// through one rule (parallel). All bookkeeping lives here so that every
+// transport behind the seam shares it bit for bit.
 
 // minIndexedTxs is the round density below which building the spatial
 // transmission index costs more than the linear scans it saves.
@@ -44,6 +44,12 @@ type resolver struct {
 	shardEnd  []int32          // phase-B shard -> exclusive end cell
 	obsRec    []radio.Obs      // index -> observation (only when a hook is set)
 	scratch   []*workerScratch // worker slot -> that worker's scratch
+
+	// The three phase bodies, owned here so that handing one to
+	// parallel allocates nothing.
+	wake  wakeJob
+	scan  scanJob
+	cells cellJob
 }
 
 // workerScratch is one worker's scratch: the CellState of its current
@@ -74,14 +80,8 @@ func (v *resolver) Begin(r uint64, wakes []int32) {
 		v.steps = make([]Step, len(wakes))
 	}
 	steps := v.steps[:len(wakes)]
-	v.parallel(len(wakes), blockSize, func(lo, hi, w int) {
-		sc := v.scratch[w]
-		for i := lo; i < hi; {
-			h, hs := v.run(wakes[i:hi], sc)
-			h.WakeBlock(r, hs, steps[i:i+len(hs)])
-			i += len(hs)
-		}
-	})
+	v.wake = wakeJob{v: v, r: r, wakes: wakes, steps: steps}
+	v.parallel(len(wakes), len(wakes), blockSize, &v.wake)
 
 	// Collect transmissions and listeners, and schedule next wakes.
 	v.txs = v.txs[:0]
@@ -117,6 +117,24 @@ func (v *resolver) Begin(r uint64, wakes []int32) {
 	// usually is id order already, making the check free.
 	if !srcSorted {
 		slices.SortFunc(v.txs, func(a, b radio.Tx) int { return cmp.Compare(a.Frame.Src, b.Frame.Src) })
+	}
+}
+
+// wakeJob is phase A's body: its pieces are runs of wakes, woken one
+// WakeBlock call per run of devices sharing a handler.
+type wakeJob struct {
+	v     *resolver
+	r     uint64
+	wakes []int32
+	steps []Step
+}
+
+func (j *wakeJob) piece(lo, hi, w int) {
+	sc := j.v.scratch[w]
+	for i := lo; i < hi; {
+		h, hs := j.v.run(j.wakes[i:hi], sc)
+		h.WakeBlock(j.r, hs, j.steps[i:i+len(hs)])
+		i += len(hs)
 	}
 }
 
@@ -165,15 +183,27 @@ func (v *resolver) resolve(r uint64, rec []radio.Obs) {
 			return
 		}
 	}
-	listeners := v.listenIxs
-	v.parallel(len(listeners), blockSize, func(lo, hi, w int) {
-		sc := v.scratch[w]
-		obs := sc.observations(hi - lo)
-		for k, ix := range listeners[lo:hi] {
-			obs[k] = e.Medium.Observe(r, e.ids[ix], e.pos[ix], v.txs)
-		}
-		v.deliver(r, listeners[lo:hi], sc, rec)
-	})
+	v.scan = scanJob{v: v, r: r, rec: rec}
+	v.parallel(len(v.listenIxs), len(v.listenIxs), blockSize, &v.scan)
+}
+
+// scanJob is the linear phase-B body: its pieces are runs of
+// listeners, each observing the round's whole transmission list.
+type scanJob struct {
+	v   *resolver
+	r   uint64
+	rec []radio.Obs
+}
+
+func (j *scanJob) piece(lo, hi, w int) {
+	v, e := j.v, j.v.e
+	sc := v.scratch[w]
+	listeners := v.listenIxs[lo:hi]
+	obs := sc.observations(len(listeners))
+	for k, ix := range listeners {
+		obs[k] = e.Medium.Observe(j.r, e.ids[ix], e.pos[ix], v.txs)
+	}
+	v.deliver(j.r, listeners, sc, j.rec)
 }
 
 // deliver hands sc.obs[k] to listener ixs[k], one DeliverBlock call per
@@ -296,60 +326,96 @@ func (v *resolver) deliverCells(r uint64, cm radio.CellMedium, rec []radio.Obs) 
 		v.shardEnd = append(v.shardEnd, int32(cells))
 	}
 
-	v.parallel(len(v.shardEnd), 1, func(lo, hi, w int) {
-		sc := v.scratch[w]
-		first := int32(0)
-		if lo > 0 {
-			first = v.shardEnd[lo-1]
+	v.cells = cellJob{v: v, r: r, cm: cm, rec: rec, start: cs, order: ord}
+	v.parallel(nl, len(v.shardEnd), 1, &v.cells)
+}
+
+// cellJob is the cell path's phase-B body: its pieces are runs of
+// shards, each resolving and delivering its cells' listeners.
+type cellJob struct {
+	v     *resolver
+	r     uint64
+	cm    radio.CellMedium
+	rec   []radio.Obs
+	start []int32 // cell -> offset into order (CSR)
+	order []int32 // listener indices grouped by cell
+}
+
+func (j *cellJob) piece(lo, hi, w int) {
+	v, e := j.v, j.v.e
+	cs, ord := j.start, j.order
+	sc := v.scratch[w]
+	first := int32(0)
+	if lo > 0 {
+		first = v.shardEnd[lo-1]
+	}
+	for c := first; c < v.shardEnd[hi-1]; c++ {
+		a, b := cs[c], cs[c+1]
+		if a == b {
+			continue
 		}
-		for c := first; c < v.shardEnd[hi-1]; c++ {
-			a, b := cs[c], cs[c+1]
-			if a == b {
-				continue
-			}
-			// One shared half per cell, over the bounding box of the
-			// cell's listeners (their positions may clamp into a border
-			// cell from outside the grid).
-			pmin := e.pos[ord[a]]
-			pmax := pmin
-			for _, ix := range ord[a+1 : b] {
-				p := e.pos[ix]
-				pmin.X = math.Min(pmin.X, p.X)
-				pmin.Y = math.Min(pmin.Y, p.Y)
-				pmax.X = math.Max(pmax.X, p.X)
-				pmax.Y = math.Max(pmax.Y, p.Y)
-			}
-			cm.BeginCell(&sc.cs, r, &v.txSet, pmin, pmax)
-			obs := sc.observations(int(b - a))
-			for k, ix := range ord[a:b] {
-				obs[k] = cm.ObserveCell(&sc.cs, r, e.ids[ix], e.pos[ix])
-			}
-			v.deliver(r, ord[a:b], sc, rec)
+		// One shared half per cell, over the bounding box of the cell's
+		// listeners (their positions may clamp into a border cell from
+		// outside the grid).
+		pmin := e.pos[ord[a]]
+		pmax := pmin
+		for _, ix := range ord[a+1 : b] {
+			p := e.pos[ix]
+			pmin.X = math.Min(pmin.X, p.X)
+			pmin.Y = math.Min(pmin.Y, p.Y)
+			pmax.X = math.Max(pmax.X, p.X)
+			pmax.Y = math.Max(pmax.Y, p.Y)
 		}
-	})
+		j.cm.BeginCell(&sc.cs, j.r, &v.txSet, pmin, pmax)
+		obs := sc.observations(int(b - a))
+		for k, ix := range ord[a:b] {
+			obs[k] = j.cm.ObserveCell(&sc.cs, j.r, e.ids[ix], e.pos[ix])
+		}
+		v.deliver(j.r, ord[a:b], sc, j.rec)
+	}
 }
 
 // blockSize is the piece size of the wake sweep and the linear
-// listener scan: the fan-out needs blockSize indices per worker.
+// listener scan.
 const blockSize = 16
 
-// parallel runs f over [0, n) in pieces of grain indices, on
-// min(Workers, n/grain) goroutines that claim pieces through an atomic
-// cursor, so uneven per-piece cost rebalances across workers instead of
-// stretching one pre-assigned chunk; with one worker or fewer it runs
-// the pieces in order on the calling goroutine. f receives its piece
-// and the slot of the worker running it, which indexes v.scratch.
-func (v *resolver) parallel(n, grain int, f func(lo, hi, worker int)) {
-	w := 1
-	if v.e.Workers > 1 && n >= 2*grain {
-		w = min(v.e.Workers, n/grain)
-	}
-	for len(v.scratch) < w {
+// minPerWorker is the number of wakes (phase A) or listeners (phase B)
+// each worker must get before a phase fans out. Below it, handing the
+// phase to goroutines and joining them costs more than the extra cores
+// save, so a protocol-sized round (tens of wakes, a few listeners) runs
+// on the calling goroutine. BenchmarkRoundFanout locates the crossover
+// for plain devices: on a 2-vCPU host, rounds fanned out to two workers
+// ran slower than on one up to about 1024 wakes and listeners, broke
+// even near 2048 and won at 4096. Protocol devices do more per wake, so
+// theirs sits lower: NeighborWatchRB on 16384 devices ran alike, within
+// run-to-run noise, at 256, 512 and 1024 per worker.
+const minPerWorker = 512
+
+// phase is a phase body that parallel fans out: piece handles the
+// pieces [lo, hi) on the worker whose slot indexes v.scratch. The
+// bodies are job values the resolver owns (wakeJob, scanJob, cellJob),
+// so running a phase on one worker allocates nothing.
+type phase interface {
+	piece(lo, hi, worker int)
+}
+
+// parallel runs p over the pieces of [0, n), grain indices each. items
+// is the phase's work: its wakes in phase A, its listeners in phase B
+// (on the cell path n counts shards, items still listeners). The phase
+// fans out to min(Workers, items/minPerWorker) goroutines that claim
+// pieces through an atomic cursor, so uneven per-piece cost rebalances
+// across workers instead of stretching one pre-assigned chunk; with
+// one worker or fewer it runs the pieces in order on the calling
+// goroutine. Every route to the devices, a transport's Caller
+// included, fans out by this one rule.
+func (v *resolver) parallel(items, n, grain int, p phase) {
+	w := min(v.e.Workers, items/minPerWorker)
+	for len(v.scratch) < max(w, 1) {
 		v.scratch = append(v.scratch, new(workerScratch))
 	}
-	if w == 1 {
+	if w <= 1 {
 		for lo := 0; lo < n; lo += grain {
-			f(lo, min(lo+grain, n), 0)
+			p.piece(lo, min(lo+grain, n), 0)
 		}
 		return
 	}
@@ -360,9 +426,9 @@ func (v *resolver) parallel(n, grain int, f func(lo, hi, worker int)) {
 	for k := 0; k < w; k++ {
 		go func() {
 			defer wg.Done()
-			for p := cursor.Add(1) - 1; p < pieces; p = cursor.Add(1) - 1 {
-				lo := int(p) * grain
-				f(lo, min(lo+grain, n), k)
+			for q := cursor.Add(1) - 1; q < pieces; q = cursor.Add(1) - 1 {
+				lo := int(q) * grain
+				p.piece(lo, min(lo+grain, n), k)
 			}
 		}()
 	}

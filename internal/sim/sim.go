@@ -25,28 +25,35 @@
 // Both phases reach devices only through block handlers (block.go):
 // each device gets one at Add, and a phase makes one WakeBlock or
 // DeliverBlock call per run of devices that share a handler. Both
-// phases are data-parallel across devices and the engine optionally
-// fans them out over a worker pool with a work-stealing cursor, so hot
+// phases are data-parallel across devices. With Workers > 1 the engine
+// fans a phase out over goroutines with a work-stealing cursor, so hot
 // spots (for example jammed regions, whose listeners are expensive to
-// resolve) do not serialize one worker's chunk.
+// resolve) do not serialize one worker's chunk, but only when the
+// phase is big enough to pay for the hand-off: each worker must get at
+// least 512 of the phase's wakes (phase A) or listeners (phase B).
+// Protocol-sized rounds, tens of wakes each, run on the calling
+// goroutine at any worker count.
 //
 // The engine's hot loops are index-based and allocation-free after
-// warm-up. Devices get a compact index at Add; wake scheduling, step
-// collection and delivery all operate on dense slices keyed by that
-// index, and per-round wake-up deduplication uses a per-device epoch
-// stamp instead of sorting. The wake calendar is a two-level
-// hierarchical wheel (see clock.go): a ring of one-round slots for the
-// current coarse bucket, a ring of coarse buckets covering the next
-// ~16.7M rounds, and an unsorted overflow beyond that, so arbitrarily
-// long cycles never trigger a sort. Channel resolution for dense rounds
-// over a radio.CellMedium (both built-in media are one) buckets the
-// round's transmissions into a spatial hash once (radio.TxSet) and
-// resolves listeners in spatial-cell order, sharing the candidate
-// gather and the listener-independent half of the math per cell; every
-// other round, and every other medium, takes the linear scan.
-// Observations are bit-for-bit identical on both paths. Devices backed
-// by flat arrays can bring their own block handler (BlockDevice),
-// removing the per-device interface call from both phases.
+// warm-up, a fanned-out phase's goroutines aside. Devices get a compact
+// index at Add; wake scheduling, step collection and delivery all
+// operate on dense slices keyed by that index, and per-round wake-up
+// deduplication uses a per-device epoch stamp instead of sorting. The
+// wake calendar is a two-level hierarchical wheel (see clock.go): a
+// ring of one-round slots for the current coarse bucket, a ring of
+// coarse buckets covering the next ~16.7M rounds, and an unsorted
+// overflow beyond that, so arbitrarily long cycles never trigger a
+// sort. A drained one-round slot hands its array to a free list that
+// later slots draw from, so the wheel holds one array per slot that is
+// non-empty at the same time. Channel resolution for dense rounds over
+// a radio.CellMedium (both built-in media are one) buckets the round's
+// transmissions into a spatial hash once (radio.TxSet) and resolves
+// listeners in spatial-cell order, sharing the candidate gather and the
+// listener-independent half of the math per cell; every other round,
+// and every other medium, takes the linear scan. Observations are
+// bit-for-bit identical on both paths. Devices backed by flat arrays
+// can bring their own block handler (BlockDevice), removing the
+// per-device interface call from both phases.
 //
 // Determinism is preserved because media are pure functions and each
 // device only mutates itself.
@@ -104,9 +111,12 @@ type Device interface {
 // Engine drives a set of devices over a shared medium.
 type Engine struct {
 	Medium radio.Medium
-	// Workers is the number of goroutines used per phase; values <= 1
-	// run sequentially. Parallelism only pays off for very dense
-	// rounds; experiment-level fan-out is usually preferable.
+	// Workers is the most goroutines a phase fans out to; values <= 1
+	// run sequentially. A phase fans out to min(Workers, n/512)
+	// goroutines, n being its wakes (phase A) or listeners (phase B),
+	// so a round with fewer than 1024 of them runs on the calling
+	// goroutine whatever Workers says. Experiment-level fan-out is
+	// usually preferable.
 	Workers int
 	// OnRound, if non-nil, is invoked after each simulated round with
 	// the transmissions of that round (for tracing). Transmissions are
@@ -146,8 +156,10 @@ type Engine struct {
 	// Two-level hierarchical wake wheel (see clock.go): wheel holds the
 	// current coarse bucket's rounds one slot each, wheel1 holds the
 	// next wheel1Size-1 coarse buckets one slot each, spill is the
-	// unsorted overflow beyond the level-1 horizon.
+	// unsorted overflow beyond the level-1 horizon. wheelFree holds the
+	// emptied arrays of drained level-0 slots for reuse.
 	wheel       [][]int32
+	wheelFree   [][]int32
 	wheelBase   uint64
 	wheelCount  int
 	wheel1      [][]spillEntry

@@ -2,9 +2,11 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
 	"slices"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"authradio/internal/geom"
 	"authradio/internal/radio"
@@ -288,6 +290,10 @@ type parallelProbe struct {
 	scripted
 	inFlight *int32
 	sawPar   *int32
+	// hold, when set, keeps this wake in flight until another wake
+	// joins it or hold elapses, so a fanned-out round shows its overlap
+	// however the scheduler interleaves the workers.
+	hold time.Duration
 }
 
 func (p *parallelProbe) Wake(r uint64) Step {
@@ -298,6 +304,9 @@ func (p *parallelProbe) Wake(r uint64) Step {
 	for i := 0; i < 100; i++ { // widen the race window
 		_ = i
 	}
+	for deadline := time.Now().Add(p.hold); atomic.LoadInt32(p.sawPar) == 0 && time.Now().Before(deadline); {
+		runtime.Gosched()
+	}
 	atomic.AddInt32(p.inFlight, -1)
 	return Step{Action: Listen, NextWake: NoWake}
 }
@@ -306,7 +315,9 @@ func TestParallelExecutionMatchesSequential(t *testing.T) {
 	build := func(workers int) (*Engine, []*scripted) {
 		e := NewEngine(&radio.DiskMedium{R: 3, Metric: geom.LInf})
 		e.Workers = workers
-		devs := make([]*scripted, 64)
+		// 2*minPerWorker wakes and as many listeners: both phases fan
+		// out to two workers.
+		devs := make([]*scripted, 3*minPerWorker)
 		for i := range devs {
 			devs[i] = newScripted(i, geom.Point{X: float64(i % 8), Y: float64(i / 8)})
 			if i%3 == 0 {
@@ -332,7 +343,7 @@ func TestParallelActuallyRunsConcurrently(t *testing.T) {
 	e := NewEngine(&radio.DiskMedium{R: 1, Metric: geom.LInf})
 	e.Workers = 8
 	var inFlight, sawPar int32
-	for i := 0; i < 512; i++ {
+	for i := 0; i < 8*minPerWorker; i++ { // enough wakes for all eight workers
 		p := &parallelProbe{inFlight: &inFlight, sawPar: &sawPar}
 		p.scripted = *newScripted(i, geom.Point{X: float64(i), Y: 0})
 		e.Add(p, 1)
@@ -433,7 +444,7 @@ func TestIndexedResolutionAcrossWorkers(t *testing.T) {
 	build := func(workers int) []*scripted {
 		e := NewEngine(radio.NewFriisMedium(2.5, 5))
 		e.Workers = workers
-		devs := denseScripted(e, 512)
+		devs := denseScripted(e, 3*minPerWorker) // 2*minPerWorker listeners
 		e.RunUntil(nil, 0, 10)
 		return devs
 	}
@@ -524,6 +535,12 @@ func (d *chaosDevice) Wake(r uint64) Step {
 }
 
 func (d *chaosDevice) Deliver(r uint64, obs radio.Obs) { d.obs = append(d.obs, obs) }
+
+// chaosFanout is the smallest chaos fleet whose parallel runs fan out:
+// its first five rounds each wake a fifth of the fleet, 2*minPerWorker
+// devices, enough for two workers. About half of those wakes listen,
+// so phase B fans out too from twice this fleet.
+const chaosFanout = 5 * 2 * minPerWorker
 
 // buildChaos populates an engine with the chaos workload in ascending
 // id order (see addChaos).
@@ -770,7 +787,7 @@ func TestCellShardedMatchesFlat(t *testing.T) {
 			e := NewEngine(mk())
 			e.DisableIndex = cfg.linear
 			e.Workers = cfg.workers
-			devs := buildChaos(e, 400, 21)
+			devs := buildChaos(e, 2*chaosFanout, 21)
 			e.RunUntil(nil, 0, 500)
 			if ref == nil {
 				ref = devs
@@ -791,7 +808,7 @@ func TestCellShardedMatchesFlat(t *testing.T) {
 // and then grows the dense id table past them.
 func TestAddOrderInvariance(t *testing.T) {
 	const (
-		n        = 400
+		n        = chaosFanout
 		seed     = 21
 		maxRound = 10_000
 	)
@@ -996,7 +1013,8 @@ func (d *plainFleetDev) Block() {} // not a BlockDevice: wrong signature shadows
 // fleet behind a transport's Caller, which must see every wake and
 // every delivery: no block sweep may slip past a transport.
 func TestBlockDeviceMatchesPerDevice(t *testing.T) {
-	const n, rounds = 300, 200
+	// Every device wakes in round 1, so the workers runs fan it out.
+	const n, rounds = 2 * minPerWorker, 200
 	// run builds the fleet with every blockEvery-th device a
 	// BlockDevice (none when blockEvery is 0).
 	run := func(blockEvery int, routed bool, workers int) (*blockFleet, *countingCaller) {
