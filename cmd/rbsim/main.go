@@ -128,6 +128,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
+	if err := checkNodes(*nodes, *grid); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 
 	adv := experiment.AdversaryMix{
 		LiarFrac:    *liars,
@@ -324,6 +328,16 @@ func runScenario(s experiment.Scenario, rep int, stats bool, traceN int, traceRx
 func checkMsgLen(n int) error {
 	if n < 1 || n > 64 {
 		return fmt.Errorf("-msglen %d out of range; want 1..64", n)
+	}
+	return nil
+}
+
+// checkNodes rejects a -nodes count below 1 for the random maps, which
+// would build an empty deployment (or none). A -grid map ignores
+// -nodes.
+func checkNodes(nodes, grid int) error {
+	if grid <= 0 && nodes < 1 {
+		return fmt.Errorf("-nodes %d out of range; want at least 1", nodes)
 	}
 	return nil
 }

@@ -1,6 +1,12 @@
 package main
 
-import "testing"
+import (
+	"errors"
+	"os"
+	"os/exec"
+	"strings"
+	"testing"
+)
 
 // TestProtocolListGolden pins the exact `rbsim -proto list` output:
 // the sorted driver registry with sorted aliases, and each family's
@@ -69,5 +75,43 @@ func TestCheckMsgLen(t *testing.T) {
 		if err := checkMsgLen(tc.n); (err != nil) != tc.err {
 			t.Errorf("checkMsgLen(%d) err = %v, want err=%v", tc.n, err, tc.err)
 		}
+	}
+}
+
+// TestMain runs the test binary as rbsim itself when RBSIM_MAIN is
+// set, so tests can check main's exit status and output.
+func TestMain(m *testing.M) {
+	if os.Getenv("RBSIM_MAIN") == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// TestBadNodesExit2 runs rbsim with -nodes 0 and -nodes -5 on the
+// default random map: each must exit 2 with a one-line error, as a bad
+// -msglen does, instead of panicking while building the map. A -grid
+// map ignores -nodes.
+func TestBadNodesExit2(t *testing.T) {
+	run := func(args ...string) (string, error) {
+		cmd := exec.Command(os.Args[0], args...)
+		cmd.Env = append(os.Environ(), "RBSIM_MAIN=1")
+		var stderr strings.Builder
+		cmd.Stderr = &stderr
+		err := cmd.Run()
+		return stderr.String(), err
+	}
+	for _, n := range []string{"0", "-5"} {
+		stderr, err := run("-nodes", n)
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Errorf("-nodes %s: exit %v, want status 2", n, err)
+		}
+		if want := "-nodes " + n + " out of range; want at least 1\n"; stderr != want {
+			t.Errorf("-nodes %s: stderr %q, want %q", n, stderr, want)
+		}
+	}
+	if stderr, err := run("-grid", "3", "-nodes", "0"); err != nil {
+		t.Errorf("-grid 3 -nodes 0: %v: %s", err, stderr)
 	}
 }

@@ -198,9 +198,13 @@ func (s Scenario) run(rep int, opts ...core.Option) core.Result {
 
 // BuildWorld constructs (without running) the world for repetition rep,
 // for callers that want to attach hooks (core.WithRoundHook and
-// friends) or inspect devices.
+// friends) or inspect devices. An invalid deployment, such as an empty
+// one, is an error.
 func (s Scenario) BuildWorld(rep int, opts ...core.Option) (*core.World, error) {
 	d := s.deployment(rep)
+	if err := d.Validate(); err != nil {
+		return nil, err
+	}
 	src := d.CenterNode()
 	return core.Build(core.Config{
 		Deploy:       d,

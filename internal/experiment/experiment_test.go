@@ -25,6 +25,20 @@ func tiny() Scenario {
 	}
 }
 
+// TestBuildWorldRejectsEmptyDeployment builds a uniform map of zero
+// devices: BuildWorld must return the deployment's validation error
+// rather than pick a source from no devices.
+func TestBuildWorldRejectsEmptyDeployment(t *testing.T) {
+	s := Scenario{Name: "empty", ProtocolName: "NeighborWatchRB", Deploy: Uniform, Nodes: 0, MapSide: 10, Range: 2, Seed: 1}
+	w, err := s.BuildWorld(0)
+	if err == nil || w != nil {
+		t.Fatalf("BuildWorld on an empty map = (%v, %v), want an error", w, err)
+	}
+	if !strings.Contains(err.Error(), "empty deployment") {
+		t.Errorf("error %q does not name the empty deployment", err)
+	}
+}
+
 func TestScenarioRunDeterministic(t *testing.T) {
 	a := tiny().Run(0)
 	b := tiny().Run(0)

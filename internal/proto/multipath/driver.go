@@ -3,6 +3,7 @@ package multipath
 import (
 	"fmt"
 
+	"authradio/internal/bitcodec"
 	"authradio/internal/core"
 	"authradio/internal/schedule"
 )
@@ -49,6 +50,9 @@ func (Driver) Build(cfg core.Config, b *core.WorldBuilder) error {
 	// Same-slot devices and their responders (within R) must be
 	// mutually undetectable: spacing > 2R + sense range.
 	ns := b.NodeSchedule(2*d.R+cfg.Medium.SenseRange(), schedule.SlotLen, true)
+	if ns.NumSlots-1 > bitcodec.MaxSlot {
+		return fmt.Errorf("multipath: the schedule needs %d slots, more than the %d a HEARD cause can name", ns.NumSlots, bitcodec.MaxSlot+1)
+	}
 	sh := NewShared(d, ns, cfg.Msg.Len, cfg.SourceID, t, b.Active())
 	sh.HeardCap = b.IntParam(ParamHeardCap, sh.HeardCap)
 	if sh.HeardCap < 1 {

@@ -119,26 +119,16 @@ type Node struct {
 	complete    bool
 	completedAt uint64
 
-	// Per-slot activity. The 2Bit roles are values, reset at slot
-	// start; only the one named by role is live.
+	// Per-slot activity: the slot's 2Bit exchange, replaced at slot
+	// start, and for a receiver the stream it feeds.
 	cur struct {
 		active bool
 		start  uint64
 		slot   int
-		role   role
-		tx     twobit.Sender
-		rx     twobit.Receiver
+		x      twobit.Exchange
 		stream *rxState
 	}
 }
-
-type role uint8
-
-const (
-	roleIdle role = iota
-	roleSender
-	roleReceiver
-)
 
 type heardKey struct {
 	cause int
@@ -258,44 +248,25 @@ func (n *Node) Wake(r uint64) sim.Step {
 	if !n.cur.active {
 		n.beginSlot(start, slot)
 	}
-	act, kind := n.act(sub)
+	act, kind := n.cur.x.Act(sub)
 	return sim.Step{Action: act, Frame: radio.Frame{Kind: kind}, NextWake: n.sh.NS.NextIn(r+1, n.interest)}
 }
 
+// beginSlot starts the node's exchange for the slot starting at start:
+// a sender in its own slot while it has a pair to send, a receiver in a
+// neighbor's slot, idle otherwise.
 func (n *Node) beginSlot(start uint64, slot int) {
 	n.cur.active = true
 	n.cur.start = start
 	n.cur.slot = slot
-	n.cur.stream = nil
-	switch {
-	case slot == n.mySlot:
-		if p, ok := n.send.Current(); ok {
-			n.cur.role = roleSender
-			n.cur.tx = twobit.Sender{B1: p.B1, B2: p.B2}
-		} else {
-			n.cur.role = roleIdle
-		}
-	default:
+	n.cur.x, n.cur.stream = twobit.Exchange{}, nil
+	if slot != n.mySlot {
 		if s, ok := n.streams[slot]; ok {
-			n.cur.role = roleReceiver
-			n.cur.rx = twobit.Receiver{}
-			n.cur.stream = s
-		} else {
-			n.cur.role = roleIdle
+			n.cur.x, n.cur.stream = twobit.Receive(), s
 		}
+	} else if p, ok := n.send.Current(); ok {
+		n.cur.x = twobit.Send(p.B1, p.B2)
 	}
-}
-
-// act returns the node's radio action for sub-round sub of its active
-// slot.
-func (n *Node) act(sub int) (sim.Action, radio.FrameKind) {
-	switch n.cur.role {
-	case roleSender:
-		return n.cur.tx.Act(sub)
-	case roleReceiver:
-		return n.cur.rx.Act(sub)
-	}
-	return sim.Sleep, 0
 }
 
 // Deliver implements sim.Device.
@@ -303,20 +274,16 @@ func (n *Node) Deliver(r uint64, obs radio.Obs) {
 	if !n.cur.active {
 		return
 	}
-	sub := int(r - n.cur.start)
-	switch n.cur.role {
-	case roleSender:
-		n.cur.tx.Observe(sub, obs.Busy)
-		if sub == twobit.R6 {
-			n.send.SlotDone(n.cur.tx.Outcome() == twobit.Success)
-		}
-	case roleReceiver:
-		n.cur.rx.Observe(sub, obs.Busy)
-		if sub == twobit.R5 && n.cur.rx.Outcome() == twobit.Success {
-			b1, b2 := n.cur.rx.Bits()
-			if frame, done := n.cur.stream.fr.Accept(onehop.Pair{B1: b1, B2: b2}); done {
-				n.handleFrame(r, n.cur.stream.nbr, n.cur.slot, frame)
-			}
+	out := n.cur.x.Observe(int(r-n.cur.start), obs.Busy)
+	if out == twobit.Pending {
+		return
+	}
+	if n.cur.x.Role() == twobit.Sender {
+		n.send.SlotDone(out == twobit.Success)
+	} else if out == twobit.Success {
+		b1, b2 := n.cur.x.Bits()
+		if frame, done := n.cur.stream.fr.Accept(onehop.Pair{B1: b1, B2: b2}); done {
+			n.handleFrame(r, n.cur.stream.nbr, n.cur.slot, frame)
 		}
 	}
 }

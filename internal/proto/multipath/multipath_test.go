@@ -1,9 +1,11 @@
 package multipath
 
 import (
+	"strings"
 	"testing"
 
 	"authradio/internal/bitcodec"
+	"authradio/internal/core"
 	"authradio/internal/proto/onehop"
 	"authradio/internal/radio"
 	"authradio/internal/schedule"
@@ -362,5 +364,27 @@ func BenchmarkGridBroadcast5x5T1(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		w := buildWorld(topo.Grid(5, 5, 2), msg, worldCfg{t: 1})
 		w.run(3_000_000)
+	}
+}
+
+// TestBuildRejectsScheduleBeyondCauseEncoding builds MultiPathRB on a
+// 65x65 grid whose range covers it: every device then needs its own
+// slot, more than the 12-bit HEARD cause field can name. Build must
+// report that as an error naming both counts, not panic.
+func TestBuildRejectsScheduleBeyondCauseEncoding(t *testing.T) {
+	_, err := core.Build(core.Config{
+		Deploy:       topo.Grid(65, 65, 30),
+		ProtocolName: "MultiPathRB",
+		Msg:          bitcodec.NewMessage(1, 1),
+		SourceID:     0,
+		Seed:         1,
+	})
+	if err == nil {
+		t.Fatal("Build accepted a schedule the cause encoding cannot carry")
+	}
+	for _, want := range []string{"4225 slots", "4096"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("error %q does not name %q", err, want)
+		}
 	}
 }

@@ -92,16 +92,6 @@ func NewShared(d *topo.Deployment, g *schedule.SquareGrid, msgLen, sourceID, vot
 	}
 }
 
-// role is what a node is doing during one schedule slot.
-type role uint8
-
-const (
-	roleIdle role = iota
-	roleSender
-	roleWatcher
-	roleReceiver
-)
-
 // rxStream tracks the 1Hop stream arriving from one neighboring square
 // (or from the source, keyed by schedule.SourceSlot).
 type rxStream struct {
@@ -133,7 +123,7 @@ type Node struct {
 	completedAt uint64
 	complete    bool
 
-	// Desync repair state (see deliverSender): consecutive failed send
+	// Desync repair state (see senderDone): consecutive failed send
 	// attempts, the member's rank among its square's active members
 	// (0 = anchor), and whether this member has permanently yielded
 	// its sender role.
@@ -141,16 +131,12 @@ type Node struct {
 	rank       int
 	yielded    bool
 
-	// Per-slot activity. The 2Bit roles are values, reset at slot
-	// start; only the one named by role is live.
+	// Per-slot activity: the slot's 2Bit exchange, replaced at slot
+	// start, and for a receiver the stream it feeds.
 	cur struct {
 		active bool
 		start  uint64
-		slot   int
-		role   role
-		tx     twobit.Sender
-		watch  twobit.Watcher
-		rx     twobit.Receiver
+		x      twobit.Exchange
 		stream *rxStream
 	}
 }
@@ -288,53 +274,32 @@ func (n *Node) Wake(r uint64) sim.Step {
 	if !n.cur.active {
 		n.beginSlot(start, slot)
 	}
-	act, kind := n.act(sub)
+	act, kind := n.cur.x.Act(sub)
 	return sim.Step{Action: act, Frame: radio.Frame{Kind: kind}, NextWake: n.sh.G.NextIn(r+1, n.interest)}
 }
 
-// beginSlot decides the node's role for the slot starting at start.
+// beginSlot starts the node's exchange for the slot starting at start.
 func (n *Node) beginSlot(start uint64, slot int) {
 	n.cur.active = true
 	n.cur.start = start
-	n.cur.slot = slot
-	n.cur.stream = nil
+	n.cur.x, n.cur.stream = twobit.Exchange{}, nil
 	switch {
-	case slot == n.mySlot:
-		if n.yielded {
-			n.cur.role = roleIdle
-		} else if p, _, ok := n.send.Current(); ok {
-			n.cur.role = roleSender
-			n.cur.tx = twobit.Sender{B1: p.B1, B2: p.B2}
+	case slot != n.mySlot:
+		if s, ok := n.streams[slot]; ok {
+			n.cur.x, n.cur.stream = twobit.Receive(), s
+		}
+	case n.yielded:
+		// A yielded member sits its own slot out (see senderDone).
+	default:
+		if p, _, ok := n.send.Current(); ok {
+			n.cur.x = twobit.Send(p.B1, p.B2)
 		} else {
 			// Nothing committed yet (or stream finished): monitor the
 			// square. Pre-stream positions expect parity 1, so the
-			// activity-triggered watcher suffices (see twobit.Watcher).
-			n.cur.role = roleWatcher
-			n.cur.watch = twobit.Watcher{}
-		}
-	default:
-		if s, ok := n.streams[slot]; ok {
-			n.cur.role = roleReceiver
-			n.cur.rx = twobit.Receiver{}
-			n.cur.stream = s
-		} else {
-			n.cur.role = roleIdle
+			// activity-triggered watcher suffices (see package twobit).
+			n.cur.x = twobit.Watch()
 		}
 	}
-}
-
-// act returns the node's radio action for sub-round sub of its active
-// slot.
-func (n *Node) act(sub int) (sim.Action, radio.FrameKind) {
-	switch n.cur.role {
-	case roleSender:
-		return n.cur.tx.Act(sub)
-	case roleWatcher:
-		return n.cur.watch.Act(sub)
-	case roleReceiver:
-		return n.cur.rx.Act(sub)
-	}
-	return sim.Sleep, 0
 }
 
 // Deliver implements sim.Device.
@@ -342,24 +307,21 @@ func (n *Node) Deliver(r uint64, obs radio.Obs) {
 	if !n.cur.active {
 		return
 	}
-	sub := int(r - n.cur.start)
-	switch n.cur.role {
-	case roleSender:
-		n.deliverSender(sub, obs.Busy)
-	case roleWatcher:
-		n.cur.watch.Observe(sub, obs.Busy)
-	case roleReceiver:
-		n.cur.rx.Observe(sub, obs.Busy)
-		if sub == twobit.R5 && n.cur.rx.Outcome() == twobit.Success {
-			b1, b2 := n.cur.rx.Bits()
-			n.acceptPair(r, n.cur.stream, onehop.Pair{B1: b1, B2: b2})
-		}
+	out := n.cur.x.Observe(int(r-n.cur.start), obs.Busy)
+	if out == twobit.Pending {
+		return
+	}
+	if n.cur.x.Role() == twobit.Sender {
+		n.senderDone(out == twobit.Success)
+	} else if out == twobit.Success {
+		b1, b2 := n.cur.x.Bits()
+		n.acceptPair(r, n.cur.stream, onehop.Pair{B1: b1, B2: b2})
 	}
 }
 
-// deliverSender processes a sender-role observation. Beyond driving the
-// 2Bit machine, it implements the meta-node desync repair, "anchored
-// yield":
+// senderDone records the outcome of the node's own 2Bit exchange.
+// Beyond advancing the stream on success, it implements the meta-node
+// desync repair, "anchored yield":
 //
 // A Byzantine device can jam the R6 confirmation within range of only
 // SOME square members (members are up to side*sqrt(2) apart). Members
@@ -384,12 +346,8 @@ func (n *Node) Deliver(r uint64, obs radio.Obs) {
 // force honest members to yield by long jam campaigns (budget
 // proportional to the threshold), thinning the square's redundancy but
 // never corrupting data and never silencing a square below its anchor.
-func (n *Node) deliverSender(sub int, busy bool) {
-	n.cur.tx.Observe(sub, busy)
-	if sub != twobit.R6 {
-		return
-	}
-	if n.cur.tx.Outcome() == twobit.Success {
+func (n *Node) senderDone(success bool) {
+	if success {
 		n.send.SlotDone(true)
 		n.failStreak = 0
 		return

@@ -94,20 +94,19 @@ func (s *sender) Message() (bitcodec.Message, bool) { return s.msg, true }
 
 // receiver reassembles the stream from successful 2Bit exchanges.
 type receiver struct {
-	id     int
-	pos    geom.Point
-	msgLen int
+	id  int
+	pos geom.Point
 
 	str *onehop.StreamReceiver
-	rx  twobit.Receiver
-	// inSlot is false until the receiver's first R1: a receiver that
-	// joins mid-slot sleeps through the rest of it.
-	inSlot      bool
+	// rx is the current slot's exchange. It stays Idle until the
+	// receiver's first R1: a receiver that joins mid-slot sleeps
+	// through the rest of it.
+	rx          twobit.Exchange
 	completedAt uint64
 }
 
 func newReceiver(id int, pos geom.Point, msgLen int) *receiver {
-	return &receiver{id: id, pos: pos, msgLen: msgLen, str: onehop.NewStreamReceiver(msgLen)}
+	return &receiver{id: id, pos: pos, str: onehop.NewStreamReceiver(msgLen)}
 }
 
 // ID implements sim.Device.
@@ -123,11 +122,7 @@ func (n *receiver) Wake(r uint64) sim.Step {
 		if n.str.Complete() {
 			return sim.Step{Action: sim.Sleep, NextWake: sim.NoWake}
 		}
-		n.rx = twobit.Receiver{}
-		n.inSlot = true
-	}
-	if !n.inSlot { // joined mid-slot (first cycle only)
-		return sim.Step{Action: sim.Sleep, NextWake: r + 1}
+		n.rx = twobit.Receive()
 	}
 	act, kind := n.rx.Act(sub)
 	return sim.Step{Action: act, Frame: radio.Frame{Kind: kind}, NextWake: r + 1}
@@ -135,12 +130,7 @@ func (n *receiver) Wake(r uint64) sim.Step {
 
 // Deliver implements sim.Device.
 func (n *receiver) Deliver(r uint64, obs radio.Obs) {
-	if !n.inSlot {
-		return
-	}
-	sub := int(r % uint64(twobit.NumRounds))
-	n.rx.Observe(sub, obs.Busy)
-	if sub == twobit.R5 && n.rx.Outcome() == twobit.Success {
+	if n.rx.Observe(int(r%uint64(twobit.NumRounds)), obs.Busy) == twobit.Success {
 		b1, b2 := n.rx.Bits()
 		if n.str.Accept(onehop.Pair{B1: b1, B2: b2}) && n.str.Complete() {
 			n.completedAt = r

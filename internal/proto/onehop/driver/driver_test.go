@@ -185,3 +185,26 @@ func b2u(b bool) uint64 {
 	}
 	return 0
 }
+
+// BenchmarkSingleBroadcastOneHop measures one end-to-end OneHopRB
+// broadcast of a 16-bit message on an 8x8 grid one hop across, where
+// every node completes: the source's and receivers' 2Bit exchanges,
+// one slot per bit.
+func BenchmarkSingleBroadcastOneHop(b *testing.B) {
+	cfg := core.Config{
+		Deploy:       topo.Grid(8, 8, 7),
+		ProtocolName: "OneHopRB",
+		Msg:          bitcodec.NewMessage(0xb2c5, 16),
+		SourceID:     -1,
+		Seed:         1,
+	}
+	for i := 0; i < b.N; i++ {
+		w, err := core.Build(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res := w.Run(10_000); !res.AllComplete {
+			b.Fatalf("broadcast incomplete: %+v", res)
+		}
+	}
+}

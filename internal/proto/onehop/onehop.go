@@ -75,9 +75,6 @@ func (s *StreamSender) Append(b bool) {
 	s.bits = append(s.bits, b)
 }
 
-// Appended returns how many bits have been made available so far.
-func (s *StreamSender) Appended() int { return len(s.bits) }
-
 // Delivered returns how many bits have been successfully delivered.
 func (s *StreamSender) Delivered() int { return s.next }
 
@@ -109,8 +106,7 @@ func (s *StreamSender) SlotDone(success bool) {
 	if !success {
 		return
 	}
-	if p, stalled, ok := s.Current(); ok && !stalled {
-		_ = p
+	if _, stalled, ok := s.Current(); ok && !stalled {
 		s.next++
 	}
 }

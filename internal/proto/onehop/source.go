@@ -35,10 +35,9 @@ type Source struct {
 	slot  int
 	pairs []Pair
 
-	next  int           // index of the pair being sent
-	tx    twobit.Sender // the exchange in flight, when on
-	start uint64        // first round of the exchange's slot
-	on    bool
+	next  int             // index of the pair being sent
+	tx    twobit.Exchange // the latest exchange; Idle before the first
+	start uint64          // first round of tx's slot occurrence
 }
 
 // NewSource returns a source for device id at pos that sends pairs in
@@ -65,10 +64,9 @@ func (s *Source) Wake(r uint64) sim.Step {
 	if slot != s.slot {
 		return sim.Step{Action: sim.Sleep, NextWake: s.cyc.NextStart(r+1, s.slot)}
 	}
-	if start := r - uint64(sub); !s.on || s.start != start {
+	if start := r - uint64(sub); s.tx.Role() == twobit.Idle || s.start != start {
 		p := s.pairs[s.next]
-		s.tx = twobit.Sender{B1: p.B1, B2: p.B2}
-		s.start, s.on = start, true
+		s.tx, s.start = twobit.Send(p.B1, p.B2), start
 	}
 	act, kind := s.tx.Act(sub)
 	next := r + 1
@@ -80,15 +78,7 @@ func (s *Source) Wake(r uint64) sim.Step {
 
 // Deliver implements sim.Device.
 func (s *Source) Deliver(r uint64, obs radio.Obs) {
-	if !s.on {
-		return
-	}
-	sub := int(r - s.start)
-	s.tx.Observe(sub, obs.Busy)
-	if sub == twobit.R6 {
-		if s.tx.Outcome() == twobit.Success {
-			s.next++
-		}
-		s.on = false
+	if s.tx.Observe(int(r-s.start), obs.Busy) == twobit.Success {
+		s.next++
 	}
 }

@@ -12,24 +12,44 @@
 //	R6  receivers that sensed activity in R5 relay the veto
 //
 // A receiver returns success (with its estimate of the bits) iff R5 was
-// silent; a sender returns success iff R6 was silent. Because malicious
-// devices "cannot forge silence", any Byzantine interference forces a
-// veto and therefore a visible failure (Theorem 1), at the cost of at
-// least one Byzantine broadcast.
+// silent; a sender returns success iff it did not veto and R6 was
+// silent. Because malicious devices "cannot forge silence", any
+// Byzantine interference forces a veto and therefore a visible failure
+// (Theorem 1), at the cost of at least one Byzantine broadcast.
 //
-// Each role is a small state machine: callers feed it the sub-round
-// number (0..5) and channel observations, and read back its radio
-// action and the outcome. Act maps a role to the engine's radio action
-// for a sub-round, so this package alone decides who listens, who
-// transmits, and which frame kind each sub-round carries (R1 and R3
-// data, R2 and R4 acknowledgements, R5 and R6 vetoes); Transmits is the
-// bare decision behind it. The roles are composed into full devices by
-// the onehop, nwatch and multipath packages. A third role, Watcher,
-// implements NeighborWatchRB's monitoring: a square member that has not
-// committed the bit being sent listens during R1..R4 and jams R5 and R6
-// on any activity, blocking the transfer ("node n blocks the
-// 1Hop-Protocol initiated by the other node, by broadcasting during
-// veto rounds").
+// One Exchange value is a device's part in one slot. Its Role is fixed
+// when the slot starts:
+//
+//   - Idle, the zero Exchange, sleeps through the slot.
+//   - Sender (Send) listens in R2, R4 and R6 and transmits its bits in
+//     R1 and R3, and a veto in R5.
+//   - Receiver (Receive) listens in R1, R3 and R5 and echoes what it
+//     sensed in the round after: R2, R4 and R6.
+//   - Watcher (Watch) is NeighborWatchRB's monitor, a square member
+//     that has not committed the bit its square is attempting to send.
+//     It listens in R1..R4, data and acknowledgement rounds alike (an
+//     acknowledgement also means someone sent data), and on any
+//     activity it transmits in both veto rounds. That fails the
+//     exchange for receivers (R5) and for co-senders (R6): "node n
+//     blocks the 1Hop-Protocol initiated by the other node, by
+//     broadcasting during veto rounds".
+//
+// Callers feed the exchange the sub-round number (0..5): Act returns
+// its radio action, and Observe records the activity sensed in a
+// listening round and returns the outcome. So this package alone
+// decides who listens, who transmits, and which frame kind each
+// sub-round carries (R1 and R3 data, R2 and R4 acknowledgements, R5
+// and R6 vetoes). The onehop, nwatch and multipath packages compose
+// exchanges into full devices.
+//
+// The activity-triggered watcher suffices only while the pair being
+// sent cannot legitimately be all-silent. An even-parity position,
+// whose encoding is ⟨0,data⟩, transmits nothing for data 0, so a
+// Byzantine square-mate could "send" a 0-bit by pure silence, which no
+// veto can distinguish after the fact; a watcher of such a position
+// would have to veto unconditionally. NeighborWatchRB never needs that:
+// a member with nothing committed watches only pre-stream positions,
+// which expect parity 1.
 package twobit
 
 import (
@@ -58,18 +78,8 @@ var kindOf = [NumRounds]radio.FrameKind{
 	R5: radio.KindVeto, R6: radio.KindVeto,
 }
 
-// act is a role's radio action in sub-round sub: listen when the role
-// listens, else transmit or sleep as tx says. The frame kind is the
-// sub-round's, whatever the action.
-func act(sub int, listens, tx bool) (sim.Action, radio.FrameKind) {
-	switch {
-	case listens:
-		return sim.Listen, kindOf[sub]
-	case tx:
-		return sim.Transmit, kindOf[sub]
-	}
-	return sim.Sleep, kindOf[sub]
-}
+// vetoRounds holds R5 and R6 as a sub-round mask.
+const vetoRounds = 1<<R5 | 1<<R6
 
 // Outcome is the result of one 2Bit exchange.
 type Outcome uint8
@@ -95,172 +105,145 @@ func (o Outcome) String() string {
 	}
 }
 
-// Sender is the sender role for one slot, transmitting bits (B1, B2).
-// A fresh sender is the literal Sender{B1: b1, B2: b2}; devices keep
-// one by value in their slot state and reset it at each slot start.
-type Sender struct {
-	B1, B2 bool
+// Role is a device's part in one exchange.
+type Role uint8
 
-	ack1, ack2 bool // activity observed in R2 / R4
-	sawR6      bool
-	seen       uint8 // bitmask of delivered observations
-}
+// Exchange roles.
+const (
+	Idle Role = iota
+	Sender
+	Receiver
+	Watcher
+)
 
-// Transmits reports whether the sender broadcasts in the given
-// sub-round. For R5 it is only valid once R2 and R4 observations have
-// been delivered.
-func (s *Sender) Transmits(sub int) bool {
-	switch sub {
-	case R1:
-		return s.B1
-	case R3:
-		return s.B2
-	case R5:
-		return s.vetoes()
-	default:
-		return false
+var roleNames = [...]string{Idle: "idle", Sender: "sender", Receiver: "receiver", Watcher: "watcher"}
+
+// String implements fmt.Stringer.
+func (r Role) String() string {
+	if int(r) < len(roleNames) {
+		return roleNames[r]
 	}
+	return fmt.Sprintf("Role(%d)", uint8(r))
 }
 
-// Act returns the sender's radio action for sub-round sub: it listens
-// in R2, R4 and R6 and transmits in R1, R3 and R5 when Transmits holds.
-func (s *Sender) Act(sub int) (sim.Action, radio.FrameKind) {
-	return act(sub, sub == R2 || sub == R4 || sub == R6, s.Transmits(sub))
-}
+// lastListen is the listening round after which a role's outcome is
+// known: R6 for a sender, R5 for a receiver. An idle device's and a
+// watcher's outcome stays Pending.
+var lastListen = [...]uint8{Idle: 0, Sender: 1 << R6, Receiver: 1 << R5, Watcher: 0}
 
-// vetoes evaluates the paper's four sender-veto conditions.
-func (s *Sender) vetoes() bool {
-	return (s.B1 != s.ack1) || (s.B2 != s.ack2)
-}
-
-// Observe delivers the channel activity for a listening sub-round
-// (R2, R4, R6).
-func (s *Sender) Observe(sub int, busy bool) {
-	switch sub {
-	case R2:
-		s.ack1 = busy
-	case R4:
-		s.ack2 = busy
-	case R6:
-		s.sawR6 = busy
-	default:
-		panic(fmt.Sprintf("twobit: sender Observe in sub-round %d", sub))
-	}
-	s.seen |= 1 << uint(sub)
-}
-
-// Outcome returns the sender's result; it is Pending until the R6
-// observation has been delivered. The sender succeeds iff it did not
-// veto and R6 was silent.
-func (s *Sender) Outcome() Outcome {
-	if s.seen&(1<<R6) == 0 {
-		return Pending
-	}
-	if s.sawR6 || s.vetoes() {
-		return Failure
-	}
-	return Success
-}
-
-// Receiver is the receiver role for one slot. The zero Receiver is a
-// fresh one.
-type Receiver struct {
-	est1, est2 bool // activity observed in R1 / R3
-	sawVeto    bool // activity observed in R5
-	seen       uint8
-}
-
-// Transmits reports whether the receiver broadcasts in the given
-// sub-round: acknowledgements in R2/R4 echo sensed activity, and R6
-// relays a sensed veto back to the sender.
-func (r *Receiver) Transmits(sub int) bool {
-	switch sub {
-	case R2:
-		return r.est1
-	case R4:
-		return r.est2
-	case R6:
-		return r.sawVeto
-	default:
-		return false
-	}
-}
-
-// Act returns the receiver's radio action for sub-round sub: it listens
-// in R1, R3 and R5 and transmits in R2, R4 and R6 when Transmits holds.
-func (r *Receiver) Act(sub int) (sim.Action, radio.FrameKind) {
-	return act(sub, sub == R1 || sub == R3 || sub == R5, r.Transmits(sub))
-}
-
-// Observe delivers the channel activity for a listening sub-round
-// (R1, R3, R5).
-func (r *Receiver) Observe(sub int, busy bool) {
-	switch sub {
-	case R1:
-		r.est1 = busy
-	case R3:
-		r.est2 = busy
-	case R5:
-		r.sawVeto = busy
-	default:
-		panic(fmt.Sprintf("twobit: receiver Observe in sub-round %d", sub))
-	}
-	r.seen |= 1 << uint(sub)
-}
-
-// Outcome returns the receiver's result; it is Pending until the R5
-// observation has been delivered. On Success, Bits returns the estimate.
-func (r *Receiver) Outcome() Outcome {
-	if r.seen&(1<<R5) == 0 {
-		return Pending
-	}
-	if r.sawVeto {
-		return Failure
-	}
-	return Success
-}
-
-// Bits returns the receiver's estimate of the transmitted pair. Only
-// meaningful when Outcome is Success.
-func (r *Receiver) Bits() (b1, b2 bool) { return r.est1, r.est2 }
-
-// Watcher is NeighborWatchRB's in-square monitor: a square member that
-// has not committed the bit its square is attempting to send. It listens
-// through R1..R4 and, upon any activity, broadcasts in both veto rounds,
-// failing the exchange for receivers (R5) and for co-senders (R6).
+// Exchange is one device's part in one 2Bit exchange. The zero value
+// is Idle; Send, Receive and Watch start the other roles. Devices keep
+// one by value in their slot state and replace it at each slot start.
 //
-// The zero Watcher is a fresh, activity-triggered one. That suffices
-// only while the pair being sent cannot legitimately be all-silent. An
-// even-parity position, whose encoding is ⟨0,data⟩, transmits nothing
-// for data 0, so a Byzantine square-mate could "send" a 0-bit by pure
-// silence, which no veto can distinguish after the fact; a watcher of
-// such a position would have to veto unconditionally. NeighborWatchRB
-// never needs that: a member with nothing committed watches only
-// pre-stream positions, which expect parity 1.
-type Watcher struct {
-	sawAny bool
+// It is two sub-round masks. The listening rounds are fixed by the
+// role; the transmitting rounds start from a sender's bits and grow as
+// activity is sensed, so Act is two bit tests.
+type Exchange struct {
+	role   Role
+	listen uint8 // sub-rounds the role listens in
+	tx     uint8 // sub-rounds it transmits in, given what it has sensed
+	busy   uint8 // listening sub-rounds in which activity was sensed
+	seen   uint8 // listening sub-rounds observed so far
 }
 
-// Transmits reports whether the watcher jams the given sub-round.
-func (w *Watcher) Transmits(sub int) bool {
-	return (sub == R5 || sub == R6) && w.sawAny
+// Send starts a sender exchange for the bits (b1, b2).
+func Send(b1, b2 bool) Exchange {
+	e := Exchange{role: Sender, listen: 1<<R2 | 1<<R4 | 1<<R6}
+	if b1 {
+		e.tx |= 1 << R1
+	}
+	if b2 {
+		e.tx |= 1 << R3
+	}
+	e.veto()
+	return e
 }
 
-// Act returns the watcher's radio action for sub-round sub: it listens
-// in R1..R4, data and acknowledgement rounds alike (an acknowledgement
-// also means someone sent data), and jams R5 and R6 when Transmits
-// holds.
-func (w *Watcher) Act(sub int) (sim.Action, radio.FrameKind) {
-	return act(sub, sub <= R4, w.Transmits(sub))
+// Receive starts a receiver exchange.
+func Receive() Exchange {
+	return Exchange{role: Receiver, listen: 1<<R1 | 1<<R3 | 1<<R5}
 }
 
-// Observe delivers channel activity for the monitoring rounds R1..R4.
-func (w *Watcher) Observe(sub int, busy bool) {
-	if sub >= R1 && sub <= R4 && busy {
-		w.sawAny = true
+// Watch starts an activity-triggered watcher exchange.
+func Watch() Exchange {
+	return Exchange{role: Watcher, listen: 1<<R1 | 1<<R2 | 1<<R3 | 1<<R4}
+}
+
+// Role returns the exchange's role.
+func (e *Exchange) Role() Role { return e.role }
+
+// Act returns the radio action for sub-round sub: listen when the role
+// listens, else transmit or sleep. The frame kind is the sub-round's,
+// whatever the action.
+func (e *Exchange) Act(sub int) (sim.Action, radio.FrameKind) {
+	switch bit := uint8(1) << uint(sub); {
+	case e.listen&bit != 0:
+		return sim.Listen, kindOf[sub]
+	case e.tx&bit != 0:
+		return sim.Transmit, kindOf[sub]
+	}
+	return sim.Sleep, kindOf[sub]
+}
+
+// Observe records the channel activity sensed in a listening sub-round
+// and returns the outcome so far. It panics for a sub-round the role
+// does not listen in.
+//
+// What was sensed decides the later transmissions: a receiver echoes
+// R1, R3 and R5 in the round after; a watcher transmits in R5 and R6
+// after any activity; a sender vetoes in R5 when the R2/R4
+// acknowledgements contradict its bits.
+func (e *Exchange) Observe(sub int, busy bool) Outcome {
+	bit := uint8(1) << uint(sub)
+	if e.listen&bit == 0 {
+		panic(fmt.Sprintf("twobit: %v Observe in sub-round %d", e.role, sub))
+	}
+	e.seen |= bit
+	if busy {
+		e.busy |= bit
+	}
+	switch e.role {
+	case Sender:
+		e.veto()
+	case Receiver:
+		e.tx = e.busy << 1
+	case Watcher:
+		if e.busy != 0 {
+			e.tx = vetoRounds
+		}
+	}
+	return e.Outcome()
+}
+
+// veto sets a sender's R5 transmission by the paper's four sender-veto
+// conditions: an acknowledgement sensed in R2 (R4) must match the bit
+// sent in R1 (R3).
+func (e *Exchange) veto() {
+	e.tx &^= 1 << R5
+	if (e.tx<<1^e.busy)&(1<<R2|1<<R4) != 0 {
+		e.tx |= 1 << R5
 	}
 }
 
-// Blocked reports whether the watcher detected (and therefore blocked)
-// a transmission attempt.
-func (w *Watcher) Blocked() bool { return w.sawAny }
+// Outcome returns the exchange's result. It is Pending until the role's
+// last listening round has been observed: R6 for a sender, R5 for a
+// receiver. A watcher's and an idle exchange's outcome stays Pending.
+// The exchange fails iff a veto round carried activity it sent or
+// sensed: a sender's own veto or a relayed one in R6, or a veto sensed
+// by a receiver in R5.
+func (e *Exchange) Outcome() Outcome {
+	switch {
+	case e.seen&lastListen[e.role] == 0:
+		return Pending
+	case (e.tx|e.busy)&vetoRounds != 0:
+		return Failure
+	}
+	return Success
+}
+
+// Bits returns a receiver's estimate of the transmitted pair: the
+// activity it sensed in R1 and R3. Only meaningful when Outcome is
+// Success.
+func (e *Exchange) Bits() (b1, b2 bool) {
+	return e.busy&(1<<R1) != 0, e.busy&(1<<R3) != 0
+}

@@ -8,78 +8,65 @@ import (
 	"authradio/internal/sim"
 )
 
-// neighborhood simulates one schedule slot in a single shared
+// play runs the six rounds of one schedule slot in a single shared
 // neighborhood: every party hears every other party, and an adversary
 // may broadcast in any subset of the six rounds (jamMask bit r = jam in
-// sub-round r). This is exactly the paper's analytical single-hop model:
-// activity is sensed whenever at least one other party transmits.
+// sub-round r). This is exactly the paper's analytical single-hop
+// model: a listener senses activity whenever at least one other party
+// transmits. (Radios are half-duplex, so a listener is never among the
+// transmitters.)
+func play(jamMask uint8, parties []*Exchange) {
+	acts := make([]sim.Action, len(parties))
+	for sub := 0; sub < NumRounds; sub++ {
+		busy := jamMask&(1<<uint(sub)) != 0
+		for i, p := range parties {
+			acts[i], _ = p.Act(sub)
+			busy = busy || acts[i] == sim.Transmit
+		}
+		for i, p := range parties {
+			if acts[i] == sim.Listen {
+				p.Observe(sub, busy)
+			}
+		}
+	}
+}
+
+// neighborhood is one sender with its receivers and watchers.
 type neighborhood struct {
-	sender    *Sender
-	receivers []*Receiver
-	watchers  []*Watcher
+	sender    *Exchange
+	receivers []*Exchange
+	watchers  []*Exchange
 	jamMask   uint8
 }
 
-// run plays the six rounds and returns the per-party transmit counts
-// (for the energy theorem).
 func (n *neighborhood) run() {
-	for sub := 0; sub < NumRounds; sub++ {
-		// Collect transmissions.
-		senderTx := n.sender != nil && n.sender.Transmits(sub)
-		rxTx := make([]bool, len(n.receivers))
-		for i, r := range n.receivers {
-			rxTx[i] = r.Transmits(sub)
-		}
-		wTx := make([]bool, len(n.watchers))
-		for i, w := range n.watchers {
-			wTx[i] = w.Transmits(sub)
-		}
-		jam := n.jamMask&(1<<uint(sub)) != 0
+	parties := append([]*Exchange{n.sender}, n.receivers...)
+	play(n.jamMask, append(parties, n.watchers...))
+}
 
-		anyRx := false
-		for _, t := range rxTx {
-			anyRx = anyRx || t
-		}
-		anyW := false
-		for _, t := range wTx {
-			anyW = anyW || t
-		}
+func sender(b1, b2 bool) *Exchange {
+	e := Send(b1, b2)
+	return &e
+}
 
-		// Deliver observations: each listener senses activity if any
-		// OTHER party transmitted. (Transmitting parties are
-		// half-duplex and observe nothing, matching the engine.)
-		if n.sender != nil && !senderTx {
-			if sub == R2 || sub == R4 || sub == R6 {
-				n.sender.Observe(sub, anyRx || anyW || jam)
-			}
-		}
-		for i, r := range n.receivers {
-			if rxTx[i] {
-				continue
-			}
-			if sub == R1 || sub == R3 || sub == R5 {
-				others := anyW || jam || senderTx
-				for j, t := range rxTx {
-					if j != i && t {
-						others = true
-					}
-				}
-				r.Observe(sub, others)
-			}
-		}
-		for i, w := range n.watchers {
-			if wTx[i] || sub > R4 {
-				continue
-			}
-			others := anyRx || jam || senderTx
-			for j, t := range wTx {
-				if j != i && t {
-					others = true
-				}
-			}
-			w.Observe(sub, others)
-		}
+func receivers(n int) []*Exchange {
+	out := make([]*Exchange, n)
+	for i := range out {
+		e := Receive()
+		out[i] = &e
 	}
+	return out
+}
+
+// watcher returns an activity-triggered watcher or, if unconditional,
+// one that starts as if it had sensed activity: it vetoes whatever is
+// sent, the all-silent pair included (see the package doc).
+func watcher(unconditional bool) *Exchange {
+	e := Watch()
+	if unconditional {
+		e.tx = vetoRounds
+	}
+	return &e
 }
 
 func pairs() [][2]bool {
@@ -91,10 +78,7 @@ func pairs() [][2]bool {
 func TestCleanExchangeDelivers(t *testing.T) {
 	for _, p := range pairs() {
 		for nrx := 1; nrx <= 4; nrx++ {
-			n := &neighborhood{sender: &Sender{B1: p[0], B2: p[1]}}
-			for i := 0; i < nrx; i++ {
-				n.receivers = append(n.receivers, &Receiver{})
-			}
+			n := &neighborhood{sender: sender(p[0], p[1]), receivers: receivers(nrx)}
 			n.run()
 			if n.sender.Outcome() != Success {
 				t.Fatalf("pair %v nrx=%d: sender outcome %v", p, nrx, n.sender.Outcome())
@@ -119,10 +103,7 @@ func TestTheorem1Authenticity(t *testing.T) {
 	for _, p := range pairs() {
 		for nrx := 1; nrx <= 3; nrx++ {
 			for jam := uint8(0); jam < 1<<NumRounds; jam++ {
-				n := &neighborhood{sender: &Sender{B1: p[0], B2: p[1]}, jamMask: jam}
-				for i := 0; i < nrx; i++ {
-					n.receivers = append(n.receivers, &Receiver{})
-				}
+				n := &neighborhood{sender: sender(p[0], p[1]), receivers: receivers(nrx), jamMask: jam}
 				n.run()
 				for i, r := range n.receivers {
 					if r.Outcome() != Success {
@@ -146,10 +127,7 @@ func TestTheorem1Termination(t *testing.T) {
 	for _, p := range pairs() {
 		for nrx := 1; nrx <= 3; nrx++ {
 			for jam := uint8(0); jam < 1<<NumRounds; jam++ {
-				n := &neighborhood{sender: &Sender{B1: p[0], B2: p[1]}, jamMask: jam}
-				for i := 0; i < nrx; i++ {
-					n.receivers = append(n.receivers, &Receiver{})
-				}
+				n := &neighborhood{sender: sender(p[0], p[1]), receivers: receivers(nrx), jamMask: jam}
 				n.run()
 				if n.sender.Outcome() != Success {
 					continue
@@ -171,10 +149,7 @@ func TestTheorem1Termination(t *testing.T) {
 func TestTheorem1Energy(t *testing.T) {
 	for _, p := range pairs() {
 		for nrx := 1; nrx <= 3; nrx++ {
-			n := &neighborhood{sender: &Sender{B1: p[0], B2: p[1]}}
-			for i := 0; i < nrx; i++ {
-				n.receivers = append(n.receivers, &Receiver{})
-			}
+			n := &neighborhood{sender: sender(p[0], p[1]), receivers: receivers(nrx)}
 			n.run()
 			if n.sender.Outcome() == Failure {
 				t.Fatalf("pair %v: failure without Byzantine broadcast", p)
@@ -190,58 +165,20 @@ func TestTheorem1Energy(t *testing.T) {
 
 // Multiple honest co-senders with identical bits behave as one
 // meta-sender: the exchange still succeeds. (This is how a
-// NeighborWatchRB square transmits.)
+// NeighborWatchRB square transmits.) A co-sender hears the other
+// co-senders too; with identical bits they transmit in the same
+// rounds, so the only R2/R4/R6 activity is receiver acknowledgements.
 func TestCoSendersAgreeingSucceed(t *testing.T) {
 	for _, p := range pairs() {
-		senders := []*Sender{{B1: p[0], B2: p[1]}, {B1: p[0], B2: p[1]}, {B1: p[0], B2: p[1]}}
-		receivers := []*Receiver{{}, {}}
-		for sub := 0; sub < NumRounds; sub++ {
-			var sTx []bool
-			anyS := false
-			for _, s := range senders {
-				tx := s.Transmits(sub)
-				sTx = append(sTx, tx)
-				anyS = anyS || tx
-			}
-			var rTx []bool
-			anyR := false
-			for _, r := range receivers {
-				tx := r.Transmits(sub)
-				rTx = append(rTx, tx)
-				anyR = anyR || tx
-			}
-			for i, s := range senders {
-				if !sTx[i] && (sub == R2 || sub == R4 || sub == R6) {
-					// A co-sender hears other co-senders too; with
-					// identical bits they transmit in the same rounds,
-					// so the only R2/R4/R6 activity is receiver acks.
-					others := anyR
-					for j, tx := range sTx {
-						if j != i && tx {
-							others = true
-						}
-					}
-					s.Observe(sub, others)
-				}
-			}
-			for i, r := range receivers {
-				if !rTx[i] && (sub == R1 || sub == R3 || sub == R5) {
-					others := anyS
-					for j, tx := range rTx {
-						if j != i && tx {
-							others = true
-						}
-					}
-					r.Observe(sub, others)
-				}
-			}
-		}
+		senders := []*Exchange{sender(p[0], p[1]), sender(p[0], p[1]), sender(p[0], p[1])}
+		rxs := receivers(2)
+		play(0, append(append([]*Exchange{}, senders...), rxs...))
 		for i, s := range senders {
 			if s.Outcome() != Success {
 				t.Fatalf("pair %v: co-sender %d outcome %v", p, i, s.Outcome())
 			}
 		}
-		for i, r := range receivers {
+		for i, r := range rxs {
 			if r.Outcome() != Success {
 				t.Fatalf("pair %v: receiver %d outcome %v", p, i, r.Outcome())
 			}
@@ -261,31 +198,16 @@ func TestCoSendersConflictingFail(t *testing.T) {
 			if pa == pb {
 				continue
 			}
-			a := &Sender{B1: pa[0], B2: pa[1]}
-			b := &Sender{B1: pb[0], B2: pb[1]}
-			rx := &Receiver{}
-			for sub := 0; sub < NumRounds; sub++ {
-				aTx, bTx, rTx := a.Transmits(sub), b.Transmits(sub), rx.Transmits(sub)
-				if !aTx && (sub == R2 || sub == R4 || sub == R6) {
-					a.Observe(sub, bTx || rTx)
-				}
-				if !bTx && (sub == R2 || sub == R4 || sub == R6) {
-					b.Observe(sub, aTx || rTx)
-				}
-				if !rTx && (sub == R1 || sub == R3 || sub == R5) {
-					rx.Observe(sub, aTx || bTx)
-				}
-			}
+			rx := receivers(1)[0]
+			play(0, []*Exchange{sender(pa[0], pa[1]), sender(pb[0], pb[1]), rx})
 			// The receiver must not succeed: conflicting senders
 			// guarantee some veto fires. (Senders may individually
 			// "fail" silently; the receiver outcome is what gates
-			// data acceptance.)
+			// data acceptance.) Success would decode the bitwise OR
+			// of both senders' activity, and by Theorem 1 it must
+			// simply not happen: conflicting acks force a veto in R5.
 			if rx.Outcome() == Success {
 				b1, b2 := rx.Bits()
-				// Success is tolerable only if the decoded pair is the
-				// bitwise OR (both senders' activity merged) AND both
-				// senders vetoed... but by Theorem 1 it must simply not
-				// happen: conflicting acks force a veto in R5.
 				t.Fatalf("conflicting co-senders %v vs %v: receiver succeeded with (%v,%v)", pa, pb, b1, b2)
 			}
 		}
@@ -300,12 +222,12 @@ func TestWatcherBlocksActivity(t *testing.T) {
 			continue // silent pair: covered by unconditional watcher test
 		}
 		n := &neighborhood{
-			sender:    &Sender{B1: p[0], B2: p[1]},
-			receivers: []*Receiver{{}},
-			watchers:  []*Watcher{{}},
+			sender:    sender(p[0], p[1]),
+			receivers: receivers(1),
+			watchers:  []*Exchange{watcher(false)},
 		}
 		n.run()
-		if !n.watchers[0].Blocked() {
+		if act, _ := n.watchers[0].Act(R5); act != sim.Transmit {
 			t.Fatalf("pair %v: watcher did not detect activity", p)
 		}
 		if n.receivers[0].Outcome() != Failure {
@@ -322,9 +244,9 @@ func TestWatcherBlocksActivity(t *testing.T) {
 // exists precisely for that case.
 func TestWatcherSilentPair(t *testing.T) {
 	n := &neighborhood{
-		sender:    &Sender{B1: false, B2: false},
-		receivers: []*Receiver{{}},
-		watchers:  []*Watcher{{}},
+		sender:    sender(false, false),
+		receivers: receivers(1),
+		watchers:  []*Exchange{watcher(false)},
 	}
 	n.run()
 	if n.receivers[0].Outcome() != Success {
@@ -332,9 +254,9 @@ func TestWatcherSilentPair(t *testing.T) {
 	}
 
 	n = &neighborhood{
-		sender:    &Sender{B1: false, B2: false},
-		receivers: []*Receiver{{}},
-		watchers:  []*Watcher{{sawAny: true}},
+		sender:    sender(false, false),
+		receivers: receivers(1),
+		watchers:  []*Exchange{watcher(true)},
 	}
 	n.run()
 	if n.receivers[0].Outcome() != Failure {
@@ -351,9 +273,9 @@ func TestAuthenticityWithWatchers(t *testing.T) {
 		for jam := uint8(0); jam < 1<<NumRounds; jam++ {
 			for _, uncond := range []bool{false, true} {
 				n := &neighborhood{
-					sender:    &Sender{B1: p[0], B2: p[1]},
-					receivers: []*Receiver{{}},
-					watchers:  []*Watcher{{sawAny: uncond}},
+					sender:    sender(p[0], p[1]),
+					receivers: receivers(1),
+					watchers:  []*Exchange{watcher(uncond)},
 				}
 				n.jamMask = jam
 				n.run()
@@ -368,40 +290,64 @@ func TestAuthenticityWithWatchers(t *testing.T) {
 	}
 }
 
+// TestOutcomePendingBeforeObservations checks the outcome Observe
+// returns in each listening round of each role: Pending until a
+// sender's R6 or a receiver's R5, then Success or Failure as that
+// round was silent or busy; always Pending for a watcher and for an
+// idle exchange, which observes nothing.
 func TestOutcomePendingBeforeObservations(t *testing.T) {
-	s := &Sender{B1: true, B2: false}
-	if s.Outcome() != Pending {
-		t.Error("sender outcome should be pending initially")
+	type step struct {
+		sub  int
+		busy bool
+		want Outcome
 	}
-	r := &Receiver{}
-	if r.Outcome() != Pending {
-		t.Error("receiver outcome should be pending initially")
+	cases := []struct {
+		name  string
+		x     Exchange
+		steps []step
+	}{
+		{"sender", Send(true, false), []step{{R2, true, Pending}, {R4, false, Pending}, {R6, false, Success}}},
+		{"vetoed sender", Send(true, false), []step{{R2, true, Pending}, {R4, false, Pending}, {R6, true, Failure}}},
+		{"receiver", Receive(), []step{{R1, true, Pending}, {R3, false, Pending}, {R5, false, Success}}},
+		{"vetoed receiver", Receive(), []step{{R1, true, Pending}, {R3, false, Pending}, {R5, true, Failure}}},
+		{"watcher", Watch(), []step{{R1, true, Pending}, {R2, true, Pending}, {R3, false, Pending}, {R4, true, Pending}}},
+		{"idle", Exchange{}, nil},
 	}
-	r.Observe(R1, true)
-	r.Observe(R3, false)
-	if r.Outcome() != Pending {
-		t.Error("receiver outcome should be pending before R5")
-	}
-	r.Observe(R5, false)
-	if r.Outcome() != Success {
-		t.Error("receiver should succeed after silent R5")
+	for _, c := range cases {
+		x := c.x
+		if got := x.Outcome(); got != Pending {
+			t.Errorf("%s: initial outcome %v, want pending", c.name, got)
+		}
+		for _, s := range c.steps {
+			if got := x.Observe(s.sub, s.busy); got != s.want {
+				t.Errorf("%s: Observe(%d, %v) = %v, want %v", c.name, s.sub, s.busy, got, s.want)
+			}
+			if got := x.Outcome(); got != s.want {
+				t.Errorf("%s: Outcome after sub-round %d = %v, want %v", c.name, s.sub, got, s.want)
+			}
+		}
 	}
 }
 
+// TestObservePanicsOnWrongRound observes every role, Idle included, in
+// each sub-round it does not listen in: a sender in R1/R3/R5, a
+// receiver in R2/R4/R6, a watcher in R5/R6 and an idle exchange in
+// every round.
 func TestObservePanicsOnWrongRound(t *testing.T) {
-	cases := []func(){
-		func() { (&Sender{B1: true, B2: true}).Observe(R1, true) },
-		func() { (&Receiver{}).Observe(R2, true) },
-	}
-	for i, f := range cases {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("case %d: no panic", i)
-				}
+	for _, x := range []Exchange{Send(true, true), Receive(), Watch(), {}} {
+		for sub := 0; sub < NumRounds; sub++ {
+			if paperListens[x.Role()]&(1<<sub) != 0 {
+				continue
+			}
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%v Observe in sub-round %d: no panic", x.Role(), sub)
+					}
+				}()
+				x.Observe(sub, true)
 			}()
-			f()
-		}()
+		}
 	}
 }
 
@@ -409,6 +355,11 @@ func TestOutcomeString(t *testing.T) {
 	for o, want := range map[Outcome]string{Pending: "pending", Success: "success", Failure: "failure", Outcome(7): "Outcome(7)"} {
 		if o.String() != want {
 			t.Errorf("Outcome(%d).String() = %q", o, o)
+		}
+	}
+	for r, want := range map[Role]string{Idle: "idle", Sender: "sender", Receiver: "receiver", Watcher: "watcher", Role(9): "Role(9)"} {
+		if r.String() != want {
+			t.Errorf("Role(%d).String() = %q", r, r)
 		}
 	}
 }
@@ -420,10 +371,7 @@ func TestOutcomeString(t *testing.T) {
 func TestQuickTheorem1(t *testing.T) {
 	f := func(b1, b2 bool, jam uint8, nrxRaw uint8) bool {
 		nrx := 1 + int(nrxRaw%5)
-		n := &neighborhood{sender: &Sender{B1: b1, B2: b2}, jamMask: jam & ((1 << NumRounds) - 1)}
-		for i := 0; i < nrx; i++ {
-			n.receivers = append(n.receivers, &Receiver{})
-		}
+		n := &neighborhood{sender: sender(b1, b2), receivers: receivers(nrx), jamMask: jam & ((1 << NumRounds) - 1)}
 		n.run()
 		for _, r := range n.receivers {
 			if r.Outcome() == Success {
@@ -452,58 +400,95 @@ func TestQuickTheorem1(t *testing.T) {
 
 func BenchmarkExchange(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		n := &neighborhood{sender: &Sender{B1: true, B2: false}, receivers: []*Receiver{{}, {}}}
+		n := &neighborhood{sender: sender(true, false), receivers: receivers(2)}
 		n.run()
 	}
 }
 
-// TestActMatchesTransmits checks each role's radio action against
-// Transmits in every reachable state: the sender listens in R2, R4 and
-// R6, the receiver in R1, R3 and R5, the watcher in R1..R4, and in every
-// other sub-round a role transmits iff Transmits holds. The frame kind
-// is the sub-round's: data in R1/R3, ack in R2/R4, veto in R5/R6.
-func TestActMatchesTransmits(t *testing.T) {
+// paperListens is the paper's six-round table of who listens in which
+// sub-round (bit r = sub-round r). The sender listens for the
+// acknowledgements and the relayed veto, the receiver for the data and
+// the veto, and the watcher through the data and acknowledgement
+// rounds; an idle device never listens.
+var paperListens = map[Role]uint8{
+	Idle:     0,
+	Sender:   1<<R2 | 1<<R4 | 1<<R6,
+	Receiver: 1<<R1 | 1<<R3 | 1<<R5,
+	Watcher:  1<<R1 | 1<<R2 | 1<<R3 | 1<<R4,
+}
+
+// paperTransmits is the rest of the table: whether role transmits in
+// sub-round sub, given the sender's bits (b1, b2) and the activity
+// sensed in earlier sub-rounds (bit r of sensed = activity in r). An
+// unconditional watcher behaves as if it had sensed activity.
+func paperTransmits(role Role, b1, b2, unconditional bool, sensed uint8, sub int) bool {
+	heard := func(r int) bool { return sensed&(1<<r) != 0 }
+	switch role {
+	case Sender:
+		switch sub {
+		case R1:
+			return b1
+		case R3:
+			return b2
+		case R5: // the four sender-veto conditions
+			return b1 && !heard(R2) || !b1 && heard(R2) || b2 && !heard(R4) || !b2 && heard(R4)
+		}
+	case Receiver:
+		switch sub {
+		case R2:
+			return heard(R1)
+		case R4:
+			return heard(R3)
+		case R6:
+			return heard(R5)
+		}
+	case Watcher:
+		return (sub == R5 || sub == R6) && (unconditional || sensed != 0)
+	}
+	return false
+}
+
+// TestActMatchesPaperTable checks Act against the paper's six-round
+// table (paperListens, paperTransmits) for every role, Idle included,
+// in every sub-round of every reachable observation history: any
+// pattern of activity over the rounds the role listens in, observed
+// one round at a time. The frame kind is the sub-round's: data in
+// R1/R3, ack in R2/R4, veto in R5/R6.
+func TestActMatchesPaperTable(t *testing.T) {
 	kinds := [NumRounds]radio.FrameKind{radio.KindData, radio.KindAck, radio.KindData, radio.KindAck, radio.KindVeto, radio.KindVeto}
-	type role interface {
-		Act(sub int) (sim.Action, radio.FrameKind)
-		Transmits(sub int) bool
+	type start struct {
+		x             Exchange
+		b1, b2        bool
+		unconditional bool
 	}
-	// listens has bit sub set for each sub-round the role listens in.
-	check := func(name string, r role, listens uint8) {
-		t.Helper()
-		for sub := 0; sub < NumRounds; sub++ {
-			want := sim.Sleep
-			switch {
-			case listens&(1<<sub) != 0:
-				want = sim.Listen
-			case r.Transmits(sub):
-				want = sim.Transmit
-			}
-			if act, kind := r.Act(sub); act != want || kind != kinds[sub] {
-				t.Errorf("%s sub-round %d: Act = (%v, %v), want (%v, %v)", name, sub, act, kind, want, kinds[sub])
-			}
-		}
-	}
+	starts := []start{{x: Exchange{}}, {x: Receive()}, {x: Watch()}, {x: *watcher(true), unconditional: true}}
 	for _, p := range pairs() {
-		for _, acks := range pairs() {
-			s := &Sender{B1: p[0], B2: p[1]}
-			s.Observe(R2, acks[0])
-			s.Observe(R4, acks[1])
-			check("sender", s, 1<<R2|1<<R4|1<<R6)
-		}
+		starts = append(starts, start{x: Send(p[0], p[1]), b1: p[0], b2: p[1]})
 	}
-	for heard := 0; heard < 8; heard++ {
-		r := &Receiver{}
-		r.Observe(R1, heard&1 != 0)
-		r.Observe(R3, heard&2 != 0)
-		r.Observe(R5, heard&4 != 0)
-		check("receiver", r, 1<<R1|1<<R3|1<<R5)
-	}
-	for _, unconditional := range []bool{false, true} {
-		for _, busy := range []bool{false, true} {
-			w := &Watcher{sawAny: unconditional}
-			w.Observe(R3, busy)
-			check("watcher", w, 1<<R1|1<<R2|1<<R3|1<<R4)
+	for _, st := range starts {
+		role := st.x.Role()
+		listens := paperListens[role]
+		for history := uint8(0); history < 1<<NumRounds; history++ {
+			if history&^listens != 0 {
+				continue // activity in a round the role does not listen in
+			}
+			x := st.x
+			for sub := 0; sub < NumRounds; sub++ {
+				want := sim.Sleep
+				switch {
+				case listens&(1<<sub) != 0:
+					want = sim.Listen
+				case paperTransmits(role, st.b1, st.b2, st.unconditional, history&(1<<sub-1), sub):
+					want = sim.Transmit
+				}
+				if act, kind := x.Act(sub); act != want || kind != kinds[sub] {
+					t.Errorf("%v (bits %v,%v unconditional %v) history %06b sub-round %d: Act = (%v, %v), want (%v, %v)",
+						role, st.b1, st.b2, st.unconditional, history, sub, act, kind, want, kinds[sub])
+				}
+				if want == sim.Listen {
+					x.Observe(sub, history&(1<<sub) != 0)
+				}
+			}
 		}
 	}
 }
