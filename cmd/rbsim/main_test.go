@@ -93,16 +93,8 @@ func TestMain(m *testing.M) {
 // -msglen does, instead of panicking while building the map. A -grid
 // map ignores -nodes.
 func TestBadNodesExit2(t *testing.T) {
-	run := func(args ...string) (string, error) {
-		cmd := exec.Command(os.Args[0], args...)
-		cmd.Env = append(os.Environ(), "RBSIM_MAIN=1")
-		var stderr strings.Builder
-		cmd.Stderr = &stderr
-		err := cmd.Run()
-		return stderr.String(), err
-	}
 	for _, n := range []string{"0", "-5"} {
-		stderr, err := run("-nodes", n)
+		stderr, err := runRbsim("-nodes", n)
 		var exit *exec.ExitError
 		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
 			t.Errorf("-nodes %s: exit %v, want status 2", n, err)
@@ -111,7 +103,39 @@ func TestBadNodesExit2(t *testing.T) {
 			t.Errorf("-nodes %s: stderr %q, want %q", n, stderr, want)
 		}
 	}
-	if stderr, err := run("-grid", "3", "-nodes", "0"); err != nil {
+	if stderr, err := runRbsim("-grid", "3", "-nodes", "0"); err != nil {
 		t.Errorf("-grid 3 -nodes 0: %v: %s", err, stderr)
+	}
+}
+
+// runRbsim runs rbsim with args through TestMain and returns its standard
+// error.
+func runRbsim(args ...string) (string, error) {
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), "RBSIM_MAIN=1")
+	var stderr strings.Builder
+	cmd.Stderr = &stderr
+	err := cmd.Run()
+	return stderr.String(), err
+}
+
+// TestNonFiniteGeometryExit1 runs rbsim with an infinite or NaN range
+// and with an infinite map side: each must fail the deployment check
+// with exit status 1 and a one-line error, not panic in the spatial
+// index.
+func TestNonFiniteGeometryExit1(t *testing.T) {
+	for _, args := range [][]string{
+		{"-proto", "mp", "-t", "1", "-nodes", "30", "-side", "10", "-range", "Inf"},
+		{"-proto", "gossip", "-nodes", "30", "-side", "10", "-range", "NaN"},
+		{"-proto", "epidemic", "-nodes", "30", "-side", "Inf"},
+	} {
+		stderr, err := runRbsim(args...)
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+			t.Errorf("%v: exit %v, want status 1", args, err)
+		}
+		if strings.Contains(stderr, "panic:") || strings.Count(stderr, "\n") != 1 || !strings.HasPrefix(stderr, "topo: ") {
+			t.Errorf("%v: stderr %q, want one line from the deployment check", args, stderr)
+		}
 	}
 }

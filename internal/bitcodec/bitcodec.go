@@ -1,19 +1,21 @@
-// Package bitcodec defines the broadcast message representation, the
-// wire encoding of MultiPathRB's SOURCE/COMMIT/HEARD messages as even-
-// length bit frames, and the digest used by the paper's dual-mode
-// conjecture ("a small digest of each message is broadcast using a
-// protocol such as NeighborWatchRB").
+// Package bitcodec holds the bit strings the protocols handle, the
+// wire encoding of MultiPathRB's SOURCE/COMMIT/HEARD messages, and the
+// digest used by the paper's dual-mode conjecture ("a small digest of
+// each message is broadcast using a protocol such as NeighborWatchRB").
 //
-// MultiPathRB messages are tiny by design: "Each SOURCE, COMMIT and
-// HEARD message is of size O(1), consisting of an identifier indicating
-// its type, along with the value of the transmitted bit; the HEARD
-// message also includes the identifier of the node that caused the
-// HEARD message — the identifier can be encoded in O(log R) bits by its
-// relative location from the sender." We encode the cause by its
-// schedule slot (12 bits), which the receiver resolves to a unique
-// nearby device exactly as the paper prescribes: "a node identifies the
-// location of a message's sender based on the slot in the broadcast
-// schedule in which the message has been sent."
+// Every bit string in the protocol layer fits in one word, so one type,
+// Message, carries them all: broadcast payloads (the paper's are 4 and
+// 5 bits), the prefixes a node has committed or received, and protocol
+// frames. MultiPathRB messages are tiny by design: "Each SOURCE, COMMIT
+// and HEARD message is of size O(1), consisting of an identifier
+// indicating its type, along with the value of the transmitted bit; the
+// HEARD message also includes the identifier of the node that caused
+// the HEARD message — the identifier can be encoded in O(log R) bits by
+// its relative location from the sender." A frame is 10 or 22 bits. We
+// encode the cause by its schedule slot (12 bits), which the receiver
+// resolves to a unique nearby device exactly as the paper prescribes:
+// "a node identifies the location of a message's sender based on the
+// slot in the broadcast schedule in which the message has been sent."
 package bitcodec
 
 import (
@@ -21,8 +23,11 @@ import (
 	"hash/fnv"
 )
 
-// Message is a broadcast payload of up to 64 bits; the paper's
-// experiments use 4- and 5-bit messages.
+// Message is a bit string of up to 64 bits: bit i (0-based) is bit i of
+// Bits, LSB first, and the bits at or above Len are zero. A broadcast
+// payload has 1 to 64 bits (NewMessage checks the range); a prefix
+// being built, such as a frame mid-reception, may be the zero-length
+// zero value and grows with Append.
 type Message struct {
 	Bits uint64
 	Len  int
@@ -48,24 +53,17 @@ func (m Message) Bit(i int) bool {
 	return m.Bits&(1<<uint(i)) != 0
 }
 
-// Bools expands the message into a bit slice.
-func (m Message) Bools() []bool {
-	out := make([]bool, m.Len)
-	for i := range out {
-		out[i] = m.Bit(i)
+// Append returns m with b added as its last bit. It panics when m
+// already holds 64 bits.
+func (m Message) Append(b bool) Message {
+	if m.Len >= 64 {
+		panic("bitcodec: append beyond 64 bits")
 	}
-	return out
-}
-
-// FromBools packs a bit slice into a Message.
-func FromBools(bits []bool) Message {
-	var v uint64
-	for i, b := range bits {
-		if b {
-			v |= 1 << uint(i)
-		}
+	if b {
+		m.Bits |= 1 << uint(m.Len)
 	}
-	return NewMessage(v, len(bits))
+	m.Len++
+	return m
 }
 
 // Equal reports whether two messages are identical in length and bits.
@@ -123,12 +121,18 @@ func (t MsgType) String() string {
 	}
 }
 
-// Field widths of the wire encoding.
+// Field widths of the wire encoding. A frame holds, LSB first, the
+// type, the bit index, the bit value and, in a HEARD frame, the cause
+// slot, then one zero padding bit.
 const (
 	typeBits  = 2
 	indexBits = 6  // message bit index: messages up to 64 bits
 	valueBits = 1  // the transmitted bit value
 	slotBits  = 12 // schedule slot of a HEARD message's cause
+
+	indexAt = typeBits
+	valueAt = indexAt + indexBits
+	slotAt  = valueAt + valueBits
 
 	// ShortFrameLen is the frame length of SOURCE and COMMIT messages:
 	// 2+6+1 = 9 bits padded to the next even length.
@@ -151,115 +155,60 @@ type Msg struct {
 	CauseSlot int  // schedule slot of the COMMIT sender (Heard only)
 }
 
-// Encode serialises the message into an even-length bit frame suitable
+// Encode serialises the message into an even-length frame suitable
 // for onehop.FrameSender.
-func (m Msg) Encode() []bool {
+func (m Msg) Encode() Message {
 	if m.Index < 0 || m.Index > MaxIndex {
 		panic(fmt.Sprintf("bitcodec: index %d out of range", m.Index))
 	}
-	length := ShortFrameLen
+	f := Message{Bits: uint64(m.Type)&(1<<typeBits-1) | uint64(m.Index)<<indexAt, Len: ShortFrameLen}
+	if m.Value {
+		f.Bits |= 1 << valueAt
+	}
 	if m.Type == Heard {
 		if m.CauseSlot < 0 || m.CauseSlot > MaxSlot {
 			panic(fmt.Sprintf("bitcodec: cause slot %d out of range", m.CauseSlot))
 		}
-		length = HeardFrameLen
+		f.Bits |= uint64(m.CauseSlot) << slotAt
+		f.Len = HeardFrameLen
 	}
-	out := make([]bool, length)
-	w := writer{bits: out}
-	w.put(uint64(m.Type), typeBits)
-	w.put(uint64(m.Index), indexBits)
-	if m.Value {
-		w.put(1, valueBits)
-	} else {
-		w.put(0, valueBits)
-	}
-	if m.Type == Heard {
-		w.put(uint64(m.CauseSlot), slotBits)
-	}
-	return out
+	return f
 }
 
 // FrameLen is the onehop.FrameReceiver delimiter for this encoding: the
 // frame length becomes known as soon as the 2-bit type prefix has
 // arrived.
-func FrameLen(prefix []bool) (int, bool) {
-	if len(prefix) < typeBits {
+func FrameLen(prefix Message) (int, bool) {
+	if prefix.Len < typeBits {
 		return 0, false
 	}
-	if typeOf(prefix) == Heard {
+	if MsgType(prefix.Bits&(1<<typeBits-1)) == Heard {
 		return HeardFrameLen, true
 	}
 	return ShortFrameLen, true
 }
 
-func typeOf(prefix []bool) MsgType {
-	v := uint8(0)
-	if prefix[0] {
-		v |= 1
+// Decode parses a frame produced by Encode, ignoring its padding bit.
+// It returns an error for frames with an unknown type or wrong length
+// (e.g. assembled from a Byzantine transmission pattern).
+func Decode(frame Message) (Msg, error) {
+	if frame.Len < typeBits {
+		return Msg{}, fmt.Errorf("bitcodec: frame too short (%d bits)", frame.Len)
 	}
-	if prefix[1] {
-		v |= 2
-	}
-	return MsgType(v)
-}
-
-// Decode parses a frame produced by Encode. It returns an error for
-// frames with an unknown type or wrong length (e.g. assembled from a
-// Byzantine transmission pattern).
-func Decode(frame []bool) (Msg, error) {
-	if len(frame) < typeBits {
-		return Msg{}, fmt.Errorf("bitcodec: frame too short (%d bits)", len(frame))
-	}
-	t := typeOf(frame)
-	want := ShortFrameLen
-	if t == Heard {
-		want = HeardFrameLen
-	}
-	if t != Source && t != Commit && t != Heard {
+	t := MsgType(frame.Bits & (1<<typeBits - 1))
+	if t > Heard {
 		return Msg{}, fmt.Errorf("bitcodec: unknown message type %d", t)
 	}
-	if len(frame) != want {
-		return Msg{}, fmt.Errorf("bitcodec: %v frame has %d bits, want %d", t, len(frame), want)
+	if want, _ := FrameLen(frame); frame.Len != want {
+		return Msg{}, fmt.Errorf("bitcodec: %v frame has %d bits, want %d", t, frame.Len, want)
 	}
-	r := reader{bits: frame}
-	r.skip(typeBits)
-	m := Msg{Type: t}
-	m.Index = int(r.get(indexBits))
-	m.Value = r.get(valueBits) == 1
+	m := Msg{
+		Type:  t,
+		Index: int(frame.Bits>>indexAt) & MaxIndex,
+		Value: frame.Bits>>valueAt&1 == 1,
+	}
 	if t == Heard {
-		m.CauseSlot = int(r.get(slotBits))
+		m.CauseSlot = int(frame.Bits>>slotAt) & MaxSlot
 	}
 	return m, nil
-}
-
-// writer packs little-endian bit fields into a bool slice.
-type writer struct {
-	bits []bool
-	pos  int
-}
-
-func (w *writer) put(v uint64, n int) {
-	for i := 0; i < n; i++ {
-		w.bits[w.pos] = v&(1<<uint(i)) != 0
-		w.pos++
-	}
-}
-
-// reader unpacks little-endian bit fields from a bool slice.
-type reader struct {
-	bits []bool
-	pos  int
-}
-
-func (r *reader) skip(n int) { r.pos += n }
-
-func (r *reader) get(n int) uint64 {
-	var v uint64
-	for i := 0; i < n; i++ {
-		if r.bits[r.pos] {
-			v |= 1 << uint(i)
-		}
-		r.pos++
-	}
-	return v
 }

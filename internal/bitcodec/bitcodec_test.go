@@ -19,8 +19,12 @@ func TestMessageBasics(t *testing.T) {
 	if m.String() != "1101" {
 		t.Errorf("String = %q", m.String())
 	}
-	if got := FromBools(m.Bools()); !got.Equal(m) {
-		t.Errorf("Bools round trip: %+v", got)
+	var built Message
+	for _, w := range wantBits {
+		built = built.Append(w)
+	}
+	if !built.Equal(m) {
+		t.Errorf("Append built %+v, want %+v", built, m)
 	}
 }
 
@@ -41,6 +45,7 @@ func TestMessagePanics(t *testing.T) {
 		func() { NewMessage(0, 65) },
 		func() { NewMessage(1, 4).Bit(4) },
 		func() { NewMessage(1, 4).Bit(-1) },
+		func() { NewMessage(0, 64).Append(false) },
 	} {
 		func() {
 			defer func() {
@@ -84,15 +89,15 @@ func TestMsgEncodeDecodeRoundTrip(t *testing.T) {
 	}
 	for _, m := range cases {
 		frame := m.Encode()
-		if len(frame)%2 != 0 {
-			t.Fatalf("%+v: odd frame length %d", m, len(frame))
+		if frame.Len%2 != 0 {
+			t.Fatalf("%+v: odd frame length %d", m, frame.Len)
 		}
 		wantLen := ShortFrameLen
 		if m.Type == Heard {
 			wantLen = HeardFrameLen
 		}
-		if len(frame) != wantLen {
-			t.Fatalf("%+v: frame length %d, want %d", m, len(frame), wantLen)
+		if frame.Len != wantLen {
+			t.Fatalf("%+v: frame length %d, want %d", m, frame.Len, wantLen)
 		}
 		got, err := Decode(frame)
 		if err != nil {
@@ -122,47 +127,90 @@ func TestQuickRoundTrip(t *testing.T) {
 	}
 }
 
+// TestFrameWireLayout writes out, bit by bit in the order they go on
+// the air, one frame of each type: type, index and value LSB first,
+// then a HEARD's cause slot, then the zero padding bit.
+func TestFrameWireLayout(t *testing.T) {
+	for _, c := range []struct {
+		m    Msg
+		want string
+	}{
+		{Msg{Type: Source, Index: 5, Value: true}, "00" + "101000" + "1" + "0"},
+		{Msg{Type: Commit, Index: 62, Value: false}, "10" + "011111" + "0" + "0"},
+		{Msg{Type: Heard, Index: 3, Value: true, CauseSlot: 1234}, "01" + "110000" + "1" + "010010110010" + "0"},
+	} {
+		if got := c.m.Encode().String(); got != c.want {
+			t.Errorf("%+v encodes as %s, want %s", c.m, got, c.want)
+		}
+	}
+}
+
+// prefix returns the first n bits of m.
+func prefix(m Message, n int) Message {
+	return Message{Bits: m.Bits & (1<<uint(n) - 1), Len: n}
+}
+
 func TestFrameLen(t *testing.T) {
-	if _, known := FrameLen(nil); known {
+	if _, known := FrameLen(Message{}); known {
 		t.Error("length known from empty prefix")
 	}
-	if _, known := FrameLen([]bool{true}); known {
+	if _, known := FrameLen(Message{Bits: 1, Len: 1}); known {
 		t.Error("length known from 1 bit")
 	}
 	m := Msg{Type: Heard, Index: 1, CauseSlot: 7}
-	if l, known := FrameLen(m.Encode()[:2]); !known || l != HeardFrameLen {
+	if l, known := FrameLen(prefix(m.Encode(), 2)); !known || l != HeardFrameLen {
 		t.Errorf("heard FrameLen = %d,%v", l, known)
 	}
 	m = Msg{Type: Commit, Index: 1}
-	if l, known := FrameLen(m.Encode()[:2]); !known || l != ShortFrameLen {
+	if l, known := FrameLen(prefix(m.Encode(), 2)); !known || l != ShortFrameLen {
 		t.Errorf("commit FrameLen = %d,%v", l, known)
 	}
 }
 
 func TestDecodeErrors(t *testing.T) {
-	if _, err := Decode(nil); err == nil {
-		t.Error("nil frame decoded")
+	if _, err := Decode(Message{}); err == nil {
+		t.Error("empty frame decoded")
 	}
-	if _, err := Decode([]bool{true}); err == nil {
+	if _, err := Decode(Message{Bits: 1, Len: 1}); err == nil {
 		t.Error("1-bit frame decoded")
 	}
 	// Unknown type 3 = bits (1,1).
-	bad := make([]bool, ShortFrameLen)
-	bad[0], bad[1] = true, true
-	if _, err := Decode(bad); err == nil {
+	if _, err := Decode(Message{Bits: 0b11, Len: ShortFrameLen}); err == nil {
 		t.Error("unknown type decoded")
 	}
-	// Wrong length for type.
-	short := Msg{Type: Heard, Index: 1}.Encode()[:ShortFrameLen]
-	// Patch type to Heard but truncated length: typeOf(short) is Heard,
-	// so Decode must reject the 10-bit frame.
-	if _, err := Decode(short); err == nil {
+	// A HEARD type cut to the short length: Decode must reject it.
+	if _, err := Decode(prefix(Msg{Type: Heard, Index: 1}.Encode(), ShortFrameLen)); err == nil {
 		t.Error("truncated heard frame decoded")
 	}
-	long := append(Msg{Type: Commit, Index: 1}.Encode(), false, false)
+	long := Msg{Type: Commit, Index: 1}.Encode()
+	long.Len += 2
 	if _, err := Decode(long); err == nil {
 		t.Error("over-long commit frame decoded")
 	}
+}
+
+// FuzzDecodeFrame feeds Decode every bit string of up to 64 bits: it
+// must return a message or an error, never panic, and a message it
+// returns must encode back to the input less its padding bit, the
+// frame's last. The checked-in corpus holds the frames of
+// TestMsgEncodeDecodeRoundTrip, frames shorter than the type field, a
+// HEARD type at the short length and the unknown type 3.
+func FuzzDecodeFrame(f *testing.F) {
+	f.Fuzz(func(t *testing.T, bits uint64, n uint8) {
+		frame := Message{Bits: bits, Len: int(n) % 65}
+		if frame.Len < 64 {
+			frame.Bits &= 1<<uint(frame.Len) - 1
+		}
+		m, err := Decode(frame)
+		if err != nil {
+			return
+		}
+		want := frame
+		want.Bits &^= 1 << uint(frame.Len-1)
+		if got := m.Encode(); got != want {
+			t.Fatalf("Decode(%v) = %+v, which encodes as %v, want %v", frame, m, got, want)
+		}
+	})
 }
 
 func TestEncodePanics(t *testing.T) {

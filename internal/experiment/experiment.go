@@ -6,6 +6,7 @@
 package experiment
 
 import (
+	"fmt"
 	"sync"
 
 	"authradio/internal/bitcodec"
@@ -199,8 +200,15 @@ func (s Scenario) run(rep int, opts ...core.Option) core.Result {
 // BuildWorld constructs (without running) the world for repetition rep,
 // for callers that want to attach hooks (core.WithRoundHook and
 // friends) or inspect devices. An invalid deployment, such as an empty
-// one, is an error.
+// one, is an error, and so are knobs the deployment generators cannot
+// take: a negative Nodes, or fewer than one cluster on a clustered map.
 func (s Scenario) BuildWorld(rep int, opts ...core.Option) (*core.World, error) {
+	if s.Deploy != GridDeploy && s.Nodes < 0 {
+		return nil, fmt.Errorf("experiment: Nodes %d is negative", s.Nodes)
+	}
+	if s.Deploy == Clustered && s.Clusters < 1 {
+		return nil, fmt.Errorf("experiment: Clusters %d on a clustered map, want at least 1", s.Clusters)
+	}
 	d := s.deployment(rep)
 	if err := d.Validate(); err != nil {
 		return nil, err

@@ -39,6 +39,29 @@ func TestBuildWorldRejectsEmptyDeployment(t *testing.T) {
 	}
 }
 
+// TestBuildWorldRejectsBadDeployKnobs pins that knobs the deployment
+// generators cannot take are errors naming the knob, not panics inside
+// topo.
+func TestBuildWorldRejectsBadDeployKnobs(t *testing.T) {
+	for _, c := range []struct {
+		s    Scenario
+		knob string
+	}{
+		{Scenario{Deploy: Uniform, Nodes: -5, MapSide: 10, Range: 2}, "Nodes -5"},
+		{Scenario{Deploy: Clustered, Nodes: -5, Clusters: 2, MapSide: 10, Sigma: 1, Range: 2}, "Nodes -5"},
+		{Scenario{Deploy: Clustered, Nodes: 30, Clusters: 0, MapSide: 10, Sigma: 1, Range: 2}, "Clusters 0"},
+	} {
+		c.s.Name, c.s.ProtocolName, c.s.Seed = "bad", "NeighborWatchRB", 1
+		w, err := c.s.BuildWorld(0)
+		if err == nil || w != nil {
+			t.Fatalf("BuildWorld(%+v) = (%v, %v), want an error", c.s, w, err)
+		}
+		if !strings.Contains(err.Error(), c.knob) {
+			t.Errorf("error %q does not name %q", err, c.knob)
+		}
+	}
+}
+
 func TestScenarioRunDeterministic(t *testing.T) {
 	a := tiny().Run(0)
 	b := tiny().Run(0)

@@ -91,7 +91,11 @@ type evItem struct {
 // rxState tracks the frame stream arriving from one neighbor.
 type rxState struct {
 	nbr int
-	fr  *onehop.FrameReceiver
+	fr  onehop.FrameReceiver
+	// heard holds, per value, bit i set once a HEARD has been relayed
+	// for this neighbor's COMMIT of bit i: the neighbor whose stream
+	// carried a COMMIT is always the HEARD's cause.
+	heard [2]uint64
 }
 
 // Node is a MultiPathRB device; honest by default, lying when built
@@ -101,17 +105,20 @@ type Node struct {
 	id  int
 	pos geom.Point
 
-	mySlot   int
+	mySlot int
+	// interest lists the slots this node participates in, ascending,
+	// and streams holds the neighbor stream received in each of them:
+	// streams[k] is interest[k]'s, and the node's own slot's entry is
+	// unused.
 	interest []int
-	streams  map[int]*rxState // neighbor slot -> stream
+	streams  []rxState
 
 	send *onehop.FrameSender
 
 	committed  []int8 // per bit index: -1 uncommitted, else 0/1
 	nCommitted int
-	evidence   [][]evItem        // per bit index
-	heardSent  map[heardKey]bool // dedup of relayed (cause, index, value)
-	heardCount []map[bool]int    // per index: value -> heard frames enqueued
+	evidence   [][]evItem // per bit index
+	heardCount [][2]int   // per bit index and value: HEARD frames enqueued
 
 	liar bool
 	fake bitcodec.Message
@@ -120,20 +127,13 @@ type Node struct {
 	completedAt uint64
 
 	// Per-slot activity: the slot's 2Bit exchange, replaced at slot
-	// start, and for a receiver the stream it feeds.
+	// start, and for a receiver the index of the stream it feeds.
 	cur struct {
 		active bool
 		start  uint64
-		slot   int
 		x      twobit.Exchange
-		stream *rxState
+		stream int
 	}
-}
-
-type heardKey struct {
-	cause int
-	index int
-	val   bool
 }
 
 // NewNode builds an honest node for device id.
@@ -167,31 +167,28 @@ func newNode(sh *Shared, id int) *Node {
 		id:         id,
 		pos:        sh.D.Pos[id],
 		mySlot:     sh.NS.Slot[id],
-		streams:    make(map[int]*rxState),
 		send:       onehop.NewFrameSender(),
 		committed:  make([]int8, sh.MsgLen),
 		evidence:   make([][]evItem, sh.MsgLen),
-		heardSent:  make(map[heardKey]bool),
-		heardCount: make([]map[bool]int, sh.MsgLen),
+		heardCount: make([][2]int, sh.MsgLen),
 	}
 	for i := range n.committed {
 		n.committed[i] = -1
-		n.heardCount[i] = make(map[bool]int)
 	}
-	slots := map[int]bool{n.mySlot: true}
-	var buf []int
-	for _, nbr := range sh.D.Neighbors(buf, id) {
-		if !sh.isActive(nbr) {
-			continue
-		}
-		s := sh.NS.Slot[nbr]
-		n.streams[s] = &rxState{nbr: nbr, fr: onehop.NewFrameReceiver(bitcodec.FrameLen)}
-		slots[s] = true
-	}
-	for s := range slots {
-		n.interest = append(n.interest, s)
+	nbrs := slices.DeleteFunc(sh.D.Neighbors(nil, id), func(nbr int) bool { return !sh.isActive(nbr) })
+	n.interest = append(n.interest, n.mySlot)
+	for _, nbr := range nbrs {
+		n.interest = append(n.interest, sh.NS.Slot[nbr])
 	}
 	slices.Sort(n.interest)
+	n.interest = slices.Compact(n.interest)
+	// Same-slot devices are never neighbors (see resolveCause), so a
+	// slot holds one stream.
+	n.streams = make([]rxState, len(n.interest))
+	for _, nbr := range nbrs {
+		k, _ := slices.BinarySearch(n.interest, sh.NS.Slot[nbr])
+		n.streams[k] = rxState{nbr: nbr, fr: *onehop.NewFrameReceiver(bitcodec.FrameLen)}
+	}
 	return n
 }
 
@@ -258,11 +255,10 @@ func (n *Node) Wake(r uint64) sim.Step {
 func (n *Node) beginSlot(start uint64, slot int) {
 	n.cur.active = true
 	n.cur.start = start
-	n.cur.slot = slot
-	n.cur.x, n.cur.stream = twobit.Exchange{}, nil
+	n.cur.x = twobit.Exchange{}
 	if slot != n.mySlot {
-		if s, ok := n.streams[slot]; ok {
-			n.cur.x, n.cur.stream = twobit.Receive(), s
+		if k, ok := slices.BinarySearch(n.interest, slot); ok {
+			n.cur.x, n.cur.stream = twobit.Receive(), k
 		}
 	} else if p, ok := n.send.Current(); ok {
 		n.cur.x = twobit.Send(p.B1, p.B2)
@@ -282,15 +278,16 @@ func (n *Node) Deliver(r uint64, obs radio.Obs) {
 		n.send.SlotDone(out == twobit.Success)
 	} else if out == twobit.Success {
 		b1, b2 := n.cur.x.Bits()
-		if frame, done := n.cur.stream.fr.Accept(onehop.Pair{B1: b1, B2: b2}); done {
-			n.handleFrame(r, n.cur.stream.nbr, n.cur.slot, frame)
+		if frame, done := n.streams[n.cur.stream].fr.Accept(onehop.Pair{B1: b1, B2: b2}); done {
+			n.handleFrame(r, n.cur.stream, frame)
 		}
 	}
 }
 
-// handleFrame processes a fully received protocol message from neighbor
-// `from` heard in `slot`.
-func (n *Node) handleFrame(r uint64, from, slot int, frame []bool) {
+// handleFrame processes a fully received protocol message from the
+// neighbor of stream k.
+func (n *Node) handleFrame(r uint64, k int, frame bitcodec.Message) {
+	from := n.streams[k].nbr
 	msg, err := bitcodec.Decode(frame)
 	if err != nil {
 		return // garbled (e.g. Byzantine-shaped) frame: drop
@@ -300,15 +297,16 @@ func (n *Node) handleFrame(r uint64, from, slot int, frame []bool) {
 	}
 	switch msg.Type {
 	case bitcodec.Source:
-		// SOURCE messages are only authentic from the source's own
-		// slot; the 1Hop stream then guarantees the source sent them.
-		if slot != n.sh.NS.Slot[n.sh.SourceID] || from != n.sh.SourceID {
+		// SOURCE messages are only authentic on the stream of the
+		// source's own slot, which the 1Hop stream guarantees the
+		// source sent.
+		if from != n.sh.SourceID {
 			return
 		}
 		n.commit(r, msg.Index, msg.Value)
 	case bitcodec.Commit:
 		n.addEvidence(r, msg.Index, evItem{resp: from, wit: from, val: msg.Value})
-		n.relayHeard(from, msg.Index, msg.Value)
+		n.relayHeard(k, msg.Index, msg.Value)
 	case bitcodec.Heard:
 		cause := n.resolveCause(from, msg.CauseSlot)
 		if cause < 0 {
@@ -318,24 +316,25 @@ func (n *Node) handleFrame(r uint64, from, slot int, frame []bool) {
 	}
 }
 
-// relayHeard enqueues ⟨HEARD, cause, bit⟩ unless this node is a liar
+// relayHeard enqueues ⟨HEARD, cause, bit⟩ for the COMMIT received on
+// stream k, whose neighbor is the cause, unless this node is a liar
 // (liars suppress HEARDs), the relay is a duplicate, or the per-bit cap
 // is reached.
-func (n *Node) relayHeard(cause, index int, val bool) {
+func (n *Node) relayHeard(k, index int, val bool) {
 	if n.liar {
 		return
 	}
-	k := heardKey{cause: cause, index: index, val: val}
-	if n.heardSent[k] || n.heardCount[index][val] >= n.sh.HeardCap {
+	s, v := &n.streams[k], b2i(val)
+	if s.heard[v]&(1<<index) != 0 || n.heardCount[index][v] >= n.sh.HeardCap {
 		return
 	}
-	n.heardSent[k] = true
-	n.heardCount[index][val]++
+	s.heard[v] |= 1 << index
+	n.heardCount[index][v]++
 	n.send.Enqueue(bitcodec.Msg{
 		Type:      bitcodec.Heard,
 		Index:     index,
 		Value:     val,
-		CauseSlot: n.sh.NS.Slot[cause],
+		CauseSlot: n.sh.NS.Slot[s.nbr],
 	}.Encode())
 }
 

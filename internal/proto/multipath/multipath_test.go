@@ -1,6 +1,7 @@
 package multipath
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -300,6 +301,17 @@ func TestCheckCommitDistinctResponsible(t *testing.T) {
 	}
 }
 
+// streamOf returns the index of the stream node n receives from its
+// neighbor nbr.
+func streamOf(t *testing.T, n *Node, nbr int) int {
+	t.Helper()
+	k, ok := slices.BinarySearch(n.interest, n.sh.NS.Slot[nbr])
+	if !ok || n.streams[k].nbr != nbr {
+		t.Fatalf("node %d has no stream from %d", n.id, nbr)
+	}
+	return k
+}
+
 func TestHeardCapRespected(t *testing.T) {
 	d := topo.Grid(5, 5, 2)
 	ns := schedule.GreedyNodeSchedule(d, 3*d.R, schedule.SlotLen, true, 12)
@@ -308,18 +320,28 @@ func TestHeardCapRespected(t *testing.T) {
 	if sh.HeardCap != 3 {
 		t.Fatalf("HeardCap = %d, want 3(t+1) = 3", sh.HeardCap)
 	}
-	for cause := 1; cause <= 10; cause++ {
-		n.relayHeard(cause, 0, true)
+	causes := d.Neighbors(nil, 0)
+	if len(causes) <= sh.HeardCap {
+		t.Fatalf("node 0 has %d neighbors, too few to reach the cap", len(causes))
+	}
+	for _, cause := range causes {
+		n.relayHeard(streamOf(t, n, cause), 0, true)
 	}
 	if n.QueueLen() != 3 {
 		t.Fatalf("queued %d HEARDs, cap is 3", n.QueueLen())
 	}
-	// Duplicates are not re-queued either.
+	// Duplicates are not re-queued either; the other value is no
+	// duplicate.
 	n2 := NewNode(sh, 1)
-	n2.relayHeard(2, 0, true)
-	n2.relayHeard(2, 0, true)
+	k := streamOf(t, n2, 2)
+	n2.relayHeard(k, 0, true)
+	n2.relayHeard(k, 0, true)
 	if n2.QueueLen() != 1 {
 		t.Fatalf("duplicate HEARD queued: %d", n2.QueueLen())
+	}
+	n2.relayHeard(k, 0, false)
+	if n2.QueueLen() != 2 {
+		t.Fatalf("HEARD of the other value not queued: %d", n2.QueueLen())
 	}
 }
 
@@ -329,12 +351,10 @@ func TestGarbledFrameDropped(t *testing.T) {
 	sh := NewShared(d, ns, 4, 12, 1, nil)
 	n := NewNode(sh, 0)
 	// Unknown type (1,1) prefix.
-	bad := make([]bool, bitcodec.ShortFrameLen)
-	bad[0], bad[1] = true, true
-	n.handleFrame(1, 1, ns.Slot[1], bad)
+	n.handleFrame(1, streamOf(t, n, 1), bitcodec.Message{Bits: 0b11, Len: bitcodec.ShortFrameLen})
 	// Out-of-range index.
 	huge := bitcodec.Msg{Type: bitcodec.Commit, Index: 60, Value: true}.Encode()
-	n.handleFrame(1, 1, ns.Slot[1], huge)
+	n.handleFrame(1, streamOf(t, n, 1), huge)
 	if n.CommittedBits() != 0 || n.QueueLen() != 0 {
 		t.Fatal("garbled frames had effect")
 	}
@@ -348,12 +368,12 @@ func TestSourceOnlyAcceptedFromSourceSlot(t *testing.T) {
 	n := NewNode(sh, 0)
 	frame := bitcodec.Msg{Type: bitcodec.Source, Index: 0, Value: true}.Encode()
 	// Spoofed SOURCE from a non-source neighbor/slot: ignored.
-	n.handleFrame(1, 1, ns.Slot[1], frame)
+	n.handleFrame(1, streamOf(t, n, 1), frame)
 	if n.CommittedBits() != 0 {
 		t.Fatal("spoofed SOURCE committed")
 	}
 	// Genuine source slot: committed.
-	n.handleFrame(1, src, ns.Slot[src], frame)
+	n.handleFrame(1, streamOf(t, n, src), frame)
 	if n.CommittedBits() != 1 {
 		t.Fatal("genuine SOURCE not committed")
 	}

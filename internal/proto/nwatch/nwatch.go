@@ -21,6 +21,7 @@ package nwatch
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 
 	"authradio/internal/bitcodec"
@@ -92,11 +93,10 @@ func NewShared(d *topo.Deployment, g *schedule.SquareGrid, msgLen, sourceID, vot
 	}
 }
 
-// rxStream tracks the 1Hop stream arriving from one neighboring square
-// (or from the source, keyed by schedule.SourceSlot).
+// rxStream tracks the 1Hop stream arriving in one slot: from one
+// neighboring square, or from the source in schedule.SourceSlot.
 type rxStream struct {
-	slot    int
-	rcv     *onehop.StreamReceiver
+	rcv     onehop.StreamReceiver
 	counted int // bits already converted into votes
 }
 
@@ -108,17 +108,22 @@ type Node struct {
 
 	sq     schedule.Square
 	mySlot int
-	// interest lists the slots this node participates in, ascending.
+	// interest lists the slots this node participates in, ascending,
+	// and streams holds the stream received in each of them: streams[k]
+	// is interest[k]'s, and the node's own slot's entry is unused.
 	interest []int
+	streams  []rxStream
 
-	send    *onehop.StreamSender
-	streams map[int]*rxStream // key: slot
+	// send holds the committed prefix, which the node's square relays.
+	send *onehop.StreamSender
 
-	committed   []bool
-	firstCommit []int8         // -1 unset, else 0/1: first value to reach the vote threshold
-	votes       []map[int]bool // per bit index: slot -> value
-	fromSource  []int8         // -1 unset, else 0/1: value delivered directly by the source
-	liar        bool
+	firstCommit []int8 // -1 unset, else 0/1: first value to reach the vote threshold
+	// votes holds, per bit index and value, the streams that delivered
+	// it: bit k for streams[k]. A node has at most ten slots (its own,
+	// eight adjacent squares' and the source's), so 16 bits hold them.
+	votes      [][2]uint16
+	fromSource []int8 // -1 unset, else 0/1: value delivered directly by the source
+	liar       bool
 
 	completedAt uint64
 	complete    bool
@@ -132,12 +137,12 @@ type Node struct {
 	yielded    bool
 
 	// Per-slot activity: the slot's 2Bit exchange, replaced at slot
-	// start, and for a receiver the stream it feeds.
+	// start, and for a receiver the index of the stream it feeds.
 	cur struct {
 		active bool
 		start  uint64
 		x      twobit.Exchange
-		stream *rxStream
+		stream int
 	}
 }
 
@@ -160,9 +165,7 @@ func NewLiar(sh *Shared, id int, fake bitcodec.Message) *Node {
 	n := newNode(sh, id)
 	n.liar = true
 	for i := 0; i < fake.Len; i++ {
-		b := fake.Bit(i)
-		n.committed = append(n.committed, b)
-		n.send.Append(b)
+		n.send.Append(fake.Bit(i))
 	}
 	// A liar is "complete" from the start; it never reports into the
 	// honest completion metrics (the experiment layer filters liars).
@@ -180,9 +183,8 @@ func newNode(sh *Shared, id int) *Node {
 		sq:          sq,
 		mySlot:      sh.G.SlotOf(sq),
 		send:        onehop.NewStreamSender(sh.MsgLen),
-		streams:     make(map[int]*rxStream),
 		firstCommit: make([]int8, sh.MsgLen),
-		votes:       make([]map[int]bool, sh.MsgLen),
+		votes:       make([][2]uint16, sh.MsgLen),
 		fromSource:  make([]int8, sh.MsgLen),
 	}
 	for i := range n.firstCommit {
@@ -190,29 +192,25 @@ func newNode(sh *Shared, id int) *Node {
 		n.fromSource[i] = -1
 	}
 
-	// Streams from occupied adjacent squares.
-	slots := map[int]bool{n.mySlot: true}
+	// Streams from occupied adjacent squares, and the source stream if
+	// this node's square is the source's own or adjacent to it.
+	n.interest = append(n.interest, n.mySlot)
 	for _, a := range sh.G.Adjacent(sq) {
-		if !sh.Occupied[a] {
-			continue
+		if sh.Occupied[a] {
+			n.interest = append(n.interest, sh.G.SlotOf(a))
 		}
-		s := sh.G.SlotOf(a)
-		n.streams[s] = &rxStream{slot: s, rcv: onehop.NewStreamReceiver(sh.MsgLen)}
-		slots[s] = true
 	}
-	// The source stream, if this node's square is the source's own or
-	// adjacent to it.
 	if n.listensToSource() {
-		n.streams[schedule.SourceSlot] = &rxStream{
-			slot: schedule.SourceSlot,
-			rcv:  onehop.NewStreamReceiver(sh.MsgLen),
-		}
-		slots[schedule.SourceSlot] = true
-	}
-	for s := range slots {
-		n.interest = append(n.interest, s)
+		n.interest = append(n.interest, schedule.SourceSlot)
 	}
 	slices.Sort(n.interest)
+	n.interest = slices.Compact(n.interest)
+	n.streams = make([]rxStream, len(n.interest))
+	for k, s := range n.interest {
+		if s != n.mySlot {
+			n.streams[k].rcv = *onehop.NewStreamReceiver(sh.MsgLen)
+		}
+	}
 	for idx, m := range sh.MembersOf[sq] {
 		if m == id {
 			n.rank = idx
@@ -254,14 +252,14 @@ func (n *Node) Complete() bool { return n.complete }
 func (n *Node) CompletedAt() uint64 { return n.completedAt }
 
 // CommittedBits returns how many bits the node has committed.
-func (n *Node) CommittedBits() int { return len(n.committed) }
+func (n *Node) CommittedBits() int { return n.send.Bits().Len }
 
 // Message returns the committed message; ok is false until Complete.
 func (n *Node) Message() (bitcodec.Message, bool) {
 	if !n.complete {
 		return bitcodec.Message{}, false
 	}
-	return bitcodec.FromBools(n.committed), true
+	return n.send.Bits(), true
 }
 
 // Wake implements sim.Device.
@@ -282,11 +280,11 @@ func (n *Node) Wake(r uint64) sim.Step {
 func (n *Node) beginSlot(start uint64, slot int) {
 	n.cur.active = true
 	n.cur.start = start
-	n.cur.x, n.cur.stream = twobit.Exchange{}, nil
+	n.cur.x = twobit.Exchange{}
 	switch {
 	case slot != n.mySlot:
-		if s, ok := n.streams[slot]; ok {
-			n.cur.x, n.cur.stream = twobit.Receive(), s
+		if k, ok := slices.BinarySearch(n.interest, slot); ok {
+			n.cur.x, n.cur.stream = twobit.Receive(), k
 		}
 	case n.yielded:
 		// A yielded member sits its own slot out (see senderDone).
@@ -367,38 +365,29 @@ const (
 	yieldRankStep   = 8
 )
 
-// acceptPair feeds a successful 2Bit exchange into the stream, converts
+// acceptPair feeds a successful 2Bit exchange into stream k, converts
 // newly delivered bits into votes, and commits what the votes allow.
-func (n *Node) acceptPair(r uint64, s *rxStream, p onehop.Pair) {
+func (n *Node) acceptPair(r uint64, k int, p onehop.Pair) {
+	s := &n.streams[k]
 	s.rcv.Accept(p)
-	bits := s.rcv.Bits()
-	for ; s.counted < len(bits); s.counted++ {
-		n.registerVote(s.counted, bits[s.counted], s.slot)
+	got := s.rcv.Bits()
+	for ; s.counted < got.Len; s.counted++ {
+		n.registerVote(s.counted, got.Bit(s.counted), k)
 	}
 	n.tryCommit(r)
 }
 
-// registerVote records that the stream in the given slot delivered bit
-// index i with value v.
-func (n *Node) registerVote(i int, v bool, slot int) {
-	if slot == schedule.SourceSlot {
+// registerVote records that stream k delivered bit index i with value
+// v. Each stream delivers each bit once, so the streams that voted v
+// are a mask and the threshold test is a popcount.
+func (n *Node) registerVote(i int, v bool, k int) {
+	if n.interest[k] == schedule.SourceSlot {
 		n.fromSource[i] = b2i(v)
 		return
 	}
-	if n.votes[i] == nil {
-		n.votes[i] = make(map[int]bool)
-	}
-	n.votes[i][slot] = v
-	if n.firstCommit[i] < 0 {
-		count := 0
-		for _, val := range n.votes[i] {
-			if val == v {
-				count++
-			}
-		}
-		if count >= n.sh.Votes {
-			n.firstCommit[i] = b2i(v)
-		}
+	n.votes[i][b2i(v)] |= 1 << k
+	if n.firstCommit[i] < 0 && bits.OnesCount16(n.votes[i][b2i(v)]) >= n.sh.Votes {
+		n.firstCommit[i] = b2i(v)
 	}
 }
 
@@ -414,8 +403,7 @@ func b2i(v bool) int8 {
 // vote threshold is reached ("a node commits to bit number i if it has
 // received bits number 1, 2, ..., i from one of its neighbors").
 func (n *Node) tryCommit(r uint64) {
-	for len(n.committed) < n.sh.MsgLen {
-		i := len(n.committed)
+	for i := n.send.Bits().Len; i < n.sh.MsgLen; i++ {
 		var v bool
 		switch {
 		case n.fromSource[i] >= 0:
@@ -425,7 +413,6 @@ func (n *Node) tryCommit(r uint64) {
 		default:
 			return
 		}
-		n.committed = append(n.committed, v)
 		n.send.Append(v)
 	}
 	if !n.complete {
@@ -441,7 +428,7 @@ func NewSource(sh *Shared, msg bitcodec.Message) *onehop.Source {
 	if msg.Len != sh.MsgLen {
 		panic(fmt.Sprintf("nwatch: source message length %d != configured %d", msg.Len, sh.MsgLen))
 	}
-	return onehop.NewSource(sh.SourceID, sh.D.Pos[sh.SourceID], sh.G.Cycle, schedule.SourceSlot, onehop.Pairs(msg.Bools()))
+	return onehop.NewSource(sh.SourceID, sh.D.Pos[sh.SourceID], sh.G.Cycle, schedule.SourceSlot, onehop.Pairs(msg))
 }
 
 // SendPosition exposes the node's stream position (bits successfully

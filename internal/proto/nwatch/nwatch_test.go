@@ -6,6 +6,7 @@ import (
 	"authradio/internal/bitcodec"
 	"authradio/internal/geom"
 	"authradio/internal/proto/onehop"
+	"authradio/internal/proto/twobit"
 	"authradio/internal/radio"
 	"authradio/internal/schedule"
 	"authradio/internal/sim"
@@ -384,6 +385,41 @@ func TestNodeAccessors(t *testing.T) {
 	}
 	if n.Square() != g.SquareOf(d.Pos[0]) {
 		t.Error("square wrong")
+	}
+}
+
+// TestDeliverAllocatesNothing pins that a node receiving a bit from an
+// adjacent square records its vote and commits it without allocating:
+// the Deliver calls of one full 2Bit exchange.
+func TestDeliverAllocatesNothing(t *testing.T) {
+	d := topo.Grid(5, 5, 2)
+	g := schedule.NewSquareGrid(d.R, 1, d.R)
+	sh := NewShared(d, g, 4, d.CenterNode(), 1, nil)
+	// Node 1's square is adjacent to node 0's.
+	start := g.NextStart(0, g.SlotOf(g.SquareOf(d.Pos[1])))
+	const runs = 20
+	nodes := make([]*Node, runs+1) // AllocsPerRun makes one warm-up call
+	for i := range nodes {
+		nodes[i] = NewNode(sh, 0)
+		nodes[i].Wake(start)
+	}
+	next := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		n := nodes[next]
+		next++
+		// The first stream position, ⟨1, 1⟩: activity in R1 and R3,
+		// no veto in R5.
+		n.Deliver(start+twobit.R1, radio.Obs{Busy: true})
+		n.Deliver(start+twobit.R3, radio.Obs{Busy: true})
+		n.Deliver(start+twobit.R5, radio.Obs{})
+	})
+	for i, n := range nodes {
+		if n.CommittedBits() != 1 {
+			t.Fatalf("node copy %d committed %d bits, want 1", i, n.CommittedBits())
+		}
+	}
+	if allocs != 0 {
+		t.Errorf("one exchange that commits a bit: %v allocations, want 0", allocs)
 	}
 }
 

@@ -71,7 +71,7 @@ type sender struct {
 }
 
 func newSender(id int, pos geom.Point, cyc schedule.Cycle, msg bitcodec.Message, liar bool) *sender {
-	src := onehop.NewSource(id, pos, cyc, 0, onehop.Pairs(msg.Bools()))
+	src := onehop.NewSource(id, pos, cyc, 0, onehop.Pairs(msg))
 	return &sender{Source: src, msg: msg, liar: liar}
 }
 
@@ -155,7 +155,7 @@ func (n *receiver) Message() (bitcodec.Message, bool) {
 	if !n.str.Complete() {
 		return bitcodec.Message{}, false
 	}
-	return bitcodec.FromBools(n.str.Bits()), true
+	return n.str.Bits(), true
 }
 
 func init() { core.Register(Driver{}) }

@@ -35,6 +35,8 @@
 // list per SOURCE frame.
 package onehop
 
+import "authradio/internal/bitcodec"
+
 // parityAt returns the control-bit value for stream position i
 // (0-based): the paper's alternation starting at '1'.
 func parityAt(i int) bool { return i%2 == 0 }
@@ -54,14 +56,15 @@ type Pair struct {
 // never spuriously silent. See DESIGN.md.
 type StreamSender struct {
 	total int
-	bits  []bool
-	next  int // index of the next bit to deliver successfully
+	bits  bitcodec.Message // the bits appended so far
+	next  int              // index of the next bit to deliver successfully
 }
 
-// NewStreamSender returns a sender for a stream of exactly total bits.
+// NewStreamSender returns a sender for a stream of exactly total bits,
+// 1 to 64.
 func NewStreamSender(total int) *StreamSender {
-	if total <= 0 {
-		panic("onehop: stream total must be positive")
+	if total <= 0 || total > 64 {
+		panic("onehop: stream total must be in 1..64")
 	}
 	return &StreamSender{total: total}
 }
@@ -69,11 +72,14 @@ func NewStreamSender(total int) *StreamSender {
 // Append makes the next stream bit available for sending. It panics if
 // more than total bits are appended.
 func (s *StreamSender) Append(b bool) {
-	if len(s.bits) >= s.total {
+	if s.bits.Len >= s.total {
 		panic("onehop: append beyond stream total")
 	}
-	s.bits = append(s.bits, b)
+	s.bits = s.bits.Append(b)
 }
+
+// Bits returns the bits appended so far.
+func (s *StreamSender) Bits() bitcodec.Message { return s.bits }
 
 // Delivered returns how many bits have been successfully delivered.
 func (s *StreamSender) Delivered() int { return s.next }
@@ -90,14 +96,14 @@ func (s *StreamSender) Current() (p Pair, stalled, ok bool) {
 	if s.Done() {
 		return Pair{}, false, false
 	}
-	if s.next < len(s.bits) {
-		return Pair{B1: parityAt(s.next), B2: s.bits[s.next]}, false, true
+	if s.next < s.bits.Len {
+		return Pair{B1: parityAt(s.next), B2: s.bits.Bit(s.next)}, false, true
 	}
 	if s.next == 0 {
 		return Pair{}, false, false // nothing committed yet: idle
 	}
 	i := s.next - 1
-	return Pair{B1: parityAt(i), B2: s.bits[i]}, true, true
+	return Pair{B1: parityAt(i), B2: s.bits.Bit(i)}, true, true
 }
 
 // SlotDone records the outcome of the slot's 2Bit exchange. Only a
@@ -113,49 +119,45 @@ func (s *StreamSender) SlotDone(success bool) {
 
 // StreamReceiver reassembles a fixed-length stream from successful 2Bit
 // exchanges, using the parity discipline to discard idle slots and
-// retransmissions.
+// retransmissions. Position 0 expects parity 1, so all-silence is never
+// taken as the first bit.
 type StreamReceiver struct {
 	total int
-	bits  []bool
+	bits  bitcodec.Message
 }
 
-// NewStreamReceiver returns a receiver expecting exactly total bits.
+// NewStreamReceiver returns a receiver expecting exactly total bits,
+// 1 to 64.
 func NewStreamReceiver(total int) *StreamReceiver {
-	if total <= 0 {
-		panic("onehop: stream total must be positive")
+	if total <= 0 || total > 64 {
+		panic("onehop: stream total must be in 1..64")
 	}
-	return &StreamReceiver{total: total, bits: make([]bool, 0, total)}
+	return &StreamReceiver{total: total}
 }
 
 // Accept processes a successful 2Bit exchange. It returns true when the
 // pair was taken as the next stream bit, false when it was discarded as
 // idle noise or a retransmission.
 func (r *StreamReceiver) Accept(p Pair) bool {
-	j := len(r.bits)
+	j := r.bits.Len
 	if j >= r.total {
 		return false // stream complete; everything else is stale
 	}
 	if p.B1 != parityAt(j) {
 		return false // idle slot or retransmission of position j-1
 	}
-	if !p.B1 && !p.B2 && j == 0 {
-		// Unreachable given parityAt(0)=true, but kept as a guard:
-		// never accept all-silence as the first bit.
-		return false
-	}
-	r.bits = append(r.bits, p.B2)
+	r.bits = r.bits.Append(p.B2)
 	return true
 }
 
 // Received returns how many bits have been accepted so far.
-func (r *StreamReceiver) Received() int { return len(r.bits) }
+func (r *StreamReceiver) Received() int { return r.bits.Len }
 
 // Complete reports whether the full stream has been received.
-func (r *StreamReceiver) Complete() bool { return len(r.bits) >= r.total }
+func (r *StreamReceiver) Complete() bool { return r.bits.Len >= r.total }
 
-// Bits returns the accepted prefix. The slice aliases internal state and
-// must not be modified.
-func (r *StreamReceiver) Bits() []bool { return r.bits }
+// Bits returns the accepted prefix.
+func (r *StreamReceiver) Bits() bitcodec.Message { return r.bits }
 
 // FrameSender transmits a queue of self-contained frames. Frames must
 // have even length (FrameReceiver relies on the last position of a frame
@@ -163,7 +165,7 @@ func (r *StreamReceiver) Bits() []bool { return r.bits }
 // mistaken for the parity-1 first bit of the next frame). The sender may
 // be idle between frames.
 type FrameSender struct {
-	queue [][]bool
+	queue []bitcodec.Message
 	pos   int
 }
 
@@ -172,8 +174,8 @@ func NewFrameSender() *FrameSender { return &FrameSender{} }
 
 // Enqueue appends a frame to the send queue. It panics on empty or
 // odd-length frames.
-func (s *FrameSender) Enqueue(frame []bool) {
-	if len(frame) == 0 || len(frame)%2 != 0 {
+func (s *FrameSender) Enqueue(frame bitcodec.Message) {
+	if frame.Len == 0 || frame.Len%2 != 0 {
 		panic("onehop: frames must be non-empty and even-length")
 	}
 	s.queue = append(s.queue, frame)
@@ -191,8 +193,7 @@ func (s *FrameSender) Current() (p Pair, ok bool) {
 	if len(s.queue) == 0 {
 		return Pair{}, false
 	}
-	f := s.queue[0]
-	return Pair{B1: parityAt(s.pos), B2: f[s.pos]}, true
+	return Pair{B1: parityAt(s.pos), B2: s.queue[0].Bit(s.pos)}, true
 }
 
 // SlotDone records the outcome of the slot's 2Bit exchange, advancing
@@ -202,7 +203,7 @@ func (s *FrameSender) SlotDone(success bool) {
 		return
 	}
 	s.pos++
-	if s.pos >= len(s.queue[0]) {
+	if s.pos >= s.queue[0].Len {
 		s.queue = s.queue[1:]
 		s.pos = 0
 	}
@@ -211,80 +212,43 @@ func (s *FrameSender) SlotDone(success bool) {
 // FrameReceiver reassembles a sequence of frames. Frame lengths may vary
 // per frame; lenOf inspects the bits received so far of the current
 // frame and returns the frame's total length once determinable (known
-// false while more bits are needed). Lengths returned must be even and
-// >= the current prefix length, and lenOf must not modify the prefix.
-//
-// Each frame is allocated once, at its final length. Until lenOf knows
-// that length, cur views the bits so far read-only: in shortPrefixes
-// for up to two bits, which covers the type bits that delimit a
-// bitcodec frame. A view has len == cap; the frame's own array has
-// room left until its last bit.
+// false while more bits are needed). A length returned must be even,
+// at least the prefix's length and at most 64; lenOf is not asked again
+// until the frame is through. The frame's bits are shifted into one
+// word, so reassembly allocates nothing. A frame's first position has
+// parity 1, so idle gaps, which read as all-silence, never start one.
 type FrameReceiver struct {
-	lenOf func(prefix []bool) (total int, known bool)
-	cur   []bool
-}
-
-// shortPrefixes holds every string of one or two bits: "0" and "00"
-// start at 0, "01" at 1, "1" and "11" at 2, "10" at 3.
-var shortPrefixes = [5]bool{false, false, true, true, false}
-
-// extendPrefix returns a read-only view of prefix followed by b.
-func extendPrefix(prefix []bool, b bool) []bool {
-	var at int
-	switch {
-	case len(prefix) == 0:
-		at = 2 * b2i(b)
-	case len(prefix) == 1:
-		at = 2*b2i(prefix[0]) + b2i(prefix[0] != b)
-	default: // longer than shortPrefixes covers: a fresh array
-		return append(prefix[:len(prefix):len(prefix)], b)
-	}
-	n := len(prefix) + 1
-	return shortPrefixes[at : at+n : at+n]
-}
-
-func b2i(b bool) int {
-	if b {
-		return 1
-	}
-	return 0
+	lenOf func(prefix bitcodec.Message) (total int, known bool)
+	cur   bitcodec.Message // the current frame's bits so far
+	total int              // the current frame's length; 0 until known
 }
 
 // NewFrameReceiver returns a receiver using lenOf to delimit frames.
-func NewFrameReceiver(lenOf func(prefix []bool) (total int, known bool)) *FrameReceiver {
+func NewFrameReceiver(lenOf func(prefix bitcodec.Message) (total int, known bool)) *FrameReceiver {
 	return &FrameReceiver{lenOf: lenOf}
 }
 
 // Accept processes a successful 2Bit exchange. When the pair completes a
-// frame, the frame is returned (done=true); the returned slice is owned
-// by the caller.
-func (r *FrameReceiver) Accept(p Pair) (frame []bool, done bool) {
-	j := len(r.cur)
-	if p.B1 != parityAt(j) {
-		return nil, false // idle gap or retransmission
+// frame, the frame is returned (done=true).
+func (r *FrameReceiver) Accept(p Pair) (frame bitcodec.Message, done bool) {
+	if p.B1 != parityAt(r.cur.Len) {
+		return bitcodec.Message{}, false // idle gap or retransmission
 	}
-	if j == 0 && !p.B1 {
-		return nil, false // defensive: cannot happen, parityAt(0)=true
-	}
-	if len(r.cur) < cap(r.cur) {
-		r.cur = append(r.cur, p.B2)
-	} else {
-		prefix := extendPrefix(r.cur, p.B2)
-		total, known := r.lenOf(prefix)
+	r.cur = r.cur.Append(p.B2)
+	if r.total == 0 {
+		total, known := r.lenOf(r.cur)
 		if !known {
-			r.cur = prefix
-			return nil, false
+			return bitcodec.Message{}, false
 		}
-		r.cur = make([]bool, len(prefix), max(total, len(prefix)))
-		copy(r.cur, prefix)
+		r.total = total
 	}
-	if len(r.cur) < cap(r.cur) {
-		return nil, false
+	if r.cur.Len < r.total {
+		return bitcodec.Message{}, false
 	}
-	f := r.cur
-	r.cur = nil
-	return f, true
+	frame = r.cur
+	r.cur, r.total = bitcodec.Message{}, 0
+	return frame, true
 }
 
 // Pending returns the number of bits of the in-progress frame.
-func (r *FrameReceiver) Pending() int { return len(r.cur) }
+func (r *FrameReceiver) Pending() int { return r.cur.Len }

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"authradio/internal/bitcodec"
 	"authradio/internal/xrand"
 )
 
@@ -46,33 +47,29 @@ func (c *channel) step(slot int) {
 	c.s.SlotDone(mode == 0)
 }
 
-func bitsOf(v uint64, n int) []bool {
-	out := make([]bool, n)
-	for i := 0; i < n; i++ {
-		out[i] = v&(1<<uint(i)) != 0
+// bits returns the bit string written LSB first, as Message.String
+// prints it.
+func bits(s string) bitcodec.Message {
+	var m bitcodec.Message
+	for _, c := range s {
+		m = m.Append(c == '1')
 	}
-	return out
+	return m
 }
 
-func eq(a, b []bool) bool {
-	if len(a) != len(b) {
-		return false
+// sendAll appends every bit of m to s.
+func sendAll(s *StreamSender, m bitcodec.Message) {
+	for i := 0; i < m.Len; i++ {
+		s.Append(m.Bit(i))
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 func TestCleanStreamDelivery(t *testing.T) {
 	for msg := uint64(0); msg < 32; msg++ {
 		k := 5
+		want := bitcodec.NewMessage(msg, k)
 		s := NewStreamSender(k)
-		for _, b := range bitsOf(msg, k) {
-			s.Append(b)
-		}
+		sendAll(s, want)
 		r := NewStreamReceiver(k)
 		c := &channel{s: s, rs: []*StreamReceiver{r}}
 		for slot := 0; !s.Done(); slot++ {
@@ -84,7 +81,7 @@ func TestCleanStreamDelivery(t *testing.T) {
 		if !r.Complete() {
 			t.Fatalf("msg %05b: receiver incomplete after sender done", msg)
 		}
-		if !eq(r.Bits(), bitsOf(msg, k)) {
+		if r.Bits() != want {
 			t.Fatalf("msg %05b: received %v", msg, r.Bits())
 		}
 	}
@@ -95,9 +92,7 @@ func TestCleanDeliveryTakesExactlyKSlots(t *testing.T) {
 	// absence of malicious interference" — one slot per bit.
 	k := 8
 	s := NewStreamSender(k)
-	for _, b := range bitsOf(0xA5, k) {
-		s.Append(b)
-	}
+	sendAll(s, bitcodec.NewMessage(0xA5, k))
 	r := NewStreamReceiver(k)
 	c := &channel{s: s, rs: []*StreamReceiver{r}}
 	slots := 0
@@ -116,10 +111,9 @@ func TestTheorem2TerminationUnderDisruption(t *testing.T) {
 	f := func(msg uint16, seed uint64) bool {
 		k := 10
 		rng := xrand.New(seed)
+		want := bitcodec.NewMessage(uint64(msg), k)
 		s := NewStreamSender(k)
-		for _, b := range bitsOf(uint64(msg), k) {
-			s.Append(b)
-		}
+		sendAll(s, want)
 		rs := []*StreamReceiver{NewStreamReceiver(k), NewStreamReceiver(k)}
 		c := &channel{s: s, rs: rs, disrupt: func(int) int {
 			// 30% full failure, 20% asymmetric, 50% clean.
@@ -140,7 +134,7 @@ func TestTheorem2TerminationUnderDisruption(t *testing.T) {
 			}
 		}
 		for _, r := range rs {
-			if !r.Complete() || !eq(r.Bits(), bitsOf(uint64(msg), k)) {
+			if !r.Complete() || r.Bits() != want {
 				return false
 			}
 		}
@@ -157,11 +151,9 @@ func TestTheorem2AuthenticityPrefix(t *testing.T) {
 	f := func(msg uint16, seed uint64, horizon uint8) bool {
 		k := 12
 		rng := xrand.New(seed)
-		want := bitsOf(uint64(msg), k)
+		want := bitcodec.NewMessage(uint64(msg), k)
 		s := NewStreamSender(k)
-		for _, b := range want {
-			s.Append(b)
-		}
+		sendAll(s, want)
 		r := NewStreamReceiver(k)
 		c := &channel{s: s, rs: []*StreamReceiver{r}, disrupt: func(int) int {
 			return rng.Intn(3)
@@ -170,8 +162,8 @@ func TestTheorem2AuthenticityPrefix(t *testing.T) {
 			c.step(slot)
 		}
 		got := r.Bits()
-		for i := range got {
-			if got[i] != want[i] {
+		for i := 0; i < got.Len; i++ {
+			if got.Bit(i) != want.Bit(i) {
 				return false
 			}
 		}
@@ -186,7 +178,7 @@ func TestTheorem2AuthenticityPrefix(t *testing.T) {
 // them); mid-stream idle slots must not corrupt the stream.
 func TestStallRetransmission(t *testing.T) {
 	k := 6
-	want := bitsOf(0b101100, k)
+	want := bitcodec.NewMessage(0b101100, k)
 	s := NewStreamSender(k)
 	r := NewStreamReceiver(k)
 	c := &channel{s: s, rs: []*StreamReceiver{r}}
@@ -194,7 +186,7 @@ func TestStallRetransmission(t *testing.T) {
 	for slot := 0; !s.Done(); slot++ {
 		// Append a new bit only every third slot.
 		if slot%3 == 0 && appended < k {
-			s.Append(want[appended])
+			s.Append(want.Bit(appended))
 			appended++
 		}
 		c.step(slot)
@@ -202,7 +194,7 @@ func TestStallRetransmission(t *testing.T) {
 			t.Fatal("no progress")
 		}
 	}
-	if !eq(r.Bits(), want) {
+	if r.Bits() != want {
 		t.Fatalf("received %v, want %v", r.Bits(), want)
 	}
 }
@@ -267,7 +259,7 @@ func TestReceiverRejectsWrongParity(t *testing.T) {
 	if r.Accept(Pair{}) {
 		t.Fatal("silence accepted at odd position")
 	}
-	if got := r.Bits(); !eq(got, []bool{true, true}) {
+	if got := r.Bits(); got != bits("11") {
 		t.Fatalf("bits = %v", got)
 	}
 }
@@ -280,7 +272,7 @@ func TestReceiverAcceptsSilentEvenBit(t *testing.T) {
 	if !r.Accept(Pair{}) {
 		t.Fatal("silent even bit rejected")
 	}
-	if !r.Complete() || r.Bits()[1] != false {
+	if !r.Complete() || r.Bits().Bit(1) != false {
 		t.Fatal("stream wrong")
 	}
 }
@@ -299,6 +291,8 @@ func TestStreamPanics(t *testing.T) {
 	for i, f := range []func(){
 		func() { NewStreamSender(0) },
 		func() { NewStreamReceiver(0) },
+		func() { NewStreamSender(65) },
+		func() { NewStreamReceiver(65) },
 		func() { s := NewStreamSender(1); s.Append(true); s.Append(true) },
 	} {
 		func() {
@@ -316,38 +310,39 @@ func TestStreamPanics(t *testing.T) {
 
 // frameLenOf is a test delimiter: first bit 0 -> frame length 4,
 // first bit 1 -> frame length 6.
-func frameLenOf(prefix []bool) (int, bool) {
-	if len(prefix) == 0 {
+func frameLenOf(prefix bitcodec.Message) (int, bool) {
+	if prefix.Len == 0 {
 		return 0, false
 	}
-	if prefix[0] {
+	if prefix.Bit(0) {
 		return 6, true
 	}
 	return 4, true
 }
 
 // lateLenOf is a test delimiter that knows a frame's length only from
-// its third bit, past the prefixes a FrameReceiver holds without an
-// array: third bit 1 -> frame length 6, else 4.
-func lateLenOf(prefix []bool) (int, bool) {
-	if len(prefix) < 3 {
+// its third bit: third bit 1 -> frame length 6, else 4.
+func lateLenOf(prefix bitcodec.Message) (int, bool) {
+	if prefix.Len < 3 {
 		return 0, false
 	}
-	if prefix[2] {
+	if prefix.Bit(2) {
 		return 6, true
 	}
 	return 4, true
 }
 
+var lenOfs = []func(bitcodec.Message) (int, bool){frameLenOf, lateLenOf}
+
 func TestFrameRoundTrip(t *testing.T) {
-	for _, lenOf := range []func([]bool) (int, bool){frameLenOf, lateLenOf} {
+	for _, lenOf := range lenOfs {
 		s := NewFrameSender()
-		f1 := []bool{true, false, true, true, false, false}
-		f2 := []bool{false, true, false, false}
+		f1 := bits("101100")
+		f2 := bits("0100")
 		s.Enqueue(f1)
 		s.Enqueue(f2)
 		r := NewFrameReceiver(lenOf)
-		var got [][]bool
+		var got []bitcodec.Message
 		for slot := 0; !s.Idle(); slot++ {
 			p, ok := s.Current()
 			if !ok {
@@ -361,32 +356,34 @@ func TestFrameRoundTrip(t *testing.T) {
 				t.Fatal("no progress")
 			}
 		}
-		if len(got) != 2 || !eq(got[0], f1) || !eq(got[1], f2) {
+		if len(got) != 2 || got[0] != f1 || got[1] != f2 {
 			t.Fatalf("got frames %v", got)
 		}
 	}
 }
 
-// TestFrameReceiverAllocatesOncePerFrame pins that reassembling a frame
-// allocates once, at the frame's final length: the caller owns each
-// returned frame, and nothing grows by append.
-func TestFrameReceiverAllocatesOncePerFrame(t *testing.T) {
-	r := NewFrameReceiver(frameLenOf)
-	for _, f := range [][]bool{{false, true, true, false}, {true, false, true, true, false, false}} {
-		pairs := Pairs(f)
-		var got []bool
-		allocs := testing.AllocsPerRun(20, func() {
-			for _, p := range pairs {
-				if frame, done := r.Accept(p); done {
-					got = frame
+// TestFrameReceiverAllocatesNothing pins that reassembling a frame
+// allocates nothing, whether its length is known from the first bit
+// or only later.
+func TestFrameReceiverAllocatesNothing(t *testing.T) {
+	for _, lenOf := range lenOfs {
+		r := NewFrameReceiver(lenOf)
+		for _, f := range []bitcodec.Message{bits("0100"), bits("101100")} {
+			pairs := Pairs(f)
+			var got bitcodec.Message
+			allocs := testing.AllocsPerRun(20, func() {
+				for _, p := range pairs {
+					if frame, done := r.Accept(p); done {
+						got = frame
+					}
 				}
+			})
+			if allocs != 0 {
+				t.Fatalf("frame %v: %v allocations, want 0", f, allocs)
 			}
-		})
-		if allocs != 1 {
-			t.Fatalf("frame of %d bits: %v allocations, want 1", len(f), allocs)
-		}
-		if !eq(got, f) || cap(got) != len(f) {
-			t.Fatalf("frame %v (cap %d), want %v", got, cap(got), f)
+			if got != f {
+				t.Fatalf("frame %v, want %v", got, f)
+			}
 		}
 	}
 }
@@ -407,12 +404,12 @@ func TestFrameRetransmissionAcrossBoundary(t *testing.T) {
 	// even-length frame has parity 0, so the receiver — now expecting
 	// parity 1 — must discard it.
 	r := NewFrameReceiver(frameLenOf)
-	f := []bool{false, true, true, false}
+	f := bits("0110")
 	pairs := []Pair{{true, false}, {false, true}, {true, true}, {false, false}}
 	for i, p := range pairs {
 		frame, done := r.Accept(p)
 		if i == 3 {
-			if !done || !eq(frame, f) {
+			if !done || frame != f {
 				t.Fatalf("frame not completed: %v %v", frame, done)
 			}
 		} else if done {
@@ -426,7 +423,7 @@ func TestFrameRetransmissionAcrossBoundary(t *testing.T) {
 	// A fresh frame still parses.
 	for i, p := range []Pair{{true, false}, {false, false}, {true, false}, {false, true}} {
 		frame, done := r.Accept(p)
-		if i == 3 && (!done || !eq(frame, []bool{false, false, false, true})) {
+		if i == 3 && (!done || frame != bits("0001")) {
 			t.Fatalf("second frame wrong: %v", frame)
 		}
 	}
@@ -434,10 +431,10 @@ func TestFrameRetransmissionAcrossBoundary(t *testing.T) {
 
 func TestFrameMidFrameRetransmission(t *testing.T) {
 	s := NewFrameSender()
-	s.Enqueue([]bool{true, true, false, false, true, false})
+	s.Enqueue(bits("110010"))
 	r := NewFrameReceiver(frameLenOf)
 	rng := xrand.New(77)
-	var got [][]bool
+	var got []bitcodec.Message
 	for slot := 0; !s.Idle(); slot++ {
 		p, _ := s.Current()
 		mode := rng.Intn(3) // 0 clean, 1 full fail, 2 rx-only success
@@ -451,16 +448,16 @@ func TestFrameMidFrameRetransmission(t *testing.T) {
 			t.Fatal("no progress")
 		}
 	}
-	if len(got) != 1 || !eq(got[0], []bool{true, true, false, false, true, false}) {
+	if len(got) != 1 || got[0] != bits("110010") {
 		t.Fatalf("frames: %v", got)
 	}
 }
 
 func TestFrameSenderPanics(t *testing.T) {
 	for i, f := range []func(){
-		func() { NewFrameSender().Enqueue(nil) },
-		func() { NewFrameSender().Enqueue([]bool{true}) },
-		func() { NewFrameSender().Enqueue([]bool{true, false, true}) },
+		func() { NewFrameSender().Enqueue(bitcodec.Message{}) },
+		func() { NewFrameSender().Enqueue(bits("1")) },
+		func() { NewFrameSender().Enqueue(bits("101")) },
 	} {
 		func() {
 			defer func() {
@@ -478,8 +475,8 @@ func TestFrameSenderQueueLen(t *testing.T) {
 	if s.QueueLen() != 0 || !s.Idle() {
 		t.Fatal("new sender not idle")
 	}
-	s.Enqueue([]bool{true, false})
-	s.Enqueue([]bool{false, true})
+	s.Enqueue(bits("10"))
+	s.Enqueue(bits("01"))
 	if s.QueueLen() != 2 {
 		t.Fatal("queue len wrong")
 	}
@@ -503,23 +500,22 @@ func TestQuickFrameSequence(t *testing.T) {
 		rng := xrand.New(seed)
 		count := 1 + int(n%5)
 		s := NewFrameSender()
-		var want [][]bool
+		var want []bitcodec.Message
 		for i := 0; i < count; i++ {
 			length := 4
 			first := rng.Bool(0.5)
 			if first {
 				length = 6
 			}
-			fr := make([]bool, length)
-			fr[0] = first
-			for j := 1; j < length; j++ {
-				fr[j] = rng.Bool(0.5)
+			fr := bitcodec.Message{}.Append(first)
+			for fr.Len < length {
+				fr = fr.Append(rng.Bool(0.5))
 			}
 			want = append(want, fr)
 			s.Enqueue(fr)
 		}
 		r := NewFrameReceiver(frameLenOf)
-		var got [][]bool
+		var got []bitcodec.Message
 		for slot := 0; !s.Idle(); slot++ {
 			if slot > 5000 {
 				return false
@@ -537,7 +533,7 @@ func TestQuickFrameSequence(t *testing.T) {
 			return false
 		}
 		for i := range got {
-			if !eq(got[i], want[i]) {
+			if got[i] != want[i] {
 				return false
 			}
 		}

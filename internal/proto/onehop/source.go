@@ -1,6 +1,7 @@
 package onehop
 
 import (
+	"authradio/internal/bitcodec"
 	"authradio/internal/geom"
 	"authradio/internal/proto/twobit"
 	"authradio/internal/radio"
@@ -10,10 +11,10 @@ import (
 
 // Pairs returns the stream of ⟨parity, data⟩ pairs that carries bits,
 // parity starting at 1.
-func Pairs(bits []bool) []Pair {
-	out := make([]Pair, len(bits))
-	for i, b := range bits {
-		out[i] = Pair{B1: parityAt(i), B2: b}
+func Pairs(bits bitcodec.Message) []Pair {
+	out := make([]Pair, bits.Len)
+	for i := range out {
+		out[i] = Pair{B1: parityAt(i), B2: bits.Bit(i)}
 	}
 	return out
 }

@@ -11,7 +11,7 @@ import (
 )
 
 func TestPairsAlternateParity(t *testing.T) {
-	got := Pairs([]bool{false, false, true})
+	got := Pairs(bits("001"))
 	want := []Pair{{B1: true}, {}, {B1: true, B2: true}}
 	if len(got) != len(want) {
 		t.Fatalf("Pairs = %v", got)
@@ -31,7 +31,7 @@ func TestPairsAlternateParity(t *testing.T) {
 // a pair until an exchange succeeds, and stop waking after the last.
 func TestSourceWakePattern(t *testing.T) {
 	cyc := schedule.Cycle{NumSlots: 3, SlotLen: twobit.NumRounds}
-	pairs := Pairs([]bool{true, false})
+	pairs := Pairs(bits("10"))
 	s := NewSource(7, geom.Point{}, cyc, 1, pairs)
 	vetoed := map[uint64]bool{0: true} // the first occurrence fails
 	var sent []Pair

@@ -45,13 +45,16 @@ type Deployment struct {
 // Validate checks structural invariants and returns a descriptive error
 // for the first violation found.
 func (d *Deployment) Validate() error {
-	if d.R <= 0 {
-		return fmt.Errorf("topo: non-positive range R=%v", d.R)
+	if !(d.R > 0) || math.IsInf(d.R, 1) {
+		return fmt.Errorf("topo: range R=%v is not positive and finite", d.R)
 	}
 	if len(d.Pos) == 0 {
 		return fmt.Errorf("topo: empty deployment")
 	}
 	for i, p := range d.Pos {
+		if math.IsNaN(p.X) || math.IsInf(p.X, 0) || math.IsNaN(p.Y) || math.IsInf(p.Y, 0) {
+			return fmt.Errorf("topo: node %d at non-finite position %v", i, p)
+		}
 		if !d.Area.Contains(p) {
 			return fmt.Errorf("topo: node %d at %v outside area %+v", i, p, d.Area)
 		}

@@ -206,17 +206,28 @@ func TestHopDistanceUnreachable(t *testing.T) {
 }
 
 func TestValidateErrors(t *testing.T) {
-	d := &Deployment{Area: geom.Square(10), Pos: []geom.Point{{X: 1, Y: 1}}, R: 0, Metric: geom.L2}
-	if err := d.Validate(); err == nil {
-		t.Error("want error for R=0")
-	}
-	d = &Deployment{Area: geom.Square(10), R: 2, Metric: geom.L2}
-	if err := d.Validate(); err == nil {
-		t.Error("want error for empty deployment")
-	}
-	d = &Deployment{Area: geom.Square(10), Pos: []geom.Point{{X: 11, Y: 1}}, R: 2, Metric: geom.L2}
-	if err := d.Validate(); err == nil {
-		t.Error("want error for out-of-area node")
+	inf, nan := math.Inf(1), math.NaN()
+	one := []geom.Point{{X: 1, Y: 1}}
+	for _, c := range []struct {
+		name string
+		area geom.Rect
+		pos  []geom.Point
+		r    float64
+	}{
+		{"R=0", geom.Square(10), one, 0},
+		{"R=NaN", geom.Square(10), one, nan},
+		{"R=+Inf", geom.Square(10), one, inf},
+		{"R=-Inf", geom.Square(10), one, -inf},
+		{"empty deployment", geom.Square(10), nil, 2},
+		{"out-of-area node", geom.Square(10), []geom.Point{{X: 11, Y: 1}}, 2},
+		{"NaN coordinate", geom.Square(10), []geom.Point{{X: nan, Y: 1}}, 2},
+		{"infinite coordinate in an infinite area", geom.Square(inf), []geom.Point{{X: 1, Y: inf}}, 2},
+		{"-Inf coordinate", geom.Rect{MinX: -inf, MaxX: 10, MaxY: 10}, []geom.Point{{X: -inf, Y: 1}}, 2},
+	} {
+		d := &Deployment{Area: c.area, Pos: c.pos, R: c.r, Metric: geom.L2}
+		if err := d.Validate(); err == nil {
+			t.Errorf("%s: no error", c.name)
+		}
 	}
 }
 
