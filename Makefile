@@ -57,7 +57,7 @@ serve-smoke:
 # the 100k+ regime — single iterations, 3 counts, -benchmem — plus the
 # opt-in million-device round when BENCH_SCALE_1M=1 is exported.
 bench:
-	go test -run '^$$' -bench 'BenchmarkDenseRound(Linear|Indexed|4096|Disk)|BenchmarkSingleBroadcast(NW|MP|Epidemic|OneHop)$$|BenchmarkSparseCalendar|BenchmarkLiveComponentsCluster4096' \
+	go test -run '^$$' -bench 'BenchmarkDenseRound(Linear|Indexed|4096|Disk)|BenchmarkSingleBroadcast(NW|MP|Epidemic|OneHop)$$|BenchmarkSparseCalendar|BenchmarkLiveComponents(Cluster4096|Uniform16384)' \
 		-count 5 -benchtime 0.3s -benchmem . ./internal/sim ./internal/topo ./internal/proto/onehop/driver
 
 bench-scale:

@@ -119,6 +119,7 @@ type Node struct {
 	nCommitted int
 	evidence   [][]evItem // per bit index
 	heardCount [][2]int   // per bit index and value: HEARD frames enqueued
+	distinct   []int      // checkCommit's scratch: responsible ids counted
 
 	liar bool
 	fake bitcodec.Message
@@ -171,6 +172,7 @@ func newNode(sh *Shared, id int) *Node {
 		committed:  make([]int8, sh.MsgLen),
 		evidence:   make([][]evItem, sh.MsgLen),
 		heardCount: make([][2]int, sh.MsgLen),
+		distinct:   make([]int, 0, sh.T+1),
 	}
 	for i := range n.committed {
 		n.committed[i] = -1
@@ -365,38 +367,42 @@ func (n *Node) addEvidence(r uint64, index int, it evItem) {
 // checkCommit applies the paper's commit rule to the evidence for one
 // bit: t+1 items with distinct responsible devices, a single value, and
 // all responsible devices and witnesses inside a common neighborhood.
-// Candidate neighborhood centers are the involved devices and the node
-// itself.
+// Candidate neighborhood centers are the node itself, then each item's
+// responsible device and witness; false is tried before true.
 func (n *Node) checkCommit(index int) (val bool, ok bool) {
 	items := n.evidence[index]
-	for _, v := range []bool{false, true} {
-		var centers []geom.Point
-		centers = append(centers, n.pos)
-		for _, it := range items {
-			if it.val == v {
-				centers = append(centers, n.sh.D.Pos[it.resp], n.sh.D.Pos[it.wit])
-			}
+	pos := n.sh.D.Pos
+	for _, v := range [2]bool{false, true} {
+		if n.enough(items, v, n.pos) {
+			return v, true
 		}
-		for _, c := range centers {
-			distinct := map[int]bool{}
-			for _, it := range items {
-				if it.val != v {
-					continue
-				}
-				if !n.sh.D.Metric.Within(c, n.sh.D.Pos[it.resp], n.sh.D.R) {
-					continue
-				}
-				if !n.sh.D.Metric.Within(c, n.sh.D.Pos[it.wit], n.sh.D.R) {
-					continue
-				}
-				distinct[it.resp] = true
-			}
-			if len(distinct) >= n.sh.T+1 {
+		for _, it := range items {
+			if it.val == v && (n.enough(items, v, pos[it.resp]) || n.enough(items, v, pos[it.wit])) {
 				return v, true
 			}
 		}
 	}
 	return false, false
+}
+
+// enough reports whether the items for value v whose responsible
+// device and witness both lie within range of c name at least t+1
+// distinct responsible devices. It counts them in the node's distinct
+// scratch, which never holds more than t+1 ids.
+func (n *Node) enough(items []evItem, v bool, c geom.Point) bool {
+	d := n.sh.D
+	n.distinct = n.distinct[:0]
+	for _, it := range items {
+		if it.val != v || slices.Contains(n.distinct, it.resp) ||
+			!d.Metric.Within(c, d.Pos[it.resp], d.R) || !d.Metric.Within(c, d.Pos[it.wit], d.R) {
+			continue
+		}
+		n.distinct = append(n.distinct, it.resp)
+		if len(n.distinct) > n.sh.T {
+			return true
+		}
+	}
+	return false
 }
 
 // commit records bit index = val and enqueues the COMMIT relay.

@@ -301,6 +301,31 @@ func TestCheckCommitDistinctResponsible(t *testing.T) {
 	}
 }
 
+// TestCheckCommitAllocatesNothing pins that evaluating the commit rule
+// allocates nothing, over evidence for both values: false has t+1
+// responsible devices with no common neighborhood, so every center is
+// tried and fails; true commits at a later item's center.
+func TestCheckCommitAllocatesNothing(t *testing.T) {
+	d := topo.Grid(13, 1, 2) // a 13-node line, R=2
+	ns := schedule.GreedyNodeSchedule(d, 3*d.R, schedule.SlotLen, true, 6)
+	sh := NewShared(d, ns, 1, 6, 1, nil)
+	n := NewNode(sh, 0)
+	n.evidence[0] = []evItem{
+		{resp: 1, wit: 1, val: false},
+		{resp: 12, wit: 12, val: false},
+		{resp: 9, wit: 10, val: true},
+		{resp: 11, wit: 11, val: true},
+	}
+	var v, ok bool
+	allocs := testing.AllocsPerRun(20, func() { v, ok = n.checkCommit(0) })
+	if allocs != 0 {
+		t.Fatalf("%v allocations per call, want 0", allocs)
+	}
+	if !ok || !v {
+		t.Fatalf("checkCommit = %v, %v; want true, true", v, ok)
+	}
+}
+
 // streamOf returns the index of the stream node n receives from its
 // neighbor nbr.
 func streamOf(t *testing.T, n *Node, nbr int) int {

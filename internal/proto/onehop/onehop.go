@@ -35,7 +35,11 @@
 // list per SOURCE frame.
 package onehop
 
-import "authradio/internal/bitcodec"
+import (
+	"slices"
+
+	"authradio/internal/bitcodec"
+)
 
 // parityAt returns the control-bit value for stream position i
 // (0-based): the paper's alternation starting at '1'.
@@ -204,7 +208,9 @@ func (s *FrameSender) SlotDone(success bool) {
 	}
 	s.pos++
 	if s.pos >= s.queue[0].Len {
-		s.queue = s.queue[1:]
+		// Shift down rather than reslice, so the sender keeps one
+		// array and Enqueue allocates only when the backlog outgrows it.
+		s.queue = slices.Delete(s.queue, 0, 1)
 		s.pos = 0
 	}
 }

@@ -493,6 +493,23 @@ func TestFrameSenderQueueLen(t *testing.T) {
 	}
 }
 
+// TestFrameSenderReusesQueue pins that a sender sending and draining
+// frames one at a time allocates nothing after the first: the queue
+// keeps its one array.
+func TestFrameSenderReusesQueue(t *testing.T) {
+	s := NewFrameSender()
+	f := bits("101100")
+	allocs := testing.AllocsPerRun(20, func() {
+		s.Enqueue(f)
+		for !s.Idle() {
+			s.SlotDone(true)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("%v allocations per frame, want 0", allocs)
+	}
+}
+
 // Property: a random frame sequence over a lossy channel arrives intact
 // and in order.
 func TestQuickFrameSequence(t *testing.T) {

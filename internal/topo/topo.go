@@ -6,8 +6,9 @@
 // Neighborhoods come from one spatial index per deployment (Index, a
 // geom.GridIndex built on first use). WithinRange is the one range
 // query: it returns ids unordered, grouped by index cell, which is what
-// set-like callers (schedule colouring, connectivity) want. Neighbors
-// builds on it and sorts, excluding the device itself.
+// set-like callers (schedule colouring) want. Neighbors builds on it
+// and sorts, excluding the device itself. LiveComponents runs no range
+// query: it joins devices through a grid of half-range cells.
 package topo
 
 import (
@@ -129,7 +130,7 @@ func (d *Deployment) Neighbors(dst []int, i int) []int {
 // WithinRange appends to dst all device ids within distance r of p and
 // returns the extended slice. The ids arrive grouped by index cell, not
 // sorted: callers that treat the result as a set (conflict-graph
-// colouring, connectivity, counting) pay no per-query sort.
+// colouring) pay no per-query sort.
 func (d *Deployment) WithinRange(dst []int, p geom.Point, r float64) []int {
 	return d.Index().Within(dst, p, r, d.Metric)
 }

@@ -1,8 +1,11 @@
 package topo
 
 import (
+	"math"
+	"slices"
 	"testing"
 
+	"authradio/internal/geom"
 	"authradio/internal/xrand"
 )
 
@@ -94,15 +97,149 @@ func TestLiveComponentsPartition(t *testing.T) {
 	}
 }
 
+// scanComponents is the reference LiveComponents: one range query per
+// live device and a union for every live neighbor pair, so it
+// enumerates the whole neighbor graph.
+func scanComponents(d *Deployment, alive []bool) *UnionFind {
+	u := NewUnionFind(d.N())
+	var buf []int
+	for i := 0; i < d.N(); i++ {
+		if alive != nil && !alive[i] {
+			continue
+		}
+		buf = d.WithinRange(buf[:0], d.Pos[i], d.R)
+		for _, j := range buf {
+			if j > i && (alive == nil || alive[j]) {
+				u.Union(i, j)
+			}
+		}
+	}
+	return u
+}
+
+// partitionLabels names each element's set by its smallest member, a
+// label that does not depend on which edges or union order built the
+// sets.
+func partitionLabels(u *UnionFind, n int) []int {
+	first := make([]int, n)
+	for i := range first {
+		first[i] = -1
+	}
+	labels := make([]int, n)
+	for i := range labels {
+		r := u.Find(i)
+		if first[r] < 0 {
+			first[r] = i
+		}
+		labels[i] = first[r]
+	}
+	return labels
+}
+
+// TestLiveComponentsMatchesScan checks the cell pass against the
+// neighbor scan, set by set, on the deployments its exactness argument
+// has to cover: uniform maps under both metrics, tight clusters on a
+// large side (sparse overall, so the cells stay half-range only
+// because they are sorted, not indexed), integer and half-integer
+// L∞ grids and a decimal-spaced one (many pairs at exactly R, or at R
+// up to rounding), pairs at R that the floor puts three cells apart, a
+// map spanning more than maxCellSpan half-ranges (widened cells), one
+// device, and all devices dead; each with every device alive (alive
+// nil) or 0-50% dead.
+func TestLiveComponentsMatchesScan(t *testing.T) {
+	rng := xrand.New(24)
+	type shape struct {
+		name string
+		make func() *Deployment
+	}
+	shapes := []shape{
+		{"uniform L2", func() *Deployment { return Uniform(50+rng.Intn(500), 5+30*rng.Float64(), 1+3*rng.Float64(), rng) }},
+		{"uniform LInf", func() *Deployment {
+			d := Uniform(50+rng.Intn(500), 5+30*rng.Float64(), 1+3*rng.Float64(), rng)
+			d.Metric = geom.LInf
+			return d
+		}},
+		{"clustered", func() *Deployment {
+			return Clustered(100+rng.Intn(500), 1+rng.Intn(6), 200+800*rng.Float64(), 0.3+rng.Float64(), 1+rng.Float64(), rng)
+		}},
+		{"grid integer R", func() *Deployment { return Grid(4+rng.Intn(20), 4+rng.Intn(20), float64(1+rng.Intn(3))) }},
+		{"grid half-integer R", func() *Deployment { return Grid(4+rng.Intn(20), 4+rng.Intn(20), 1.5+float64(rng.Intn(3))) }},
+		{"grid decimal spacing", func() *Deployment {
+			// 0.1 is inexact in binary, so pairs sit at R up to rounding.
+			w := 4 + rng.Intn(20)
+			d := Grid(w, w, 0.1*float64(1+rng.Intn(4)))
+			for i := range d.Pos {
+				d.Pos[i].X *= 0.1
+				d.Pos[i].Y *= 0.1
+			}
+			d.Area = geom.Square(float64(w-1) * 0.1)
+			return d
+		}},
+		{"wide cells", func() *Deployment { return Clustered(100+rng.Intn(300), 2+rng.Intn(3), 1<<40, 1+rng.Float64(), 1, rng) }},
+		{"pair at R three cells apart", func() *Deployment {
+			// x/(r/2) rounds to just below 7 and (x+r)/(r/2) to just
+			// above 9: the pair is in range but three cells apart.
+			r := 2.6
+			x := 7 * (r / 2)
+			return &Deployment{
+				Area:   geom.Rect{MaxX: x + r, MaxY: x + r},
+				Pos:    []geom.Point{{}, {X: x}, {X: x + r}, {Y: x}, {Y: x + r}},
+				R:      r,
+				Metric: geom.Metric(rng.Intn(2)),
+			}
+		}},
+		{"one device", func() *Deployment { return Uniform(1, 10, 2, rng) }},
+	}
+	for _, sh := range shapes {
+		for trial := 0; trial < 25; trial++ {
+			d := sh.make()
+			var alive []bool
+			switch trial % 3 {
+			case 1: // 0-50% dead
+				alive = make([]bool, d.N())
+				dead := 0.5 * rng.Float64()
+				for i := range alive {
+					alive[i] = !rng.Bool(dead)
+				}
+			case 2: // all dead
+				alive = make([]bool, d.N())
+			}
+			got, want := d.LiveComponents(alive), scanComponents(d, alive)
+			if got.Count() != want.Count() {
+				t.Fatalf("%s trial %d: %d components, scan has %d", sh.name, trial, got.Count(), want.Count())
+			}
+			if g, w := partitionLabels(got, d.N()), partitionLabels(want, d.N()); !slices.Equal(g, w) {
+				i := 0
+				for g[i] == w[i] {
+					i++
+				}
+				t.Fatalf("%s trial %d: device %d in the set of %d, scan puts it with %d", sh.name, trial, i, g[i], w[i])
+			}
+		}
+	}
+}
+
 // BenchmarkLiveComponentsCluster4096 times the connectivity pass that
 // World.Summarize runs, on the densest shape the end-to-end benchmark
 // has: 4096 devices on the onehop-cluster-8k square (5.5×5.5, R 4),
-// nearly all within one hop of each other, so each query returns
-// about 4000 ids. The deployment and its index are built outside the
-// timer.
+// nearly all within one hop of each other. They fill nine half-range
+// cells, so the pass is the sort and one union per device. The
+// deployment is built outside the timer.
 func BenchmarkLiveComponentsCluster4096(b *testing.B) {
 	d := Uniform(4096, 5.5, 4, xrand.New(1))
-	d.Index()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		_ = d.LiveComponents(nil)
+	}
+}
+
+// BenchmarkLiveComponentsUniform16384 times the same pass on nw-16k's
+// shape: 16384 uniform devices at the paper's density (1.5 per unit²,
+// side ≈104.5, R 4), about 6 per half-range cell, so besides the sort
+// and the in-cell unions the pass visits 24 neighbor cells per cell.
+// The deployment is built outside the timer.
+func BenchmarkLiveComponentsUniform16384(b *testing.B) {
+	d := Uniform(16384, math.Sqrt(16384/1.5), 4, xrand.New(1))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = d.LiveComponents(nil)
