@@ -13,12 +13,10 @@ race:
 
 # Determinism lint: build rbvet (the repo's go/analysis-style
 # multichecker, see DESIGN.md "Determinism lint") and run it over the
-# whole module through cmd/go's -vettool protocol, so results are
-# cached per package like any other vet check. Findings exit nonzero;
-# suppressions happen in source via //rbvet:allow <analyzer> <reason>.
+# whole module. Findings exit nonzero; suppressions happen in source
+# via //rbvet:allow <analyzer> <reason>.
 lint:
-	go build -o bin/rbvet ./cmd/rbvet
-	go vet -vettool=$(CURDIR)/bin/rbvet ./...
+	go build -o bin/rbvet ./cmd/rbvet && bin/rbvet ./...
 
 # Regenerate the checked-in golden JSON documents after a change that
 # intentionally moves the numbers (a new family instance, a new ladder

@@ -12,28 +12,33 @@
 // Examples:
 //
 //	rbsim -proto list
-//	rbsim -proto nw -nodes 600 -side 20 -range 4 -liars 0.05
+//	rbsim -proto nw -nodes 600 -side 20 -range 4 -mix liar5
 //	rbsim -proto mp -t 3 -grid 9 -range 2 -msg 0b1011 -msglen 4
 //	rbsim -proto gossip -nodes 500 -side 20 -range 3
 //	rbsim -proto gossip -param gossip.fanout=5 -param gossip.prob=0.9
-//	rbsim -proto nw -grid 9 -range 2 -spoofers 0.1 -spoofbudget 16
+//	rbsim -proto nw -grid 9 -range 2 -mix spoof10b16
 //	rbsim -proto nw -grid 9 -range 2 -mix liar10+jam10b16
 //	rbsim -proto onehop -grid 4 -range 5 -transport udp
 //	rbsim -proto onehop -grid 3 -range 5 -transport udp -fault drop10+dup5+delay20 -retrytimeout 5ms -retryjitter 0.2
 //	rbsim -proto nw -grid 9 -range 2 -mix churn10o8
 //
-// -mix sets the whole adversary dimension from one compact label
-// (ParseMix's grammar, including crash-recover churn: -mix churn10o8)
-// instead of the individual fraction flags. -transport udp routes every
-// device's round callbacks over real loopback UDP sockets (one endpoint
-// per device) through the sim.RoundDriver seam; results are
-// bit-identical to the in-process transport for the same seed. Under
-// udp, -fault injects a deterministic fault plan (faultnet grammar,
-// e.g. drop10+dup5+delay20) and the -retry* flags tune the
-// retry/backoff policy; when a device exhausts its retry budget the
-// coordinator declares it crashed, the run degrades gracefully, and
-// rbsim reports the casualties and exits nonzero. -tracerx adds kind=rx
-// observation lines to the -trace log.
+// -mix is the one way to place adversaries: a compact label in
+// experiment.ParseMix's grammar, percentages of devices per kind joined
+// by '+' (liar5+crash5+jam7.5), jam and spoof with an optional
+// per-device broadcast budget (jam10b16) and crash-recover churn with
+// an outage budget (churn10o8). A label the grammar rejects, such as a
+// percentage above 100 or a non-positive budget, exits 2.
+//
+// -transport udp routes every device's round callbacks over real
+// loopback UDP sockets (one endpoint per device) through the
+// sim.RoundDriver seam; results are bit-identical to the in-process
+// transport for the same seed. Under udp, -fault injects a
+// deterministic fault plan (faultnet grammar, e.g.
+// drop10+dup5+delay20) and the -retry* flags tune the retry/backoff
+// policy; when a device exhausts its retry budget the coordinator
+// declares it crashed, the run degrades gracefully, and rbsim reports
+// the casualties and exits nonzero. -tracerx adds kind=rx observation
+// lines to the -trace log.
 package main
 
 import (
@@ -78,13 +83,7 @@ func main() {
 		msgStr   = flag.String("msg", "0b1011", "message bits (0b... or decimal)")
 		msgLen   = flag.Int("msglen", 4, "message length in bits (1..64)")
 		t        = flag.Int("t", 3, "MultiPathRB tolerance: sets the multipath.t knob (-param multipath.t wins)")
-		liars    = flag.Float64("liars", 0, "fraction of lying devices")
-		jammers  = flag.Float64("jammers", 0, "fraction of jamming devices")
-		crash    = flag.Float64("crash", 0, "fraction of crashed devices")
-		spoofers = flag.Float64("spoofers", 0, "fraction of spoofing devices (garbage data frames in random rounds)")
-		budget   = flag.Int("budget", 0, "per-jammer broadcast budget (0 = unlimited)")
-		spBudget = flag.Int("spoofbudget", 0, "per-spoofer broadcast budget (0 = unlimited)")
-		mix      = flag.String("mix", "", "compact adversary mix label (e.g. liar15, jam10b32, liar5+spoof10b16) instead of the individual fraction flags")
+		mix      = flag.String("mix", "", "adversary mix label, percentages of devices (e.g. liar5, jam10b32, liar5+crash5+jam7.5, spoof10b16, churn10o8); empty = none")
 		seed     = flag.Uint64("seed", 1, "random seed (>= 1)")
 		rep      = flag.Int("rep", 0, "repetition index (varies deployment/roles)")
 		maxR     = flag.Uint64("maxrounds", defaultMaxRounds, "round cap")
@@ -133,19 +132,8 @@ func main() {
 		os.Exit(2)
 	}
 
-	adv := experiment.AdversaryMix{
-		LiarFrac:    *liars,
-		JamFrac:     *jammers,
-		CrashFrac:   *crash,
-		SpoofFrac:   *spoofers,
-		JamBudget:   *budget,
-		SpoofBudget: *spBudget,
-	}
+	var adv experiment.AdversaryMix
 	if *mix != "" {
-		if !adv.IsZero() || *budget != 0 || *spBudget != 0 {
-			fmt.Fprintln(os.Stderr, "-mix is mutually exclusive with -liars/-jammers/-crash/-spoofers/-budget/-spoofbudget")
-			os.Exit(2)
-		}
 		m, err := experiment.ParseMix(*mix)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)

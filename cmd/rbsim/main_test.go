@@ -4,6 +4,7 @@ import (
 	"errors"
 	"os"
 	"os/exec"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -94,7 +95,7 @@ func TestMain(m *testing.M) {
 // map ignores -nodes.
 func TestBadNodesExit2(t *testing.T) {
 	for _, n := range []string{"0", "-5"} {
-		stderr, err := runRbsim("-nodes", n)
+		_, stderr, err := runRbsim("-nodes", n)
 		var exit *exec.ExitError
 		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
 			t.Errorf("-nodes %s: exit %v, want status 2", n, err)
@@ -103,20 +104,20 @@ func TestBadNodesExit2(t *testing.T) {
 			t.Errorf("-nodes %s: stderr %q, want %q", n, stderr, want)
 		}
 	}
-	if stderr, err := runRbsim("-grid", "3", "-nodes", "0"); err != nil {
+	if _, stderr, err := runRbsim("-grid", "3", "-nodes", "0"); err != nil {
 		t.Errorf("-grid 3 -nodes 0: %v: %s", err, stderr)
 	}
 }
 
 // runRbsim runs rbsim with args through TestMain and returns its standard
-// error.
-func runRbsim(args ...string) (string, error) {
+// output and standard error.
+func runRbsim(args ...string) (stdout, stderr string, err error) {
 	cmd := exec.Command(os.Args[0], args...)
 	cmd.Env = append(os.Environ(), "RBSIM_MAIN=1")
-	var stderr strings.Builder
-	cmd.Stderr = &stderr
-	err := cmd.Run()
-	return stderr.String(), err
+	var out, errOut strings.Builder
+	cmd.Stdout, cmd.Stderr = &out, &errOut
+	err = cmd.Run()
+	return out.String(), errOut.String(), err
 }
 
 // TestNonFiniteGeometryExit1 runs rbsim with an infinite or NaN range
@@ -129,13 +130,50 @@ func TestNonFiniteGeometryExit1(t *testing.T) {
 		{"-proto", "gossip", "-nodes", "30", "-side", "10", "-range", "NaN"},
 		{"-proto", "epidemic", "-nodes", "30", "-side", "Inf"},
 	} {
-		stderr, err := runRbsim(args...)
+		_, stderr, err := runRbsim(args...)
 		var exit *exec.ExitError
 		if !errors.As(err, &exit) || exit.ExitCode() != 1 {
 			t.Errorf("%v: exit %v, want status 1", args, err)
 		}
 		if strings.Contains(stderr, "panic:") || strings.Count(stderr, "\n") != 1 || !strings.HasPrefix(stderr, "topo: ") {
 			t.Errorf("%v: stderr %q, want one line from the deployment check", args, stderr)
+		}
+	}
+}
+
+// TestMixFlag runs rbsim's one adversary spelling, -mix: a valid label
+// places liars that transmit, a label the grammar rejects exits 2 with
+// a one-line error, and the per-kind fraction flags are gone.
+func TestMixFlag(t *testing.T) {
+	stdout, stderr, err := runRbsim("-grid", "9", "-range", "2", "-mix", "liar5")
+	if err != nil {
+		t.Fatalf("-mix liar5: %v: %s", err, stderr)
+	}
+	byz := -1
+	for _, line := range strings.Split(stdout, "\n") {
+		if v, ok := strings.CutPrefix(line, "byzantine tx:"); ok {
+			byz, _ = strconv.Atoi(strings.TrimSpace(v))
+		}
+	}
+	if byz <= 0 {
+		t.Errorf("-mix liar5: byzantine tx %d, want > 0; output:\n%s", byz, stdout)
+	}
+	for _, args := range [][]string{
+		{"-mix", "jam10b-3"},
+		{"-mix", "liar150"},
+		{"-liars", "0.05"},
+	} {
+		_, stderr, err := runRbsim(append([]string{"-grid", "9", "-range", "2"}, args...)...)
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Errorf("%v: exit %v, want status 2", args, err)
+		}
+		if args[0] == "-liars" {
+			if !strings.HasPrefix(stderr, "flag provided but not defined: -liars\n") {
+				t.Errorf("%v: stderr %q, want the undefined-flag error", args, stderr)
+			}
+		} else if strings.Count(stderr, "\n") != 1 || !strings.HasPrefix(stderr, "mix \""+args[1]+"\": ") {
+			t.Errorf("%v: stderr %q, want one line from the mix grammar", args, stderr)
 		}
 	}
 }

@@ -3,34 +3,22 @@
 // static half of the bit-for-bit reproducibility contract that the
 // golden tests pin dynamically.
 //
-// It runs in two modes:
+// Usage:
 //
-//	rbvet [packages]         standalone: loads packages itself via
-//	                         `go list -export` and analyzes them
-//	                         (defaults to ./...)
-//	go vet -vettool=$(realpath bin/rbvet) ./...
-//	                         cmd/go's -vettool protocol: cmd/go hands
-//	                         one vet.cfg per package and caches results
-//	                         keyed on the tool's -V=full output
+//	rbvet [packages]
 //
-// Both modes print findings as file:line:col: [analyzer] message and
-// exit 2 when there are any, so `make lint` and CI fail closed.
+// loads the packages (default ./...) through `go list -export`,
+// analyzes them, prints findings as file:line:col: [analyzer] message
+// and exits 2 when there are any, so `make lint` and CI fail closed.
 // Suppressions go through justified //rbvet:allow directives in the
 // source, never through tool flags. `rbvet help` prints each
 // analyzer's contract.
 package main
 
 import (
-	"crypto/sha256"
-	"encoding/json"
 	"fmt"
-	"go/ast"
-	"go/parser"
-	"go/token"
 	"log"
 	"os"
-	"path/filepath"
-	"strings"
 
 	"authradio/internal/lint"
 )
@@ -39,57 +27,16 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("rbvet: ")
 	args := os.Args[1:]
-	for _, a := range args {
-		switch {
-		case a == "-V=full" || a == "--V=full":
-			printVersion(true)
-			return
-		case a == "-V" || a == "--V":
-			printVersion(false)
-			return
-		case a == "-flags" || a == "--flags":
-			// No tool flags: policy lives in source directives, not
-			// invocations. cmd/go reads this as "pass nothing through".
-			fmt.Println("[]")
-			return
-		}
-	}
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		runVetTool(args[0])
-		return
-	}
 	if len(args) > 0 && args[0] == "help" {
 		printHelp()
 		return
 	}
-	runStandalone(args)
-}
-
-// printVersion implements cmd/go's -V handshake. The full form folds a
-// hash of the executable into the reported build ID so the vet cache
-// invalidates whenever rbvet itself is rebuilt with different
-// analyzers.
-func printVersion(full bool) {
-	name := filepath.Base(os.Args[0])
-	if !full {
-		fmt.Printf("%s version devel\n", name)
-		return
-	}
-	exe, err := os.Executable()
-	if err != nil {
-		log.Fatal(err)
-	}
-	data, err := os.ReadFile(exe)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("%s version devel buildID=%x\n", name, sha256.Sum256(data))
+	run(args)
 }
 
 func printHelp() {
 	fmt.Printf("rbvet: determinism lint for the authradio repro\n\n")
-	fmt.Printf("usage: rbvet [packages]   (default ./...)\n")
-	fmt.Printf("       go vet -vettool=$(realpath bin/rbvet) ./...\n\n")
+	fmt.Printf("usage: rbvet [packages]   (default ./...)\n\n")
 	fmt.Printf("suppress a finding with a justified directive on the line or the line above:\n")
 	fmt.Printf("  //rbvet:allow <analyzer> <reason>\n\n")
 	for _, a := range lint.All() {
@@ -97,7 +44,7 @@ func printHelp() {
 	}
 }
 
-func runStandalone(patterns []string) {
+func run(patterns []string) {
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
@@ -118,89 +65,6 @@ func runStandalone(patterns []string) {
 	}
 	if findings > 0 {
 		fmt.Fprintf(os.Stderr, "rbvet: %d finding(s)\n", findings)
-		os.Exit(2)
-	}
-}
-
-// vetConfig is the subset of the vet.cfg JSON that cmd/go writes for
-// each -vettool invocation.
-type vetConfig struct {
-	ID                        string
-	Compiler                  string
-	Dir                       string
-	ImportPath                string
-	GoVersion                 string
-	GoFiles                   []string
-	ImportMap                 map[string]string
-	PackageFile               map[string]string
-	VetxOnly                  bool
-	VetxOutput                string
-	SucceedOnTypecheckFailure bool
-}
-
-func runVetTool(cfgPath string) {
-	data, err := os.ReadFile(cfgPath)
-	if err != nil {
-		log.Fatal(err)
-	}
-	var cfg vetConfig
-	if err := json.Unmarshal(data, &cfg); err != nil {
-		log.Fatalf("%s: %v", cfgPath, err)
-	}
-	// rbvet exports no facts, but cmd/go requires the vetx output file
-	// to exist for caching.
-	writeVetx := func() {
-		if cfg.VetxOutput != "" {
-			if err := os.WriteFile(cfg.VetxOutput, nil, 0o666); err != nil {
-				log.Fatal(err)
-			}
-		}
-	}
-	if cfg.VetxOnly {
-		// Dependency pass run only for facts: nothing to do.
-		writeVetx()
-		return
-	}
-
-	bail := func(err error) {
-		if cfg.SucceedOnTypecheckFailure {
-			// Deliberately broken packages (e.g. under `go test` of
-			// code that does not compile) are the build's problem, not
-			// vet's.
-			writeVetx()
-			os.Exit(0)
-		}
-		log.Fatal(err)
-	}
-	fset := token.NewFileSet()
-	var files []*ast.File
-	for _, name := range cfg.GoFiles {
-		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments|parser.SkipObjectResolution)
-		if err != nil {
-			bail(err)
-		}
-		files = append(files, f)
-	}
-	imp := lint.NewImporter(fset, cfg.ImportMap, cfg.PackageFile)
-	tpkg, info, err := lint.TypeCheck(fset, cfg.ImportPath, cfg.GoVersion, files, imp)
-	if err != nil {
-		bail(fmt.Errorf("typecheck %s: %v", cfg.ImportPath, err))
-	}
-	diags, err := lint.Run(&lint.Package{
-		Path:  cfg.ImportPath,
-		Fset:  fset,
-		Files: files,
-		Types: tpkg,
-		Info:  info,
-	}, lint.All())
-	if err != nil {
-		log.Fatal(err)
-	}
-	writeVetx()
-	if len(diags) > 0 {
-		for _, d := range diags {
-			fmt.Fprintln(os.Stderr, d)
-		}
 		os.Exit(2)
 	}
 }

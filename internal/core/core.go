@@ -105,21 +105,17 @@ type Config struct {
 	// 0 selects adversary.DefaultChurnOutage, negative disables outages.
 	ChurnOutage int
 	// Medium is the channel model; nil selects the analytical disk
-	// medium matching the deployment's metric. A custom medium
-	// that embeds one of the built-in media and overrides only Observe
-	// must also set LinearChannel: the promoted cell methods would
-	// otherwise bypass the override on dense rounds (see
-	// radio.CellMedium). One that embeds only the radio.Medium
-	// interface is always resolved through its Observe.
+	// medium matching the deployment's metric. The engine resolves
+	// dense rounds over a radio.CellMedium cell by cell and everything
+	// else through Observe. A custom medium that overrides only Observe
+	// must therefore embed only the radio.Medium interface: one that
+	// embeds a built-in medium inherits its cell methods, which would
+	// bypass the override on dense rounds (see radio.CellMedium).
+	// Wrapping a built-in medium as struct{ radio.Medium }{m} forces
+	// the linear scan.
 	Medium radio.Medium
 	// Seed drives all run randomness (jammer decisions etc.).
 	Seed uint64
-	// LinearChannel forces the engine's O(listeners × transmissions)
-	// channel resolution instead of the spatially indexed cell path.
-	// Observations are identical either way; the knob exists for
-	// equivalence testing, benchmarking, and wrapper media (see
-	// Medium).
-	LinearChannel bool
 	// Params carries named typed knobs for protocol drivers (float64,
 	// int, bool or string values — see Params and the WorldBuilder's
 	// typed getters); each driver defaults and range-checks its own
@@ -258,7 +254,6 @@ func Build(cfg Config, opts ...Option) (*World, error) {
 		live:       live,
 	}
 	w.Eng.Workers = bo.workers
-	w.Eng.DisableIndex = cfg.LinearChannel
 
 	b := &WorldBuilder{cfg: cfg, w: w, jamVetoOnly: true}
 	if err := drv.Build(cfg, b); err != nil {

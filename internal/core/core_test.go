@@ -261,10 +261,13 @@ func TestEngineWorkersPreserveResults(t *testing.T) {
 		cfg := Config{
 			Deploy: d, ProtocolName: "NeighborWatchRB", Msg: msg4(),
 			SourceID: -1, Roles: roles, JamBudget: 30, Seed: 4,
-			LinearChannel: linear,
+			Medium: &radio.DiskMedium{R: d.R, Metric: d.Metric},
 		}
 		if friis {
 			cfg.Medium = radio.NewFriisMedium(d.R, 17)
+		}
+		if linear {
+			cfg.Medium = struct{ radio.Medium }{cfg.Medium}
 		}
 		w, err := Build(cfg, WithWorkers(workers))
 		if err != nil {

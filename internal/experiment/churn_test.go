@@ -22,7 +22,7 @@ func TestChurnLeavesHistoricalRoleStreamsUnchanged(t *testing.T) {
 	churned.ChurnOutage = 8
 
 	for rep := 0; rep < 5; rep++ {
-		d := base.deployment(rep)
+		d := mustDeploy(t, base, rep)
 		src := d.CenterNode()
 		before := base.roles(d, src, rep)
 		after := churned.roles(d, src, rep)

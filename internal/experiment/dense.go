@@ -72,19 +72,30 @@ func addDense(e *sim.Engine, pos []geom.Point) {
 	}
 }
 
+// denseEngine builds the dense-workload engine over m. With linear set
+// it hides m's cell methods behind a wrapper that embeds only
+// radio.Medium, so the engine resolves every round with the linear
+// Observe scan.
+func denseEngine(m radio.CellMedium, linear bool, pos []geom.Point) *sim.Engine {
+	var em radio.Medium = m
+	if linear {
+		em = struct{ radio.Medium }{m}
+	}
+	e := sim.NewEngine(em)
+	addDense(e, pos)
+	return e
+}
+
 // DenseRoundEngine builds an engine of n devices running the dense
 // workload on a map sized for roughly unit density, over a Friis medium
-// with decode range 4.
+// with decode range 4; linear forces the linear channel scan.
 func DenseRoundEngine(n int, linear bool, seed uint64) *sim.Engine {
 	side := 1.0
 	for side*side < float64(n) {
 		side++
 	}
 	d := topo.Uniform(n, side, 4, xrand.New(seed))
-	e := sim.NewEngine(radio.NewFriisMedium(d.R, seed))
-	e.DisableIndex = linear
-	addDense(e, d.Pos)
-	return e
+	return denseEngine(radio.NewFriisMedium(d.R, seed), linear, d.Pos)
 }
 
 // DenseRoundDiskEngine builds the dense workload on the analytical
@@ -98,10 +109,7 @@ func DenseRoundDiskEngine(n int, linear bool) *sim.Engine {
 		side++
 	}
 	d := topo.Grid(side, side, 4)
-	e := sim.NewEngine(&radio.DiskMedium{R: d.R, Metric: d.Metric})
-	e.DisableIndex = linear
-	addDense(e, d.Pos)
-	return e
+	return denseEngine(&radio.DiskMedium{R: d.R, Metric: d.Metric}, linear, d.Pos)
 }
 
 // DenseRounds runs rounds dense rounds on the engine (each device acts

@@ -1,10 +1,6 @@
 package experiment
 
-import (
-	"fmt"
-
-	"authradio/internal/core"
-)
+import "fmt"
 
 // Drop-off tolerance thresholds: a rung counts as tolerated when at
 // least dropoffDelivery percent of honest nodes complete and no
@@ -20,53 +16,39 @@ const dropoffDelivery = 99.0
 // protocol fell off. One row per instance, so the nwatch voting ladder,
 // the multipath tolerance ladder and the gossip presets are directly
 // comparable as "max tolerated adversary" instead of a full matrix of
-// numbers. Shares the matrix sweep's base cell, ladder and metric
-// formulas, so the two experiments cannot drift apart; `rbexp -exp
-// dropoff -json` serializes it byte-stably for a fixed seed.
+// numbers. It walks MatrixGrid's cells, so every rung it runs is the
+// matrix sweep's cell for that (instance, mix), and a cache warmed by
+// one sweep serves the other; `rbexp -exp dropoff -json` serializes it
+// byte-stably for a fixed seed.
 func Dropoff(o Options) []Table {
-	gridW := 7
-	if o.Full {
-		gridW = 11
-	}
-	reps := o.reps(1, 3)
+	scens, reps := MatrixGrid(o, nil, nil)
 	mixes := o.ladder()
-
-	base := Scenario{
-		Name:   "dropoff",
-		Deploy: GridDeploy,
-		GridW:  gridW,
-		Range:  2,
-		MsgLen: 4,
-		Seed:   o.seed(),
-	}
-	instances := core.Instances()
+	gridW := scens[0].GridW
 	tbl := Table{
 		Title: "Adversary drop-off — max tolerated ladder rung per instance",
 		Note: fmt.Sprintf("%dx%d analytical grid, R=2, 4-bit message, %d reps; each instance walks the %d-rung adversary ladder in order until delivery < %.0f%% or any spurious accept; 'tolerated' is the last rung passed, 'drop-off' the first rung failed (- = the whole ladder is tolerated); src del = %% delivery within the source's live component at the drop-off rung, separating partition loss from protocol failure",
 			gridW, gridW, reps, len(mixes), dropoffDelivery),
 		Header: []string{"instance", "family", "tolerated", "rungs", "drop-off mix", "delivery %", "src del %", "spurious %"},
 	}
-	for _, instance := range instances {
+	// MatrixGrid is instance-major: each instance's ladder is one block
+	// of len(mixes) consecutive cells.
+	for lo := 0; lo < len(scens); lo += len(mixes) {
+		instance := scens[lo].ProtocolName
 		tolerated := "none"
 		rungs := 0
 		dropMix, dropDelivery, dropSrcDel, dropSpurious := "-", "-", "-", "-"
-		for _, mix := range mixes {
-			s := base
-			s.ProtocolName = instance
-			s.AdversaryMix = mix
-			s.Name = "dropoff/" + instance + "/" + mix.Mix()
-			s.MaxRounds = maxRoundsFor(familyOf(instance), o.Full)
+		for _, s := range scens[lo : lo+len(mixes)] {
 			_, agg := cell(s, o, reps)
 			delivery := agg.CompletionPct.Mean
 			spurious := 100 - agg.CorrectPct.Mean
 			if delivery < dropoffDelivery || spurious > 0 {
-				dropMix = mix.Mix()
+				dropMix = s.Mix()
 				dropDelivery = fmt.Sprintf("%.1f", delivery)
 				dropSrcDel = fmt.Sprintf("%.1f", agg.SrcDeliveryPct.Mean)
 				dropSpurious = fmt.Sprintf("%.1f", spurious)
 				break
 			}
-			tolerated = mix.Mix()
+			tolerated = s.Mix()
 			rungs++
 		}
 		tbl.Add(instance, familyOf(instance), tolerated,

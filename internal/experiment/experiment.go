@@ -98,8 +98,15 @@ const maxDeployCache = 256
 // deployment builds (or recalls) the scenario's deployment for one
 // repetition. The result is a pure function of the key, so sharing the
 // object across cells cannot change any result; callers must treat it
-// as immutable.
-func (s Scenario) deployment(rep int) *topo.Deployment {
+// as immutable. Knobs the generators cannot take are an error: a
+// negative Nodes, or fewer than one cluster on a clustered map.
+func (s Scenario) deployment(rep int) (*topo.Deployment, error) {
+	if s.Deploy != GridDeploy && s.Nodes < 0 {
+		return nil, fmt.Errorf("experiment: Nodes %d is negative", s.Nodes)
+	}
+	if s.Deploy == Clustered && s.Clusters < 1 {
+		return nil, fmt.Errorf("experiment: Clusters %d on a clustered map, want at least 1", s.Clusters)
+	}
 	key := deployKey{
 		kind: s.Deploy, nodes: s.Nodes, clusters: s.Clusters, grid: s.GridW,
 		side: s.MapSide, sigma: s.Sigma, rng: s.Range,
@@ -109,7 +116,7 @@ func (s Scenario) deployment(rep int) *topo.Deployment {
 	d, ok := deployCache[key]
 	deployMu.Unlock()
 	if ok {
-		return d
+		return d, nil
 	}
 	rng := xrand.Derive(s.Seed, xrand.LaneDeploy, uint64(rep))
 	switch s.Deploy {
@@ -126,7 +133,7 @@ func (s Scenario) deployment(rep int) *topo.Deployment {
 	}
 	deployCache[key] = d
 	deployMu.Unlock()
-	return d
+	return d, nil
 }
 
 // roles samples the adversary assignment for one repetition, keeping
@@ -201,15 +208,12 @@ func (s Scenario) run(rep int, opts ...core.Option) core.Result {
 // for callers that want to attach hooks (core.WithRoundHook and
 // friends) or inspect devices. An invalid deployment, such as an empty
 // one, is an error, and so are knobs the deployment generators cannot
-// take: a negative Nodes, or fewer than one cluster on a clustered map.
+// take (see deployment).
 func (s Scenario) BuildWorld(rep int, opts ...core.Option) (*core.World, error) {
-	if s.Deploy != GridDeploy && s.Nodes < 0 {
-		return nil, fmt.Errorf("experiment: Nodes %d is negative", s.Nodes)
+	d, err := s.deployment(rep)
+	if err != nil {
+		return nil, err
 	}
-	if s.Deploy == Clustered && s.Clusters < 1 {
-		return nil, fmt.Errorf("experiment: Clusters %d on a clustered map, want at least 1", s.Clusters)
-	}
-	d := s.deployment(rep)
 	if err := d.Validate(); err != nil {
 		return nil, err
 	}

@@ -41,7 +41,8 @@ func TestBuildWorldRejectsEmptyDeployment(t *testing.T) {
 
 // TestBuildWorldRejectsBadDeployKnobs pins that knobs the deployment
 // generators cannot take are errors naming the knob, not panics inside
-// topo.
+// topo, and that a sweep cell over such a scenario can still be keyed:
+// CellKeyFor does not generate the deployment.
 func TestBuildWorldRejectsBadDeployKnobs(t *testing.T) {
 	for _, c := range []struct {
 		s    Scenario
@@ -59,7 +60,21 @@ func TestBuildWorldRejectsBadDeployKnobs(t *testing.T) {
 		if !strings.Contains(err.Error(), c.knob) {
 			t.Errorf("error %q does not name %q", err, c.knob)
 		}
+		if k := CellKeyFor(c.s, Options{}, 0); k.Fingerprint != 0 {
+			t.Errorf("CellKeyFor(%+v) fingerprint %#x, want 0 for an ungenerated deployment", c.s, k.Fingerprint)
+		}
 	}
+}
+
+// mustDeploy is Scenario.deployment for a scenario whose deployment
+// knobs are valid.
+func mustDeploy(t testing.TB, s Scenario, rep int) *topo.Deployment {
+	t.Helper()
+	d, err := s.deployment(rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d
 }
 
 func TestScenarioRunDeterministic(t *testing.T) {
@@ -102,7 +117,7 @@ func TestRolesFractions(t *testing.T) {
 	s.JamFrac = 0.05
 	s.CrashFrac = 0.20
 	s.SpoofFrac = 0.05
-	d := s.deployment(0)
+	d := mustDeploy(t, s, 0)
 	src := d.CenterNode()
 	roles := s.roles(d, src, 0)
 	if roles[src] != core.Honest {
@@ -134,7 +149,7 @@ func TestRolesFractions(t *testing.T) {
 func TestRolesDeterministicPerRep(t *testing.T) {
 	s := tiny()
 	s.LiarFrac = 0.15
-	d := s.deployment(0)
+	d := mustDeploy(t, s, 0)
 	a := s.roles(d, 0, 3)
 	b := s.roles(d, 0, 3)
 	for i := range a {
@@ -174,24 +189,24 @@ func TestMessageDefaults(t *testing.T) {
 
 func TestDeploymentKinds(t *testing.T) {
 	s := tiny()
-	if s.deployment(0).N() != 49 {
+	if mustDeploy(t, s, 0).N() != 49 {
 		t.Error("grid deployment wrong")
 	}
 	s.Deploy = Uniform
 	s.Nodes = 30
 	s.MapSide = 10
-	if s.deployment(0).N() != 30 {
+	if mustDeploy(t, s, 0).N() != 30 {
 		t.Error("uniform deployment wrong")
 	}
 	s.Deploy = Clustered
 	s.Clusters = 3
 	s.Sigma = 1
-	if s.deployment(0).N() != 30 {
+	if mustDeploy(t, s, 0).N() != 30 {
 		t.Error("clustered deployment wrong")
 	}
 	// Different reps give different random deployments.
-	a := s.deployment(0).Pos[0]
-	b := s.deployment(1).Pos[0]
+	a := mustDeploy(t, s, 0).Pos[0]
+	b := mustDeploy(t, s, 1).Pos[0]
 	if a == b {
 		t.Error("reps share deployment randomness")
 	}
@@ -344,26 +359,26 @@ func TestRepeatSingleRepAutoWorkers(t *testing.T) {
 // yields a distinct one.
 func TestDeploymentCacheSharesAcrossCells(t *testing.T) {
 	base := Scenario{Deploy: Uniform, Nodes: 60, MapSide: 12, Range: 3, Seed: 41}
-	d0 := base.deployment(0)
+	d0 := mustDeploy(t, base, 0)
 
 	same := base
 	same.ProtocolName = "MultiPathRB"
 	same.LiarFrac = 0.2
 	same.MaxRounds = 123
-	if same.deployment(0) != d0 {
+	if mustDeploy(t, same, 0) != d0 {
 		t.Error("cells differing only in protocol/adversary mix rebuilt the deployment")
 	}
-	if base.deployment(1) == d0 {
+	if mustDeploy(t, base, 1) == d0 {
 		t.Error("different repetition shared a deployment")
 	}
 	other := base
 	other.Nodes = 61
-	if other.deployment(0) == d0 {
+	if mustDeploy(t, other, 0) == d0 {
 		t.Error("different node count shared a deployment")
 	}
 	reseeded := base
 	reseeded.Seed = 42
-	if reseeded.deployment(0) == d0 {
+	if mustDeploy(t, reseeded, 0) == d0 {
 		t.Error("different seed shared a deployment")
 	}
 	// The recalled deployment must be geometrically identical to an

@@ -30,7 +30,7 @@ func TestSweepInstances(t *testing.T) {
 	}
 	// All members share the deployment object: the sweep's whole point
 	// is that family members reuse one world-construction pass.
-	if ss[0].deployment(0) != ss[1].deployment(0) {
+	if mustDeploy(t, ss[0], 0) != mustDeploy(t, ss[1], 0) {
 		t.Error("sweep members rebuilt the deployment")
 	}
 	// An unnamed base keeps instance names bare.

@@ -58,9 +58,9 @@ func TestSweepMatrixShape(t *testing.T) {
 	}
 	// The whole matrix shares one deployment per repetition: the
 	// adversary dimension must not leak into the geometry cache key.
-	d := ss[0].deployment(0)
+	d := mustDeploy(t, ss[0], 0)
 	for i := 1; i < len(ss); i++ {
-		if ss[i].deployment(0) != d {
+		if mustDeploy(t, ss[i], 0) != d {
 			t.Fatalf("cell %d rebuilt the deployment", i)
 		}
 	}

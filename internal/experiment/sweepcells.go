@@ -23,15 +23,21 @@ import (
 // The adversary mix is rendered from its knob values (never from the
 // free-form Label, which two different mixes could share), the typed
 // params from a sorted, type-tagged encoding, and the deployment from
-// both its generating knobs and its content fingerprint. s.Params must
+// both its generating knobs and its content fingerprint. A scenario
+// whose knobs the generators cannot take is keyed with fingerprint 0
+// and not generated; running it fails in BuildWorld. s.Params must
 // already carry any command-line overlay (SweepCells merges before
 // calling; see cell()).
 func CellKeyFor(s Scenario, o Options, rep int) sweep.CellKey {
+	var fp uint64
+	if d, err := s.deployment(rep); err == nil {
+		fp = d.Fingerprint()
+	}
 	return sweep.CellKey{
 		Instance:    instanceOf(s),
 		Mix:         canonMix(s.AdversaryMix),
 		Deploy:      canonDeploy(s),
-		Fingerprint: s.deployment(rep).Fingerprint(),
+		Fingerprint: fp,
 		Rep:         rep,
 		Seed:        s.Seed,
 		Full:        o.Full,

@@ -33,7 +33,7 @@ func runLaneLabel(pass *Pass) error {
 	if !inModule(pass.Pkg.Path()) {
 		return nil
 	}
-	if canonicalPath(pass.Pkg.Path()) == xrandPath {
+	if pass.Pkg.Path() == xrandPath {
 		checkLaneRegistry(pass)
 		return nil
 	}

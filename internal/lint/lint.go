@@ -10,8 +10,7 @@
 // comments) without depending on it: the build environment is offline
 // and the module vendors nothing, so the framework is reimplemented on
 // the standard library (go/ast, go/types, and export data served by
-// `go list -export`). cmd/rbvet drives these analyzers both standalone
-// and through cmd/go's -vettool protocol.
+// `go list -export`). cmd/rbvet drives these analyzers over the module.
 //
 // Findings are suppressed only by an explicit justified directive on
 // the offending line or the line above it:
@@ -214,15 +213,6 @@ func Run(pkg *Package, analyzers []*Analyzer) ([]Diagnostic, error) {
 	return out, nil
 }
 
-// canonicalPath strips cmd/go's test-variant decorations from an import
-// path: "p [p.test]" and "p_test" both scope like "p".
-func canonicalPath(path string) string {
-	if i := strings.IndexByte(path, ' '); i >= 0 {
-		path = path[:i]
-	}
-	return strings.TrimSuffix(path, "_test")
-}
-
 // modulePath is the repo's module path; analyzer scopes are defined
 // relative to it.
 const modulePath = "authradio"
@@ -231,10 +221,8 @@ const modulePath = "authradio"
 const xrandPath = modulePath + "/internal/xrand"
 
 // inModule reports whether path is part of this module (all analyzers
-// ignore other modules and the standard library, which matters only
-// under the -vettool protocol where dependencies stream through too).
+// ignore other modules and the standard library).
 func inModule(path string) bool {
-	path = canonicalPath(path)
 	return path == modulePath || strings.HasPrefix(path, modulePath+"/")
 }
 
@@ -268,7 +256,6 @@ var deterministicScope = []string{
 // deterministic reports whether the package at path is inside the
 // determinism scope.
 func deterministic(path string) bool {
-	path = canonicalPath(path)
 	for _, p := range deterministicScope {
 		if path == p || strings.HasPrefix(path, p+"/") {
 			return true

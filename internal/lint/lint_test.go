@@ -80,7 +80,7 @@ func runFixture(t *testing.T, fixture, aspath string, analyzers ...*Analyzer) {
 		}
 	}
 
-	tpkg, info, err := TypeCheck(fset, aspath, "", files, NewImporter(fset, nil, packageFile))
+	tpkg, info, err := TypeCheck(fset, aspath, files, NewImporter(fset, packageFile))
 	if err != nil {
 		t.Fatalf("typecheck: %v", err)
 	}

@@ -17,9 +17,8 @@ import (
 
 // The loader typechecks target packages from source while importing
 // their dependencies from compiler export data, exactly as cmd/vet
-// does. Standalone mode obtains the export files from
-// `go list -export`; -vettool mode is handed them in vet.cfg. Building
-// on export data (rather than typechecking the whole dependency graph
+// does, with the export files listed by `go list -export`. Building on
+// export data (rather than typechecking the whole dependency graph
 // from source) keeps a full-tree run to a couple of seconds and needs
 // nothing beyond the standard go/importer.
 
@@ -61,15 +60,10 @@ func GoList(dir string, patterns ...string) ([]*ListedPackage, error) {
 	return pkgs, nil
 }
 
-// NewImporter returns a types.Importer that reads gc export data.
-// importMap translates import paths as written in source to canonical
-// package paths (nil for the identity); packageFile maps canonical
-// paths to export-data files.
-func NewImporter(fset *token.FileSet, importMap, packageFile map[string]string) types.Importer {
+// NewImporter returns a types.Importer that reads gc export data;
+// packageFile maps import paths to export-data files.
+func NewImporter(fset *token.FileSet, packageFile map[string]string) types.Importer {
 	lookup := func(path string) (io.ReadCloser, error) {
-		if mapped, ok := importMap[path]; ok {
-			path = mapped
-		}
 		file := packageFile[path]
 		if file == "" {
 			return nil, fmt.Errorf("no export data for %q", path)
@@ -91,9 +85,8 @@ func (i unsafeAwareImporter) Import(path string) (*types.Package, error) {
 }
 
 // TypeCheck typechecks one package's parsed files with full types.Info.
-// goVersion optionally pins the language version ("" for the
-// toolchain's default); -vettool mode receives it in vet.cfg.
-func TypeCheck(fset *token.FileSet, path, goVersion string, files []*ast.File, imp types.Importer) (*types.Package, *types.Info, error) {
+// It checks no language version: the build already has.
+func TypeCheck(fset *token.FileSet, path string, files []*ast.File, imp types.Importer) (*types.Package, *types.Info, error) {
 	info := &types.Info{
 		Types:      map[ast.Expr]types.TypeAndValue{},
 		Defs:       map[*ast.Ident]types.Object{},
@@ -103,7 +96,7 @@ func TypeCheck(fset *token.FileSet, path, goVersion string, files []*ast.File, i
 		Scopes:     map[ast.Node]*types.Scope{},
 		Instances:  map[*ast.Ident]types.Instance{},
 	}
-	conf := types.Config{Importer: imp, GoVersion: goVersion}
+	conf := types.Config{Importer: imp}
 	pkg, err := conf.Check(path, fset, files, info)
 	return pkg, info, err
 }
@@ -122,7 +115,7 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 		}
 	}
 	fset := token.NewFileSet()
-	imp := NewImporter(fset, nil, packageFile)
+	imp := NewImporter(fset, packageFile)
 	var out []*Package
 	for _, p := range listed {
 		if p.DepOnly || p.Standard {
@@ -142,7 +135,7 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 		if len(files) == 0 {
 			continue
 		}
-		tpkg, info, err := TypeCheck(fset, p.ImportPath, "", files, imp)
+		tpkg, info, err := TypeCheck(fset, p.ImportPath, files, imp)
 		if err != nil {
 			return nil, fmt.Errorf("typecheck %s: %v", p.ImportPath, err)
 		}

@@ -53,7 +53,7 @@ func runWallclock(pass *Pass) error {
 				continue
 			}
 			if wallclockBannedImports[path] {
-				pass.Reportf(imp.Pos(), "import of %s in deterministic package %s: use internal/xrand streams instead", path, canonicalPath(pass.Pkg.Path()))
+				pass.Reportf(imp.Pos(), "import of %s in deterministic package %s: use internal/xrand streams instead", path, pass.Pkg.Path())
 			}
 		}
 		ast.Inspect(f, func(n ast.Node) bool {
@@ -66,7 +66,7 @@ func runWallclock(pass *Pass) error {
 				return true
 			}
 			if wallclockBanned[fn.Name()] {
-				pass.Reportf(sel.Pos(), "time.%s in deterministic package %s: simulated rounds are the only clock here", fn.Name(), canonicalPath(pass.Pkg.Path()))
+				pass.Reportf(sel.Pos(), "time.%s in deterministic package %s: simulated rounds are the only clock here", fn.Name(), pass.Pkg.Path())
 			}
 			return true
 		})

@@ -48,12 +48,11 @@ type Shared struct {
 	// deliver a bit before it is committed: 1 for plain
 	// NeighborWatchRB, 2 for the "2-voting" variant.
 	Votes int
-	// Occupied marks squares containing at least one active relaying
-	// device (the source itself does not relay through its square).
-	Occupied map[schedule.Square]bool
 	// MembersOf lists the active relaying devices of each square,
-	// ascending. Locally computable under the paper's assumption that
-	// devices know their neighbors' locations.
+	// ascending; a square is occupied when its list is non-empty (the
+	// source itself does not relay through its square). Locally
+	// computable under the paper's assumption that devices know their
+	// neighbors' locations.
 	MembersOf map[schedule.Square][]int
 	// SourceSquare is the square containing the source.
 	SourceSquare schedule.Square
@@ -68,7 +67,6 @@ func NewShared(d *topo.Deployment, g *schedule.SquareGrid, msgLen, sourceID, vot
 	if msgLen <= 0 {
 		panic("nwatch: message length must be positive")
 	}
-	occ := make(map[schedule.Square]bool)
 	members := make(map[schedule.Square][]int)
 	for i, p := range d.Pos {
 		if i == sourceID {
@@ -78,7 +76,6 @@ func NewShared(d *topo.Deployment, g *schedule.SquareGrid, msgLen, sourceID, vot
 			continue
 		}
 		sq := g.SquareOf(p)
-		occ[sq] = true
 		members[sq] = append(members[sq], i)
 	}
 	return &Shared{
@@ -87,7 +84,6 @@ func NewShared(d *topo.Deployment, g *schedule.SquareGrid, msgLen, sourceID, vot
 		MsgLen:       msgLen,
 		SourceID:     sourceID,
 		Votes:        votes,
-		Occupied:     occ,
 		MembersOf:    members,
 		SourceSquare: g.SquareOf(d.Pos[sourceID]),
 	}
@@ -196,7 +192,7 @@ func newNode(sh *Shared, id int) *Node {
 	// this node's square is the source's own or adjacent to it.
 	n.interest = append(n.interest, n.mySlot)
 	for _, a := range sh.G.Adjacent(sq) {
-		if sh.Occupied[a] {
+		if len(sh.MembersOf[a]) > 0 {
 			n.interest = append(n.interest, sh.G.SlotOf(a))
 		}
 	}

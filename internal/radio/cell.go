@@ -69,11 +69,11 @@ type CellState struct {
 // Beware method promotion: a wrapper that embeds a built-in medium and
 // overrides only Observe still satisfies CellMedium through the
 // promoted cell methods, so the engine would silently bypass the
-// override on dense rounds. Such wrappers must run with the cell path
-// disabled (sim.Engine.DisableIndex / core.Config.LinearChannel). A
-// wrapper that embeds only the Medium interface does not satisfy
-// CellMedium, so the engine resolves it linearly and the override
-// takes effect.
+// override on dense rounds. A wrapper that embeds only the Medium
+// interface does not satisfy CellMedium, so the engine resolves it
+// linearly and the override takes effect. The same wrapper with no
+// override, struct{ Medium }{m}, is how a caller forces the linear
+// scan over a cell medium m.
 type CellMedium interface {
 	Medium
 	// ObserveCand resolves one listener against a candidate list: cand

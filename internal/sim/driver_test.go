@@ -144,8 +144,11 @@ func TestDriverMatchesLegacyEngine(t *testing.T) {
 			{label: "linear", linear: true},
 			{label: "parallel", workers: 4},
 		} {
-			e := NewEngine(mk())
-			e.DisableIndex = cfg.linear
+			m := mk()
+			if cfg.linear {
+				m = struct{ radio.Medium }{m}
+			}
+			e := NewEngine(m)
 			e.Workers = cfg.workers
 			devs := buildChaos(e, n, seed)
 			e.RunUntil(nil, 0, maxRound)
@@ -297,8 +300,11 @@ func TestObsHookDeterministicOrder(t *testing.T) {
 		return m
 	}
 	run := func(linear bool, workers int) ([]obsEvent, []*chaosDevice) {
-		e := NewEngine(mk())
-		e.DisableIndex = linear
+		m := mk()
+		if linear {
+			m = struct{ radio.Medium }{m}
+		}
+		e := NewEngine(m)
 		e.Workers = workers
 		var events []obsEvent
 		e.OnDeliver = func(r uint64, dev int, obs radio.Obs) {

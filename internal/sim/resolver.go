@@ -176,7 +176,7 @@ func (v *resolver) Deliver(r uint64, hook ObsHook) {
 // linear Observe scan otherwise.
 func (v *resolver) resolve(r uint64, rec []radio.Obs) {
 	e := v.e
-	if cm, ok := e.Medium.(radio.CellMedium); ok && !e.DisableIndex && len(v.txs) >= minIndexedTxs {
+	if cm, ok := e.Medium.(radio.CellMedium); ok && len(v.txs) >= minIndexedTxs {
 		if sr := cm.SenseRange(); sr > 0 && !math.IsInf(sr, 1) {
 			v.txSet.Reset(v.txs, sr)
 			v.deliverCells(r, cm, rec)

@@ -128,13 +128,6 @@ type Engine struct {
 	// tracing). The order is deterministic across delivery paths and
 	// worker counts.
 	OnDeliver ObsHook
-	// DisableIndex forces the O(listeners × transmissions) linear
-	// channel resolution even on dense rounds over a radio.CellMedium.
-	// The cell path produces identical observations; the knob exists
-	// for equivalence testing, benchmarking, and wrapper media that
-	// override Observe but inherit the cell methods by embedding a
-	// built-in medium (see radio.CellMedium).
-	DisableIndex bool
 
 	// Dense per-device tables, keyed by the compact index assigned at
 	// Add. The hot loops never touch a map.

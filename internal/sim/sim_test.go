@@ -402,10 +402,14 @@ func TestIndexedResolutionMatchesLinear(t *testing.T) {
 		&radio.DiskMedium{R: 2.5, Metric: geom.L2},
 		radio.NewFriisMedium(2.5, 33),
 	} {
-		build := func(disable bool) ([]*scripted, *countingMedium) {
+		build := func(linear bool) ([]*scripted, *countingMedium) {
 			cm := &countingMedium{CellMedium: m}
-			e := NewEngine(cm)
-			e.DisableIndex = disable
+			var em radio.Medium = cm
+			if linear {
+				// A wrapper that embeds only Medium hides the cell methods.
+				em = struct{ radio.Medium }{cm}
+			}
+			e := NewEngine(em)
 			devs := denseScripted(e, 400)
 			e.RunUntil(nil, 0, 10)
 			return devs, cm
@@ -413,7 +417,7 @@ func TestIndexedResolutionMatchesLinear(t *testing.T) {
 		lin, cmLin := build(true)
 		idx, cmIdx := build(false)
 		if cmLin.cells != 0 || cmLin.linear == 0 {
-			t.Fatalf("DisableIndex engine used the cell path (%d cells, %d linear)", cmLin.cells, cmLin.linear)
+			t.Fatalf("plain-Medium wrapper used the cell path (%d cells, %d linear)", cmLin.cells, cmLin.linear)
 		}
 		if cmIdx.cells == 0 || cmIdx.linear != 0 {
 			t.Fatalf("dense round did not use the cell path (%d cells, %d linear)", cmIdx.cells, cmIdx.linear)
@@ -784,8 +788,11 @@ func TestCellShardedMatchesFlat(t *testing.T) {
 			{label: "linear", linear: true},
 			{label: "cells-parallel", workers: 4},
 		} {
-			e := NewEngine(mk())
-			e.DisableIndex = cfg.linear
+			m := mk()
+			if cfg.linear {
+				m = struct{ radio.Medium }{m}
+			}
+			e := NewEngine(m)
 			e.Workers = cfg.workers
 			devs := buildChaos(e, 2*chaosFanout, 21)
 			e.RunUntil(nil, 0, 500)

@@ -1,7 +1,6 @@
 // Package topo builds and analyses device deployments: the analytical
 // grid topology of the paper's proofs, and the uniform-random and
-// clustered deployments of its simulation section. It also provides the
-// connectivity and hop-diameter analyses used by the experiment harness.
+// clustered deployments of its simulation section.
 //
 // Neighborhoods come from one spatial index per deployment (Index, a
 // geom.GridIndex built on first use). WithinRange is the one range
@@ -224,54 +223,6 @@ func (d *Deployment) CenterNode() int {
 		d.center = best
 	})
 	return d.center
-}
-
-// ComponentOf returns the ids of all devices reachable from src through
-// the range-R adjacency graph restricted to the active set (active[i]
-// false means device i is removed, e.g. crashed). The result includes src
-// and is sorted. If active is nil, all devices are active.
-func (d *Deployment) ComponentOf(src int, active []bool) []int {
-	if active != nil && !active[src] {
-		return nil
-	}
-	seen := make([]bool, len(d.Pos))
-	seen[src] = true
-	queue := []int{src}
-	var buf []int
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		buf = d.Neighbors(buf[:0], v)
-		for _, w := range buf {
-			if seen[w] || (active != nil && !active[w]) {
-				continue
-			}
-			seen[w] = true
-			queue = append(queue, w)
-		}
-	}
-	out := make([]int, 0, len(d.Pos))
-	for i, s := range seen {
-		if s {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// Connected reports whether all active devices are reachable from src.
-func (d *Deployment) Connected(src int, active []bool) bool {
-	total := 0
-	if active == nil {
-		total = len(d.Pos)
-	} else {
-		for _, a := range active {
-			if a {
-				total++
-			}
-		}
-	}
-	return len(d.ComponentOf(src, active)) == total
 }
 
 // HopDistances returns, for each device, the minimum number of range-R

@@ -150,12 +150,8 @@ func TestCenterNode(t *testing.T) {
 
 func TestComponentAndConnectivity(t *testing.T) {
 	d := Grid(4, 4, 1)
-	if !d.Connected(0, nil) {
-		t.Fatal("full grid should be connected")
-	}
-	comp := d.ComponentOf(0, nil)
-	if len(comp) != 16 {
-		t.Fatalf("component size %d, want 16", len(comp))
+	if u := d.LiveComponents(nil); u.Count() != 1 || u.SizeOf(0) != 16 {
+		t.Fatalf("full grid: %d components, device 0's of size %d, want one of 16", u.Count(), u.SizeOf(0))
 	}
 	// Deactivate a full column (x=1 with R=1 Linf still bridges
 	// diagonally, so cut two columns x=1,x=2).
@@ -167,15 +163,15 @@ func TestComponentAndConnectivity(t *testing.T) {
 		active[y*4+1] = false
 		active[y*4+2] = false
 	}
-	if d.Connected(0, active) {
+	u := d.LiveComponents(active)
+	if u.Same(0, 3) {
 		t.Error("cut grid should be disconnected")
 	}
-	comp = d.ComponentOf(0, active)
-	if len(comp) != 4 {
-		t.Errorf("left column component size %d, want 4", len(comp))
+	if got := u.SizeOf(0); got != 4 {
+		t.Errorf("left column component size %d, want 4", got)
 	}
-	if got := d.ComponentOf(1, active); got != nil {
-		t.Errorf("component of inactive node should be nil, got %v", got)
+	if got := u.SizeOf(1); got != 1 {
+		t.Errorf("inactive node should be a singleton, got a set of %d", got)
 	}
 }
 

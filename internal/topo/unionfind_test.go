@@ -31,32 +31,43 @@ func TestUnionFindBasics(t *testing.T) {
 	}
 }
 
-// TestUnionFindAgainstBFS cross-checks union-find components against the
-// existing BFS ComponentOf on random deployments with random dead sets.
+// TestUnionFindAgainstBFS cross-checks union-find components against a
+// breadth-first search on random deployments with random dead sets:
+// HopDistances over the live devices alone reaches exactly the
+// device's component.
 func TestUnionFindAgainstBFS(t *testing.T) {
 	rng := xrand.New(42)
 	for trial := 0; trial < 20; trial++ {
 		d := Uniform(60, 12, 3, rng)
 		alive := make([]bool, d.N())
+		live := &Deployment{Area: d.Area, R: d.R, Metric: d.Metric}
+		var ids []int // live index -> device id
 		for i := range alive {
 			alive[i] = rng.Float64() > 0.25
+			if alive[i] {
+				live.Pos = append(live.Pos, d.Pos[i])
+				ids = append(ids, i)
+			}
 		}
 		u := d.LiveComponents(alive)
 		for i := 0; i < d.N(); i++ {
-			if !alive[i] {
-				if u.SizeOf(i) != 1 {
-					t.Fatalf("trial %d: dead node %d merged into a component", trial, i)
-				}
-				continue
+			if !alive[i] && u.SizeOf(i) != 1 {
+				t.Fatalf("trial %d: dead node %d merged into a component", trial, i)
 			}
-			comp := d.ComponentOf(i, alive)
-			if got := u.SizeOf(i); got != len(comp) {
-				t.Fatalf("trial %d node %d: union-find size %d, BFS size %d", trial, i, got, len(comp))
-			}
-			for _, j := range comp {
-				if !u.Same(i, j) {
-					t.Fatalf("trial %d: BFS says %d~%d, union-find disagrees", trial, i, j)
+		}
+		for k, i := range ids {
+			comp := 0
+			for kj, hops := range live.HopDistances(k) {
+				if hops < 0 {
+					continue
 				}
+				comp++
+				if !u.Same(i, ids[kj]) {
+					t.Fatalf("trial %d: BFS says %d~%d, union-find disagrees", trial, i, ids[kj])
+				}
+			}
+			if got := u.SizeOf(i); got != comp {
+				t.Fatalf("trial %d node %d: union-find size %d, BFS size %d", trial, i, got, comp)
 			}
 		}
 	}
