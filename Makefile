@@ -47,13 +47,15 @@ golden-check:
 serve-smoke:
 	./scripts/serve_smoke.sh
 
-# The two measured benchmark suites, invoked exactly as the CI bench
-# job runs them (see .github/workflows/ci.yml) so local numbers are
+# The two measured benchmark suites. The CI bench job runs these
+# targets (see .github/workflows/ci.yml), so local numbers are
 # comparable to the gated ones. bench is the sub-second dense-round,
 # small-broadcast, sparse-calendar and connectivity-pass suites, with
-# -benchmem so their B/op and allocs/op are gated too; bench-scale is
-# the 100k+ regime — single iterations, 3 counts, -benchmem — plus the
-# opt-in million-device round when BENCH_SCALE_1M=1 is exported.
+# -benchmem so their B/op and allocs/op are gated too (OneHopRB's
+# broadcast benchmark lives in its driver package, which the root
+# package does not import); bench-scale is the 100k+ regime — single
+# iterations, 3 counts, -benchmem — plus the opt-in million-device
+# round when BENCH_SCALE_1M=1 is exported.
 bench:
 	go test -run '^$$' -bench 'BenchmarkDenseRound(Linear|Indexed|4096|Disk)|BenchmarkSingleBroadcast(NW|MP|Epidemic|OneHop)$$|BenchmarkSparseCalendar|BenchmarkLiveComponents(Cluster4096|Uniform16384)' \
 		-count 5 -benchtime 0.3s -benchmem . ./internal/sim ./internal/topo ./internal/proto/onehop/driver

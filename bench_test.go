@@ -211,11 +211,14 @@ func BenchmarkDenseRoundDisk(b *testing.B)       { benchDenseRoundDisk(b, false)
 func BenchmarkSingleBroadcastNW(b *testing.B) {
 	s := experiment.Scenario{
 		Name: "bench", ProtocolName: "NeighborWatchRB", Deploy: experiment.GridDeploy,
-		GridW: 9, Range: 2, MsgLen: 4, Seed: 1, MaxRounds: 500_000,
+		GridW: 9, Range: 2, MsgBits: 0b1011, MsgLen: 4, Seed: 1, MaxRounds: 500_000,
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r := s.Run(0)
+		r, err := s.Run(0)
+		if err != nil {
+			b.Fatal(err)
+		}
 		if !r.AllComplete {
 			b.Fatal("broadcast incomplete")
 		}
@@ -227,11 +230,14 @@ func BenchmarkSingleBroadcastNW(b *testing.B) {
 func BenchmarkSingleBroadcastMP(b *testing.B) {
 	s := experiment.Scenario{
 		Name: "bench", ProtocolName: "MultiPathRB/t1", Deploy: experiment.GridDeploy,
-		GridW: 7, Range: 2, MsgLen: 3, Seed: 1, MaxRounds: 3_000_000,
+		GridW: 7, Range: 2, MsgBits: 0b1011, MsgLen: 3, Seed: 1, MaxRounds: 3_000_000,
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r := s.Run(0)
+		r, err := s.Run(0)
+		if err != nil {
+			b.Fatal(err)
+		}
 		if !r.AllComplete {
 			b.Fatal("broadcast incomplete")
 		}
@@ -243,11 +249,14 @@ func BenchmarkSingleBroadcastMP(b *testing.B) {
 func BenchmarkSingleBroadcastEpidemic(b *testing.B) {
 	s := experiment.Scenario{
 		Name: "bench", ProtocolName: "Epidemic", Deploy: experiment.GridDeploy,
-		GridW: 9, Range: 2, MsgLen: 4, Seed: 1, MaxRounds: 500_000,
+		GridW: 9, Range: 2, MsgBits: 0b1011, MsgLen: 4, Seed: 1, MaxRounds: 500_000,
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r := s.Run(0)
+		r, err := s.Run(0)
+		if err != nil {
+			b.Fatal(err)
+		}
 		if !r.AllComplete {
 			b.Fatal("flood incomplete")
 		}

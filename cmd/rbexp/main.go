@@ -20,9 +20,9 @@
 // sweeps take -mixes, a comma-separated list of compact mix labels
 // ("clean,liar15,jam10b32") replacing the default ladder.
 //
-// -param name=value overlays a typed driver knob on every cell
-// (repeatable; bool/int/float/string inferred — family presets still
-// pin their own knobs). -json emits each experiment's tables as one
+// -param name=value overlays a numeric driver knob on every cell
+// (repeatable; a value that is not a number exits 2, and family
+// presets still pin their own knobs). -json emits each experiment's tables as one
 // machine-readable JSON document instead of aligned text; with a fixed
 // seed the document is byte-identical across runs, which is what the
 // CI golden checks diff.
@@ -69,7 +69,7 @@ func main() {
 		cacheDir = flag.String("cache", "", "persistent sweep-cell results cache directory (store-and-resume; empty = no cache)")
 	)
 	var params core.ParamFlag
-	flag.Var(&params, "param", "typed driver knob name=value overlaid on every cell (repeatable)")
+	flag.Var(&params, "param", "driver knob name=number overlaid on every cell (repeatable)")
 	flag.Parse()
 
 	if *seed == 0 {

@@ -5,9 +5,10 @@
 // Protocols are addressed by driver registry name or alias; `rbsim
 // -proto list` enumerates everything registered, including protocols
 // wired in outside core (e.g. GossipRB). Driver knobs are drivable
-// without a rebuild through repeated `-param name=value` flags, typed
-// into the core.Params bag (bool/int/float/string inferred; malformed
-// input is rejected at flag parse, wrongly-typed knobs at Build).
+// without a rebuild through repeated `-param name=value` flags into
+// the core.Params bag. Every knob is a number: a value that is not one
+// exits 2 at flag parse, and one the driver cannot take (a fractional
+// count, an out-of-range value) exits 1 at Build.
 //
 // Examples:
 //
@@ -101,7 +102,7 @@ func main() {
 		faultSeed     = flag.Uint64("faultseed", 0, "udp: fault plan seed (0 = derive from -seed)")
 	)
 	var params core.ParamFlag
-	flag.Var(&params, "param", "typed driver knob name=value (repeatable; bool/int/float/string inferred, e.g. -param gossip.fanout=3)")
+	flag.Var(&params, "param", "driver knob name=number (repeatable, e.g. -param gossip.fanout=3)")
 	flag.Parse()
 
 	if strings.EqualFold(*proto, "list") {
@@ -152,7 +153,7 @@ func main() {
 		MsgBits:      bits,
 		MsgLen:       *msgLen,
 		AdversaryMix: adv,
-		Params:       core.Params{multipath.ParamT: *t}.Merge(params.Params),
+		Params:       core.Params{multipath.ParamT: float64(*t)}.Merge(params.Params),
 		Seed:         *seed,
 		MaxRounds:    *maxR,
 	}

@@ -177,3 +177,59 @@ func TestMixFlag(t *testing.T) {
 		}
 	}
 }
+
+// TestParamFlag runs rbsim's -param front door: a value that is not a
+// number exits 2 at flag parse, with a first line naming the knob
+// (the flag package's usage text follows, as for any bad flag); a
+// number the driver cannot take exits 1 at Build; and any spelling
+// ParseParam takes runs.
+func TestParamFlag(t *testing.T) {
+	base := []string{"-proto", "gossip", "-grid", "5", "-range", "1.5"}
+	for _, c := range []struct {
+		param, stderr string
+		code          int
+	}{
+		{"x=true", `invalid value "x=true" for flag -param: param x: want a number, got "true"` + "\n", 2},
+		{"gossip.fanout=hi", `invalid value "gossip.fanout=hi" for flag -param: param gossip.fanout: want a number, got "hi"` + "\n", 2},
+		{"gossip.fanout=2.5", "core: building GossipRB: param gossip.fanout: want an int, got 2.5\n", 1},
+		{"multipath.t=0x2", "", 0},
+	} {
+		stdout, stderr, err := runRbsim(append(base, "-param", c.param)...)
+		code := 0
+		if err != nil {
+			var exit *exec.ExitError
+			if !errors.As(err, &exit) {
+				t.Fatalf("-param %s: %v", c.param, err)
+			}
+			code = exit.ExitCode()
+		}
+		if code != c.code {
+			t.Errorf("-param %s: exit status %d, want %d; stderr %q", c.param, code, c.code, stderr)
+		}
+		if c.stderr == "" && stderr != "" || !strings.HasPrefix(stderr, c.stderr) {
+			t.Errorf("-param %s: stderr %q, want first line %q", c.param, stderr, c.stderr)
+		}
+		if c.code == 0 && !strings.Contains(stdout, "correct:") {
+			t.Errorf("-param %s: no outcome printed:\n%s", c.param, stdout)
+		}
+	}
+}
+
+// TestMsgZeroHonoured runs rbsim with -msg 0 and with the default
+// pattern 0b1011: an all-zero message is broadcast as given, not
+// replaced by the default, so the two transmission traces differ.
+func TestMsgZeroHonoured(t *testing.T) {
+	trace := func(msg string) string {
+		stdout, stderr, err := runRbsim("-proto", "onehop", "-grid", "3", "-range", "5", "-msglen", "4", "-trace", "200", "-msg", msg)
+		if err != nil {
+			t.Fatalf("-msg %s: %v: %s", msg, err, stderr)
+		}
+		if !strings.Contains(stdout, "correct:         8 (100.0% of completed)") {
+			t.Errorf("-msg %s: not delivered correctly:\n%s", msg, stdout)
+		}
+		return stderr
+	}
+	if zero, def := trace("0"), trace("0b1011"); zero == def {
+		t.Fatalf("-msg 0 and -msg 0b1011 printed the same trace:\n%s", zero)
+	}
+}

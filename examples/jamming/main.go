@@ -10,6 +10,7 @@ package main
 
 import (
 	"fmt"
+	"log"
 
 	"authradio/internal/experiment"
 	"authradio/internal/stats"
@@ -33,6 +34,7 @@ func main() {
 			Nodes:        180,
 			MapSide:      12,
 			Range:        3,
+			MsgBits:      0b1011,
 			MsgLen:       4,
 			AdversaryMix: experiment.AdversaryMix{
 				JamFrac:   0.10,
@@ -46,7 +48,10 @@ func main() {
 			// every row shares the topology (budget 0 = crashed).
 			s.JamFrac, s.CrashFrac = 0, 0.10
 		}
-		rs := experiment.Repeat(s, 3, 0)
+		rs, err := experiment.Repeat(s, 3, 0)
+		if err != nil {
+			log.Fatal(err)
+		}
 		agg := experiment.Aggregate(rs)
 		fmt.Printf("%8d  %12.0f  %14.1f  %12.0f\n",
 			budget, agg.LastCompletion.Mean, agg.CompletionPct.Mean, agg.ByzTx.Mean)

@@ -9,6 +9,7 @@ package main
 
 import (
 	"fmt"
+	"log"
 
 	"authradio/internal/experiment"
 
@@ -33,6 +34,7 @@ func main() {
 				Nodes:        200,
 				MapSide:      12,
 				Range:        4,
+				MsgBits:      0b1011,
 				MsgLen:       4,
 				AdversaryMix: experiment.AdversaryMix{
 					LiarFrac: frac,
@@ -40,7 +42,10 @@ func main() {
 				Seed:      7,
 				MaxRounds: 400_000,
 			}
-			rs := experiment.Repeat(s, 3, 0)
+			rs, err := experiment.Repeat(s, 3, 0)
+			if err != nil {
+				log.Fatal(err)
+			}
 			agg := experiment.Aggregate(rs)
 			row = append(row, agg.CorrectPct.Mean)
 		}

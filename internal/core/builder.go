@@ -29,8 +29,8 @@ type WorldBuilder struct {
 	// after the driver (true unless the driver's slots have no veto
 	// rounds; see SetJamVetoOnly).
 	jamVetoOnly bool
-	// paramErrs collects typed-getter failures; Build surfaces them as
-	// an error even when the driver's Build returns nil.
+	// paramErrs collects IntParam failures; Build surfaces them as an
+	// error even when the driver's Build returns nil.
 	paramErrs []error
 }
 
@@ -55,47 +55,27 @@ func (b *WorldBuilder) Role(i int) Role {
 // Summarize reads the same mask for the partition metrics.
 func (b *WorldBuilder) Active() []bool { return b.w.live }
 
-// The typed param getters read driver knobs from Config.Params (after
-// any family-preset overlay), falling back to def when the knob is
-// absent. A wrongly-typed value is recorded on the builder and
-// surfaced as an error from Build — the driver receives def and may
+// The param getters read driver knobs from Config.Params (after any
+// family-preset overlay), falling back to def when the knob is absent.
+// A count that is not a whole number is recorded on the builder and
+// surfaced as an error from Build: the driver receives def and may
 // finish constructing, but the world is discarded. Drivers therefore
-// range-check the returned value and need no type plumbing of their
+// range-check the returned value and need no error plumbing of their
 // own.
 
-// FloatParam returns the named float64 knob, or def when absent.
+// FloatParam returns the named knob, or def when absent.
 func (b *WorldBuilder) FloatParam(name string, def float64) float64 {
-	v, err := b.cfg.Params.FloatOr(name, def)
-	b.noteParamErr(err)
-	return v
+	return b.cfg.Params.FloatOr(name, def)
 }
 
-// IntParam returns the named int knob, or def when absent. Integral
-// float64 values convert; fractional ones are errors, not truncations.
+// IntParam returns the named knob as an int, or def when absent. A
+// fraction, NaN or infinity is an error, not a truncation.
 func (b *WorldBuilder) IntParam(name string, def int) int {
 	v, err := b.cfg.Params.IntOr(name, def)
-	b.noteParamErr(err)
-	return v
-}
-
-// BoolParam returns the named bool knob, or def when absent.
-func (b *WorldBuilder) BoolParam(name string, def bool) bool {
-	v, err := b.cfg.Params.BoolOr(name, def)
-	b.noteParamErr(err)
-	return v
-}
-
-// StringParam returns the named string knob, or def when absent.
-func (b *WorldBuilder) StringParam(name string, def string) string {
-	v, err := b.cfg.Params.StringOr(name, def)
-	b.noteParamErr(err)
-	return v
-}
-
-func (b *WorldBuilder) noteParamErr(err error) {
 	if err != nil {
 		b.paramErrs = append(b.paramErrs, err)
 	}
+	return v
 }
 
 // SetCycle records the schedule cycle in force. Every driver must call

@@ -116,12 +116,12 @@ type Config struct {
 	Medium radio.Medium
 	// Seed drives all run randomness (jammer decisions etc.).
 	Seed uint64
-	// Params carries named typed knobs for protocol drivers (float64,
-	// int, bool or string values — see Params and the WorldBuilder's
-	// typed getters); each driver defaults and range-checks its own
-	// knobs. Keys are conventionally "<protocol>.<knob>", e.g.
-	// "multipath.t" or "gossip.fanout". Wrongly-typed or out-of-range
-	// values surface as Build errors. When the configuration addresses a
+	// Params carries named numeric knobs for protocol drivers (see
+	// Params and the WorldBuilder's FloatParam and IntParam); each
+	// driver defaults and range-checks its own knobs. Keys are
+	// conventionally "<protocol>.<knob>", e.g. "multipath.t" or
+	// "gossip.fanout". A fractional count or an out-of-range value
+	// surfaces as a Build error. When the configuration addresses a
 	// family instance ("GossipRB/f2p0.5"), the preset's knobs are
 	// merged over this bag, preset winning.
 	Params Params
@@ -236,7 +236,7 @@ func Build(cfg Config, opts ...Option) (*World, error) {
 	if id, isInstance := drv.(instanceDriver); isInstance {
 		// Family presets pin knobs: overlay them here so the merged bag
 		// is visible both to the driver's cfg and to the WorldBuilder's
-		// typed getters.
+		// param getters.
 		cfg.Params = id.mergedParams(cfg.Params)
 	}
 
@@ -260,7 +260,7 @@ func Build(cfg Config, opts ...Option) (*World, error) {
 		return nil, fmt.Errorf("core: building %s: %w", drv.Name(), err)
 	}
 	if err := errors.Join(b.paramErrs...); err != nil {
-		// Typed-getter failures recorded during the driver's Build:
+		// IntParam failures recorded during the driver's Build:
 		// surfacing them here means a driver cannot silently run on a
 		// default after the caller supplied a malformed knob.
 		return nil, fmt.Errorf("core: building %s: %w", drv.Name(), err)

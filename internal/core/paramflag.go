@@ -8,49 +8,36 @@ import (
 	"strings"
 )
 
-// ParseParam parses one command-line knob of the form "name=value"
-// into a Params entry. The value's type is inferred with the same
-// narrow rules the Params getters enforce: the literals "true" and
-// "false" are bool, anything strconv.ParseInt(…, 0, …) accepts
-// (decimal, 0x/0o/0b prefixes, underscores) is int, anything
-// strconv.ParseFloat accepts is float64, and everything else is a
-// string. Inference runs int before bool and float so "1" is a count,
-// not a truth value, and "3" is never 3.0 (the getters widen int to
-// float where a float is wanted, but refuse to truncate the other
-// way).
+// ParseParam parses one command-line knob of the form "name=value".
+// The value must be a number. A literal strconv.ParseInt(…, 0, 64)
+// accepts (decimal, 0x/0o/0b prefixes, underscores) is taken when a
+// float64 holds it exactly; anything else is left to
+// strconv.ParseFloat, except NaN: a NaN knob compares unequal to
+// itself, so it could never be range-checked or reproduced. Only the
+// first '=' splits: "x=a=b" carries the value "a=b", which is refused.
 //
-// Malformed input — no '=', an empty or whitespace-carrying name, an
-// empty value — is reported as a *ParamError, never a panic.
-func ParseParam(s string) (name string, value any, err error) {
+// Malformed input (no '=', an empty or whitespace-carrying name, a
+// value that is not a number) is reported as a *ParamError, never a
+// panic.
+func ParseParam(s string) (name string, value float64, err error) {
 	name, lit, found := strings.Cut(s, "=")
 	if !found {
-		return "", nil, &ParamError{Name: s, Want: "name=value", Got: s}
+		return "", 0, &ParamError{Name: s, Want: "name=value", Got: s}
 	}
 	if name == "" || strings.ContainsFunc(name, isSpace) {
-		return "", nil, &ParamError{Name: name, Want: "non-empty name without spaces", Got: s}
+		return "", 0, &ParamError{Name: name, Want: "a non-empty name without spaces", Got: s}
 	}
-	if lit == "" {
-		return "", nil, &ParamError{Name: name, Want: "non-empty value", Got: s}
-	}
-	switch lit {
-	case "true":
-		return name, true, nil
-	case "false":
-		return name, false, nil
-	}
-	if n, err := strconv.ParseInt(lit, 0, strconv.IntSize); err == nil {
-		return name, int(n), nil
-	}
-	if f, err := strconv.ParseFloat(lit, 64); err == nil {
-		if math.IsNaN(f) {
-			// A NaN knob compares unequal to itself, so it can never be
-			// range-checked or reproduced; treat it as malformed rather
-			// than letting it leak into a deterministic run.
-			return "", nil, &ParamError{Name: name, Want: "comparable value", Got: lit}
+	if n, err := strconv.ParseInt(lit, 0, 64); err == nil {
+		// Exact only if converting back gives n; f < 2^63 keeps that
+		// conversion in int64's range.
+		if f := float64(n); f < 1<<63 && int64(f) == n {
+			return name, f, nil
 		}
+	}
+	if f, err := strconv.ParseFloat(lit, 64); err == nil && !math.IsNaN(f) {
 		return name, f, nil
 	}
-	return name, lit, nil
+	return "", 0, &ParamError{Name: name, Want: "a number", Got: lit}
 }
 
 func isSpace(r rune) bool {
@@ -62,13 +49,14 @@ func isSpace(r rune) bool {
 }
 
 // ParamFlag is a flag.Value accumulating repeated "-param name=value"
-// arguments into a typed Params bag:
+// arguments into a Params bag:
 //
 //	var params core.ParamFlag
-//	flag.Var(&params, "param", "typed driver knob name=value (repeatable)")
+//	flag.Var(&params, "param", "driver knob name=number (repeatable)")
 //
-// Later assignments to the same name win. Family presets still pin
-// their own knobs over anything set here (preset wins at Build).
+// A value ParseParam refuses fails the flag parse. Later assignments
+// to the same name win. Family presets still pin their own knobs over
+// anything set here (preset wins at Build).
 type ParamFlag struct {
 	Params Params
 }

@@ -1,171 +1,61 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
-// Params is the typed knob bag for protocol drivers: named values of
-// type float64, int, bool or string. Keys are conventionally
-// "<protocol>.<knob>" (e.g. "gossip.fanout"). Values arrive from
-// callers (scenario declarations, family presets, command lines), so
-// the getters validate types and return errors instead of panicking:
-// a wrongly-typed or missing required knob surfaces as a Build error.
-//
-// Numeric conversions are deliberately narrow. A float getter accepts
-// an int (exact widening); an int getter accepts a float64 only when
-// it is integral — 2.5 for a count is a caller mistake, not a value to
-// truncate. Bool and string getters accept only their own type.
-type Params map[string]any
+// Params is the knob bag for protocol drivers: named numbers. Keys are
+// conventionally "<protocol>.<knob>" (e.g. "gossip.fanout"). Values
+// arrive from callers (scenario declarations, family presets, command
+// lines), so a value a driver cannot take surfaces as a Build error,
+// never a panic. A count is read with IntOr, which refuses anything
+// but a whole number: 2.5 for a count is a caller mistake, not a value
+// to truncate.
+type Params map[string]float64
 
-// ParamError describes a knob the driver could not consume: missing
-// when required, or carrying a value of the wrong type.
+// ParamError describes a knob value that cannot be used: a
+// command-line spelling that is not a number (ParseParam), or a number
+// a count cannot take (IntOr).
 type ParamError struct {
 	// Name is the knob's key.
 	Name string
-	// Want is the expected type ("float64", "int", "bool", "string").
+	// Want says what the knob needs ("a number", "an int", ...).
 	Want string
-	// Got is the offending value (nil when Missing).
+	// Got is the offending value: the text as given, or the stored
+	// number.
 	Got any
-	// Missing reports that a required knob was absent.
-	Missing bool
 }
 
 // Error implements error.
 func (e *ParamError) Error() string {
-	if e.Missing {
-		return fmt.Sprintf("param %s: required %s knob missing", e.Name, e.Want)
-	}
-	return fmt.Sprintf("param %s: want %s, got %T (%v)", e.Name, e.Want, e.Got, e.Got)
+	return fmt.Sprintf("param %s: want %s, got %#v", e.Name, e.Want, e.Got)
 }
 
-// Float returns the named knob as a float64; the knob is required.
-func (p Params) Float(name string) (float64, error) {
-	v, ok := p[name]
-	if !ok {
-		return 0, &ParamError{Name: name, Want: "float64", Missing: true}
+// FloatOr returns the named knob, or def when absent.
+func (p Params) FloatOr(name string, def float64) float64 {
+	if v, ok := p[name]; ok {
+		return v
 	}
-	return asFloat(name, v)
+	return def
 }
 
-// FloatOr returns the named knob as a float64, or def when absent. On
-// a type error it returns def alongside the error, so a caller that
-// must produce some value (the WorldBuilder getters) can proceed while
-// the error propagates.
-func (p Params) FloatOr(name string, def float64) (float64, error) {
-	v, ok := p[name]
-	if !ok {
-		return def, nil
-	}
-	f, err := asFloat(name, v)
-	if err != nil {
-		return def, err
-	}
-	return f, nil
-}
-
-func asFloat(name string, v any) (float64, error) {
-	switch x := v.(type) {
-	case float64:
-		return x, nil
-	case int:
-		return float64(x), nil
-	}
-	return 0, &ParamError{Name: name, Want: "float64", Got: v}
-}
-
-// Int returns the named knob as an int; the knob is required.
-func (p Params) Int(name string) (int, error) {
-	v, ok := p[name]
-	if !ok {
-		return 0, &ParamError{Name: name, Want: "int", Missing: true}
-	}
-	return asInt(name, v)
-}
-
-// IntOr returns the named knob as an int, or def when absent. On a
-// type error it returns def alongside the error (see FloatOr).
+// IntOr returns the named knob as an int, or def when absent. A value
+// that is not a whole number in int's range (a fraction, NaN, an
+// infinity) is an error, returned alongside def so a caller that must
+// produce some value (WorldBuilder.IntParam) can proceed while the
+// error propagates.
 func (p Params) IntOr(name string, def int) (int, error) {
 	v, ok := p[name]
 	if !ok {
 		return def, nil
 	}
-	n, err := asInt(name, v)
-	if err != nil {
-		return def, err
+	// -math.MinInt is 2^63 (or 2^31), exact as a float64, so the range
+	// test is exact too.
+	if v != math.Trunc(v) || v < math.MinInt || v >= -math.MinInt {
+		return def, &ParamError{Name: name, Want: "an int", Got: v}
 	}
-	return n, nil
-}
-
-func asInt(name string, v any) (int, error) {
-	switch x := v.(type) {
-	case int:
-		return x, nil
-	case float64:
-		// Accept integral floats (JSON and sweep grids produce them),
-		// refuse to truncate fractional ones.
-		if n := int(x); float64(n) == x {
-			return n, nil
-		}
-	}
-	return 0, &ParamError{Name: name, Want: "int", Got: v}
-}
-
-// Bool returns the named knob as a bool; the knob is required.
-func (p Params) Bool(name string) (bool, error) {
-	v, ok := p[name]
-	if !ok {
-		return false, &ParamError{Name: name, Want: "bool", Missing: true}
-	}
-	return asBool(name, v)
-}
-
-// BoolOr returns the named knob as a bool, or def when absent. On a
-// type error it returns def alongside the error (see FloatOr).
-func (p Params) BoolOr(name string, def bool) (bool, error) {
-	v, ok := p[name]
-	if !ok {
-		return def, nil
-	}
-	x, err := asBool(name, v)
-	if err != nil {
-		return def, err
-	}
-	return x, nil
-}
-
-func asBool(name string, v any) (bool, error) {
-	if x, ok := v.(bool); ok {
-		return x, nil
-	}
-	return false, &ParamError{Name: name, Want: "bool", Got: v}
-}
-
-// String returns the named knob as a string; the knob is required.
-func (p Params) String(name string) (string, error) {
-	v, ok := p[name]
-	if !ok {
-		return "", &ParamError{Name: name, Want: "string", Missing: true}
-	}
-	return asString(name, v)
-}
-
-// StringOr returns the named knob as a string, or def when absent. On
-// a type error it returns def alongside the error (see FloatOr).
-func (p Params) StringOr(name string, def string) (string, error) {
-	v, ok := p[name]
-	if !ok {
-		return def, nil
-	}
-	x, err := asString(name, v)
-	if err != nil {
-		return def, err
-	}
-	return x, nil
-}
-
-func asString(name string, v any) (string, error) {
-	if x, ok := v.(string); ok {
-		return x, nil
-	}
-	return "", &ParamError{Name: name, Want: "string", Got: v}
+	return int(v), nil
 }
 
 // Merge returns p overlaid with over (over wins), leaving both inputs

@@ -2,54 +2,34 @@ package core
 
 import (
 	"errors"
+	"math"
 	"strings"
 	"testing"
 )
 
-// TestParamsTypedGetters exercises every typed getter: the happy path
-// for its own type, the documented conversions, and defaults.
+// TestParamsTypedGetters exercises both getters: a present knob, the
+// whole-number reads IntOr takes, and defaults.
 func TestParamsTypedGetters(t *testing.T) {
-	p := Params{
-		"f": 2.5, "fi": 3, // float knobs: native and int-widened
-		"i": 4, "if": 5.0, // int knobs: native and integral float
-		"b": true,
-		"s": "disk",
+	p := Params{"f": 2.5, "i": 4, "neg": -3, "big": 1 << 52}
+
+	if v := p.FloatOr("f", 9); v != 2.5 {
+		t.Errorf("FloatOr(f) = %v (default must not shadow)", v)
+	}
+	if v := p.FloatOr("i", 9); v != 4 {
+		t.Errorf("FloatOr(i) = %v", v)
+	}
+	for name, want := range map[string]int{"i": 4, "neg": -3, "big": 1 << 52} {
+		if v, err := p.IntOr(name, 7); err != nil || v != want {
+			t.Errorf("IntOr(%s) = %v, %v, want %d", name, v, err, want)
+		}
 	}
 
-	if v, err := p.Float("f"); err != nil || v != 2.5 {
-		t.Errorf("Float(f) = %v, %v", v, err)
-	}
-	if v, err := p.Float("fi"); err != nil || v != 3.0 {
-		t.Errorf("Float(fi) = %v, %v (int must widen exactly)", v, err)
-	}
-	if v, err := p.Int("i"); err != nil || v != 4 {
-		t.Errorf("Int(i) = %v, %v", v, err)
-	}
-	if v, err := p.Int("if"); err != nil || v != 5 {
-		t.Errorf("Int(if) = %v, %v (integral float converts)", v, err)
-	}
-	if v, err := p.Bool("b"); err != nil || v != true {
-		t.Errorf("Bool(b) = %v, %v", v, err)
-	}
-	if v, err := p.String("s"); err != nil || v != "disk" {
-		t.Errorf("String(s) = %v, %v", v, err)
-	}
-
-	// The Or variants fall back only when the knob is absent.
-	if v, err := p.FloatOr("absent", 7.5); err != nil || v != 7.5 {
-		t.Errorf("FloatOr default = %v, %v", v, err)
+	// Both fall back only when the knob is absent.
+	if v := p.FloatOr("absent", 7.5); v != 7.5 {
+		t.Errorf("FloatOr default = %v", v)
 	}
 	if v, err := p.IntOr("absent", 7); err != nil || v != 7 {
 		t.Errorf("IntOr default = %v, %v", v, err)
-	}
-	if v, err := p.BoolOr("absent", true); err != nil || v != true {
-		t.Errorf("BoolOr default = %v, %v", v, err)
-	}
-	if v, err := p.StringOr("absent", "x"); err != nil || v != "x" {
-		t.Errorf("StringOr default = %v, %v", v, err)
-	}
-	if v, err := p.FloatOr("f", 9); err != nil || v != 2.5 {
-		t.Errorf("FloatOr present = %v, %v (default must not shadow)", v, err)
 	}
 
 	// Nil bags behave as empty.
@@ -57,68 +37,48 @@ func TestParamsTypedGetters(t *testing.T) {
 	if v, err := nilBag.IntOr("x", 11); err != nil || v != 11 {
 		t.Errorf("nil bag IntOr = %v, %v", v, err)
 	}
-	if _, err := nilBag.Float("x"); err == nil {
-		t.Error("nil bag required Float did not error")
+	if v := nilBag.FloatOr("x", 0.5); v != 0.5 {
+		t.Errorf("nil bag FloatOr = %v", v)
 	}
 }
 
-// TestParamsTypeErrors checks every wrong-type combination errors with
-// a ParamError naming the knob, and that required-but-missing knobs
-// are distinguishable.
+// TestParamsTypeErrors checks IntOr refuses every number a count cannot
+// take with a ParamError naming the knob, and returns the default
+// alongside it: a default never masks a malformed value.
 func TestParamsTypeErrors(t *testing.T) {
-	p := Params{"f": true, "i": 2.5, "b": 1, "s": 3.0}
-
-	check := func(name, want string, err error) {
-		t.Helper()
-		if err == nil {
-			t.Errorf("%s: no error", name)
-			return
+	for name, v := range map[string]float64{
+		"frac":     2.5, // must not truncate to 2
+		"tiny":     1e-300,
+		"nan":      math.NaN(),
+		"inf":      math.Inf(1),
+		"neginf":   math.Inf(-1),
+		"too-big":  1 << 63, // one past MaxInt64
+		"huge":     1e300,
+		"too-neg":  -1e19,
+		"negfrac":  -0.5,
+		"halfway":  4503599627370495.5, // 2^52 - 0.5
+		"smallest": math.SmallestNonzeroFloat64,
+	} {
+		p := Params{name: v}
+		got, err := p.IntOr(name, 6)
+		if got != 6 {
+			t.Errorf("IntOr(%s = %v) returned %d, want the default", name, v, got)
 		}
 		var pe *ParamError
 		if !errors.As(err, &pe) {
-			t.Errorf("%s: error %v is not a ParamError", name, err)
-			return
+			t.Errorf("IntOr(%s = %v): error %v is not a ParamError", name, v, err)
+			continue
 		}
-		if pe.Name != name || pe.Want != want || pe.Missing {
-			t.Errorf("%s: ParamError %+v, want name=%s want=%s", name, pe, name, want)
+		if pe.Name != name || pe.Want != "an int" {
+			t.Errorf("%s: ParamError %+v", name, pe)
 		}
 		if !strings.Contains(err.Error(), name) {
 			t.Errorf("%s: message %q does not name the knob", name, err)
 		}
 	}
-
-	_, err := p.Float("f")
-	check("f", "float64", err)
-	_, err = p.Int("i") // fractional float must not truncate
-	check("i", "int", err)
-	_, err = p.Bool("b")
-	check("b", "bool", err)
-	_, err = p.String("s")
-	check("s", "string", err)
-
-	// The Or variants reject wrong types too — a default never masks a
-	// malformed value.
-	if _, err := p.FloatOr("f", 1); err == nil {
-		t.Error("FloatOr accepted a bool")
-	}
-	if _, err := p.IntOr("i", 1); err == nil {
-		t.Error("IntOr accepted a fractional float")
-	}
-	if _, err := p.BoolOr("b", false); err == nil {
-		t.Error("BoolOr accepted an int")
-	}
-	if _, err := p.StringOr("s", ""); err == nil {
-		t.Error("StringOr accepted a float")
-	}
-
-	// Missing required knobs say so.
-	_, err = p.Int("nope")
-	var pe *ParamError
-	if !errors.As(err, &pe) || !pe.Missing {
-		t.Errorf("missing required knob: err = %v", err)
-	}
-	if !strings.Contains(err.Error(), "missing") {
-		t.Errorf("missing-knob message %q", err)
+	// The extremes int holds are whole numbers, not errors.
+	if v, err := (Params{"min": math.MinInt}).IntOr("min", 0); err != nil || v != math.MinInt {
+		t.Errorf("IntOr(MinInt) = %v, %v", v, err)
 	}
 }
 
@@ -128,16 +88,16 @@ func TestParamsMerge(t *testing.T) {
 	base := Params{"a": 1, "b": 2}
 	over := Params{"b": 20, "c": 30}
 	m := base.Merge(over)
-	if v, _ := m.Int("a"); v != 1 {
+	if m["a"] != 1 {
 		t.Error("merge lost a base key")
 	}
-	if v, _ := m.Int("b"); v != 20 {
+	if m["b"] != 20 {
 		t.Error("overlay did not win")
 	}
-	if v, _ := m.Int("c"); v != 30 {
+	if m["c"] != 30 {
 		t.Error("merge lost an overlay key")
 	}
-	if v, _ := base.Int("b"); v != 2 {
+	if base["b"] != 2 {
 		t.Error("merge mutated the base bag")
 	}
 	if got := base.Merge(nil); len(got) != 2 {
@@ -151,7 +111,7 @@ func TestParamsMerge(t *testing.T) {
 		t.Error("empty base should produce the overlay's content")
 	}
 	got["b"] = 99
-	if v, _ := over.Int("b"); v != 20 {
+	if over["b"] != 20 {
 		t.Error("merge aliased the overlay bag")
 	}
 }
@@ -161,19 +121,22 @@ func TestParamsMerge(t *testing.T) {
 // surface.
 func TestBuilderParamGettersAccumulate(t *testing.T) {
 	b := &WorldBuilder{cfg: Config{Params: Params{
-		"bad.int": "x", "bad.float": false, "good.bool": true,
+		"bad.int": 2.5, "nan.int": math.NaN(), "good.int": 3, "good.float": 0.25,
 	}}}
 	if v := b.IntParam("bad.int", 6); v != 6 {
-		t.Errorf("IntParam on bad value returned %d, want default", v)
+		t.Errorf("IntParam on a fraction returned %d, want default", v)
 	}
-	if v := b.FloatParam("bad.float", 1.5); v != 1.5 {
-		t.Errorf("FloatParam on bad value returned %v, want default", v)
+	if v := b.IntParam("nan.int", 6); v != 6 {
+		t.Errorf("IntParam on NaN returned %d, want default", v)
 	}
-	if v := b.BoolParam("good.bool", false); v != true {
-		t.Error("BoolParam missed a good value")
+	if v := b.IntParam("good.int", 6); v != 3 {
+		t.Errorf("IntParam missed a good value: %d", v)
 	}
-	if v := b.StringParam("absent", "d"); v != "d" {
-		t.Error("StringParam default")
+	if v := b.FloatParam("good.float", 1.5); v != 0.25 {
+		t.Errorf("FloatParam missed a good value: %v", v)
+	}
+	if v := b.FloatParam("absent", 1.5); v != 1.5 {
+		t.Errorf("FloatParam default = %v", v)
 	}
 	if len(b.paramErrs) != 2 {
 		t.Fatalf("recorded %d param errors, want 2: %v", len(b.paramErrs), b.paramErrs)

@@ -172,7 +172,7 @@ func Instances() []string {
 // surface. The preset-Params overlay happens in core.Build (which
 // recognizes the type) before the WorldBuilder is constructed, so the
 // merged bag is visible both to Build's cfg argument and to the
-// builder's typed getters; Build here only delegates.
+// builder's param getters; Build here only delegates.
 type instanceDriver struct {
 	fam  FamilyDriver
 	inst Instance

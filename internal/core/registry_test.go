@@ -231,7 +231,7 @@ func TestFamilyRegistration(t *testing.T) {
 	if famKnob != 9 {
 		t.Fatalf("instance build resolved fam.knob=%d, want the preset's 9", famKnob)
 	}
-	if v, _ := w.Cfg.Params.Int("other"); v != 2 {
+	if w.Cfg.Params["other"] != 2 {
 		t.Fatal("merge dropped a caller key")
 	}
 	// The bare family name still builds with the caller's knobs.
@@ -266,8 +266,8 @@ func TestRegisterBadFamilyPanics(t *testing.T) {
 	}
 }
 
-// TestBuildSurfacesParamErrors checks a wrongly-typed knob consumed
-// through the builder's typed getters fails the Build even though the
+// TestBuildSurfacesParamErrors checks a fractional count consumed
+// through the builder's IntParam fails the Build even though the
 // driver itself returns nil.
 func TestBuildSurfacesParamErrors(t *testing.T) {
 	registerOnce(fakeFamily{
@@ -277,10 +277,10 @@ func TestBuildSurfacesParamErrors(t *testing.T) {
 	d := topo.Grid(3, 3, 2)
 	_, err := Build(Config{
 		Deploy: d, ProtocolName: "Fake-Typed", Msg: bitcodec.NewMessage(1, 1), SourceID: -1,
-		Params: Params{"fam.knob": "not-a-count"},
+		Params: Params{"fam.knob": 2.5},
 	})
 	if err == nil {
-		t.Fatal("Build accepted a wrongly-typed knob")
+		t.Fatal("Build accepted a fractional count")
 	}
 	var pe *ParamError
 	if !errors.As(err, &pe) || pe.Name != "fam.knob" {

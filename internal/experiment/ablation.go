@@ -55,6 +55,7 @@ func Ablation(o Options) []Table {
 			Nodes:        nodes,
 			MapSide:      mapSide,
 			Range:        r,
+			MsgBits:      0b1011,
 			MsgLen:       4,
 			AdversaryMix: AdversaryMix{JamFrac: 0.10, JamBudget: 16, JamProb: p},
 			Seed:         seed,
@@ -81,6 +82,7 @@ func Ablation(o Options) []Table {
 			Nodes:        nodes,
 			MapSide:      mapSide,
 			Range:        r,
+			MsgBits:      0b1011,
 			MsgLen:       4,
 			Params:       core.Params{nwatch.ParamSide: r / div},
 			Seed:         seed,
@@ -109,8 +111,9 @@ func Ablation(o Options) []Table {
 			Nodes:        mpNodes,
 			MapSide:      mpSide,
 			Range:        3,
+			MsgBits:      0b1011,
 			MsgLen:       3,
-			Params:       core.Params{multipath.ParamT: 2, multipath.ParamHeardCap: cap},
+			Params:       core.Params{multipath.ParamT: 2, multipath.ParamHeardCap: float64(cap)},
 			Seed:         seed,
 			MaxRounds:    4_000_000,
 		}

@@ -91,7 +91,7 @@ func TestChurnScenarioDeterministic(t *testing.T) {
 	s.ChurnFrac = 0.10
 	s.ChurnOutage = 8
 
-	a, b := s.Run(0), s.Run(0)
+	a, b := mustRun(t, s, 0), mustRun(t, s, 0)
 	if a != b {
 		t.Fatalf("churn scenario diverged:\n%+v\n%+v", a, b)
 	}

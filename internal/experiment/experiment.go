@@ -51,6 +51,9 @@ type Scenario struct {
 	Clusters int     // cluster count (Clustered)
 	Sigma    float64 // cluster spread (Clustered)
 
+	// MsgBits is the broadcast message, taken as given (zero
+	// included) whenever MsgLen is set; a zero MsgLen broadcasts the
+	// 4-bit default 0b1011 instead.
 	MsgBits uint64
 	MsgLen  int
 
@@ -60,7 +63,7 @@ type Scenario struct {
 	// fields directly.
 	AdversaryMix
 
-	// Params carries named typed knobs for protocol drivers, such as
+	// Params carries named numeric knobs for protocol drivers, such as
 	// "multipath.t" (see core.Config.Params; family presets overlay
 	// it, preset winning).
 	Params core.Params
@@ -185,31 +188,36 @@ func countNonHonest(roles []core.Role) int {
 }
 
 // Run executes repetition rep of the scenario. Results are a pure
-// function of (Scenario, rep).
-func (s Scenario) Run(rep int) core.Result {
+// function of (Scenario, rep). A scenario BuildWorld rejects is an
+// error.
+func (s Scenario) Run(rep int) (core.Result, error) {
 	return s.run(rep)
 }
 
 // run is Run with build options (engine workers, hooks) attached; the
 // options never change results, only how they are computed.
-func (s Scenario) run(rep int, opts ...core.Option) core.Result {
+func (s Scenario) run(rep int, opts ...core.Option) (core.Result, error) {
 	w, err := s.BuildWorld(rep, opts...)
 	if err != nil {
-		panic("experiment: bad scenario " + s.Name + ": " + err.Error())
+		return core.Result{}, fmt.Errorf("experiment: scenario %s: %w", s.Name, err)
 	}
 	maxRounds := s.MaxRounds
 	if maxRounds == 0 {
 		maxRounds = 50_000_000
 	}
-	return w.Run(maxRounds)
+	return w.Run(maxRounds), nil
 }
 
 // BuildWorld constructs (without running) the world for repetition rep,
 // for callers that want to attach hooks (core.WithRoundHook and
 // friends) or inspect devices. An invalid deployment, such as an empty
 // one, is an error, and so are knobs the deployment generators cannot
-// take (see deployment).
+// take (see deployment) and a MsgLen the codec cannot carry.
 func (s Scenario) BuildWorld(rep int, opts ...core.Option) (*core.World, error) {
+	msg, err := s.message()
+	if err != nil {
+		return nil, err
+	}
 	d, err := s.deployment(rep)
 	if err != nil {
 		return nil, err
@@ -221,7 +229,7 @@ func (s Scenario) BuildWorld(rep int, opts ...core.Option) (*core.World, error) 
 	return core.Build(core.Config{
 		Deploy:       d,
 		ProtocolName: s.ProtocolName,
-		Msg:          s.message(),
+		Msg:          msg,
 		SourceID:     src,
 		Roles:        s.roles(d, src, rep),
 		JamBudget:    s.JamBudget,
@@ -234,27 +242,31 @@ func (s Scenario) BuildWorld(rep int, opts ...core.Option) (*core.World, error) 
 	}, opts...)
 }
 
-// message returns the scenario's broadcast payload, defaulting to the
-// paper's 4-bit message.
-func (s Scenario) message() bitcodec.Message {
-	length := s.MsgLen
-	if length == 0 {
-		length = 4
+// message returns the scenario's broadcast payload: MsgBits as given
+// whenever MsgLen is set, and the paper's 4-bit message 0b1011 (an
+// arbitrary fixed pattern with both bit values) when it is not. A
+// MsgLen outside 0..64 is an error.
+func (s Scenario) message() (bitcodec.Message, error) {
+	switch {
+	case s.MsgLen == 0:
+		return bitcodec.NewMessage(0b1011, 4), nil
+	case s.MsgLen < 0 || s.MsgLen > 64:
+		return bitcodec.Message{}, fmt.Errorf("experiment: MsgLen %d out of range; want 1..64, or 0 for the default message", s.MsgLen)
 	}
-	bits := s.MsgBits
-	if bits == 0 {
-		bits = 0b1011 // an arbitrary fixed pattern with both bit values
-	}
-	return bitcodec.NewMessage(bits, length)
+	return bitcodec.NewMessage(s.MsgBits, s.MsgLen), nil
 }
 
 // Repeat runs reps repetitions of the scenario on the sweep pool with
 // workers goroutines (0 = GOMAXPROCS); a single repetition spends the
 // worker budget inside the engine instead (see SweepCells). Results
 // are ordered by repetition and deterministic regardless of worker
-// count.
-func Repeat(s Scenario, reps, workers int) []core.Result {
-	return sweep.Run(SweepCells(s, Options{Workers: workers}, reps), sweep.Config{Workers: workers})
+// count. A scenario whose repetition-0 world BuildWorld rejects is an
+// error, returned before any repetition runs.
+func Repeat(s Scenario, reps, workers int) ([]core.Result, error) {
+	if _, err := s.BuildWorld(0); err != nil {
+		return nil, fmt.Errorf("experiment: scenario %s: %w", s.Name, err)
+	}
+	return sweep.Run(SweepCells(s, Options{Workers: workers}, reps), sweep.Config{Workers: workers}), nil
 }
 
 // Agg summarises a batch of repetitions.

@@ -66,6 +66,23 @@ func TestBuildWorldRejectsBadDeployKnobs(t *testing.T) {
 	}
 }
 
+// TestRepeatRejectsBadScenario pins that Repeat and Run return the
+// error BuildWorld gives a scenario, before any repetition runs,
+// instead of panicking inside the sweep pool.
+func TestRepeatRejectsBadScenario(t *testing.T) {
+	s := Scenario{Name: "bad", Deploy: Uniform, Nodes: -5, MapSide: 10, Range: 3, Seed: 1}
+	rs, err := Repeat(s, 1, 1)
+	if err == nil || rs != nil {
+		t.Fatalf("Repeat = (%v, %v), want an error", rs, err)
+	}
+	if !strings.Contains(err.Error(), "Nodes") {
+		t.Errorf("Repeat error %q does not name Nodes", err)
+	}
+	if _, err := s.Run(0); err == nil || !strings.Contains(err.Error(), "Nodes") {
+		t.Errorf("Run error %v, want one naming Nodes", err)
+	}
+}
+
 // mustDeploy is Scenario.deployment for a scenario whose deployment
 // knobs are valid.
 func mustDeploy(t testing.TB, s Scenario, rep int) *topo.Deployment {
@@ -77,13 +94,33 @@ func mustDeploy(t testing.TB, s Scenario, rep int) *topo.Deployment {
 	return d
 }
 
+// mustRun is Scenario.Run for a scenario BuildWorld accepts.
+func mustRun(t testing.TB, s Scenario, rep int) core.Result {
+	t.Helper()
+	r, err := s.Run(rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
+// mustRepeat is Repeat for a scenario BuildWorld accepts.
+func mustRepeat(t testing.TB, s Scenario, reps, workers int) []core.Result {
+	t.Helper()
+	rs, err := Repeat(s, reps, workers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rs
+}
+
 func TestScenarioRunDeterministic(t *testing.T) {
-	a := tiny().Run(0)
-	b := tiny().Run(0)
+	a := mustRun(t, tiny(), 0)
+	b := mustRun(t, tiny(), 0)
 	if a != b {
 		t.Fatalf("same (scenario, rep) diverged:\n%+v\n%+v", a, b)
 	}
-	c := tiny().Run(1)
+	c := mustRun(t, tiny(), 1)
 	// Grid deployments are identical across reps, but seeds differ for
 	// role/jam randomness; with no adversary the results coincide —
 	// that is fine. With jammers they must differ in general; check at
@@ -94,7 +131,7 @@ func TestScenarioRunDeterministic(t *testing.T) {
 }
 
 func TestScenarioCleanRunCompletes(t *testing.T) {
-	r := tiny().Run(0)
+	r := mustRun(t, tiny(), 0)
 	if !r.AllComplete || r.Correct != r.Complete {
 		t.Fatalf("tiny scenario result %+v", r)
 	}
@@ -102,9 +139,9 @@ func TestScenarioCleanRunCompletes(t *testing.T) {
 
 func TestRepeatMatchesSequentialRuns(t *testing.T) {
 	s := tiny()
-	par := Repeat(s, 4, 4)
+	par := mustRepeat(t, s, 4, 4)
 	for rep, got := range par {
-		want := s.Run(rep)
+		want := mustRun(t, s, rep)
 		if got != want {
 			t.Fatalf("rep %d: parallel %+v != sequential %+v", rep, got, want)
 		}
@@ -177,13 +214,29 @@ func TestAggregate(t *testing.T) {
 }
 
 func TestMessageDefaults(t *testing.T) {
-	m := Scenario{}.message()
-	if m.Len != 4 || m.Bits != 0b1011 {
-		t.Errorf("default message %+v", m)
+	for _, c := range []struct {
+		s    Scenario
+		bits uint64
+		len  int
+	}{
+		{Scenario{}, 0b1011, 4},
+		{Scenario{MsgLen: 6, MsgBits: 0b111000}, 0b111000, 6},
+		// With MsgLen set, MsgBits is taken as given, zero included.
+		{Scenario{MsgLen: 4}, 0, 4},
+	} {
+		if m, err := c.s.message(); err != nil || m.Len != c.len || m.Bits != c.bits {
+			t.Errorf("message of %+v = %+v, %v, want %b/%d", c.s, m, err, c.bits, c.len)
+		}
 	}
-	m = Scenario{MsgLen: 6, MsgBits: 0b111000}.message()
-	if m.Len != 6 || m.Bits != 0b111000 {
-		t.Errorf("custom message %+v", m)
+	// A length the codec cannot carry is an error from BuildWorld, and
+	// CellKeyFor still keys the cell.
+	for _, n := range []int{-1, 65} {
+		s := tiny()
+		s.MsgLen = n
+		if _, err := s.BuildWorld(0); err == nil || !strings.Contains(err.Error(), "MsgLen") {
+			t.Errorf("BuildWorld with MsgLen %d: error %v, want one naming MsgLen", n, err)
+		}
+		CellKeyFor(s, Options{}, 0)
 	}
 }
 
@@ -309,12 +362,12 @@ func TestDualModeSmoke(t *testing.T) {
 // protocol — the empty default, an alias, a case variant — produces
 // exactly the canonical name's results and shares its cell key.
 func TestProtocolNameAddressing(t *testing.T) {
-	byName := tiny().Run(0)
+	byName := mustRun(t, tiny(), 0)
 	key := CellKeyFor(tiny(), Options{}, 0).String()
 	for _, name := range []string{"", "nw", "NEIGHBORWATCH"} {
 		s := tiny()
 		s.ProtocolName = name
-		if got := s.Run(0); got != byName {
+		if got := mustRun(t, s, 0); got != byName {
 			t.Fatalf("ProtocolName %q diverged from NeighborWatchRB:\n%+v\n%+v", name, got, byName)
 		}
 		if got := CellKeyFor(s, Options{}, 0).String(); got != key {
@@ -328,7 +381,7 @@ func TestProtocolNameAddressing(t *testing.T) {
 		s.Name = "tiny/" + name
 		s.ProtocolName = name
 		s.Params = core.Params{multipath.ParamT: 1}
-		if r := s.Run(0); !r.AllComplete {
+		if r := mustRun(t, s, 0); !r.AllComplete {
 			t.Errorf("scenario over registry name %q incomplete: %+v", name, r)
 		}
 	}
@@ -341,9 +394,9 @@ func TestProtocolNameAddressing(t *testing.T) {
 // sequential).
 func TestRepeatSingleRepAutoWorkers(t *testing.T) {
 	s := tiny()
-	want := s.Run(0)
+	want := mustRun(t, s, 0)
 	for _, workers := range []int{0, 4, 1} {
-		got := Repeat(s, 1, workers)
+		got := mustRepeat(t, s, 1, workers)
 		if len(got) != 1 {
 			t.Fatalf("Repeat(workers=%d) returned %d results", workers, len(got))
 		}

@@ -66,6 +66,7 @@ func FamiliesGrid(o Options, instances []string) ([]Scenario, int) {
 		Deploy:       GridDeploy,
 		GridW:        gridW,
 		Range:        2,
+		MsgBits:      0b1011,
 		MsgLen:       4,
 		AdversaryMix: FamiliesMix,
 		Seed:         o.seed(),

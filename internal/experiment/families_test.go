@@ -121,7 +121,7 @@ func TestWriteJSONStable(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, want := range []string{
-		`"reps": 2`, `"params": "multipath.t=i:5"`,
+		`"reps": 2`, `"params": "multipath.t=5"`,
 		"\"mixes\": [\n    \"clean\",\n    \"liar10\"\n  ]",
 	} {
 		if !strings.Contains(sb.String(), want) {

@@ -108,6 +108,7 @@ func Fig5Crash(o Options) []Table {
 				Nodes:        nodes,
 				MapSide:      p.mapSide,
 				Range:        p.r,
+				MsgBits:      0b1011,
 				MsgLen:       p.msgLen,
 				Params:       v.params,
 				Seed:         o.seed(),
@@ -153,6 +154,7 @@ func Jamming(o Options) []Table {
 			Nodes:        p.nodes,
 			MapSide:      p.mapSide,
 			Range:        p.r,
+			MsgBits:      0b1011,
 			MsgLen:       4,
 			AdversaryMix: AdversaryMix{JamFrac: 0.10, JamBudget: b},
 			Seed:         o.seed(),
@@ -221,6 +223,7 @@ func Fig6Lying(o Options) []Table {
 				Nodes:        p.nodes,
 				MapSide:      p.mapSide,
 				Range:        p.r,
+				MsgBits:      0b1011,
 				MsgLen:       4,
 				Params:       v.params,
 				AdversaryMix: AdversaryMix{LiarFrac: frac},
@@ -284,6 +287,7 @@ func Fig7Density(o Options) []Table {
 					Nodes:        nodes,
 					MapSide:      p.mapSide,
 					Range:        p.r,
+					MsgBits:      0b1011,
 					MsgLen:       4,
 					Params:       v.params,
 					AdversaryMix: AdversaryMix{LiarFrac: frac},

@@ -46,6 +46,7 @@ func ClusteredDeployment(o Options) []Table {
 				Range:        p.r,
 				Clusters:     p.clusters,
 				Sigma:        p.sigma,
+				MsgBits:      0b1011,
 				MsgLen:       4,
 				AdversaryMix: AdversaryMix{LiarFrac: frac},
 				Seed:         o.seed(),
@@ -216,6 +217,7 @@ func TheoryScaling(o Options) []Table {
 			Deploy:       GridDeploy,
 			GridW:        gridW,
 			Range:        2,
+			MsgBits:      0b1011,
 			MsgLen:       4,
 			AdversaryMix: AdversaryMix{JamFrac: 0.05, JamBudget: b},
 			Seed:         o.seed(),

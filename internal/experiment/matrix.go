@@ -189,12 +189,13 @@ func MatrixGrid(o Options, instances []string, mixes []AdversaryMix) ([]Scenario
 	}
 	reps := o.reps(1, 3)
 	base := Scenario{
-		Name:   "matrix",
-		Deploy: GridDeploy,
-		GridW:  gridW,
-		Range:  2,
-		MsgLen: 4,
-		Seed:   o.seed(),
+		Name:    "matrix",
+		Deploy:  GridDeploy,
+		GridW:   gridW,
+		Range:   2,
+		MsgBits: 0b1011,
+		MsgLen:  4,
+		Seed:    o.seed(),
 	}
 	if len(instances) == 0 {
 		instances = core.Instances()

@@ -21,8 +21,8 @@ import (
 
 // CellKeyFor derives the canonical cell key for repetition rep of s.
 // The adversary mix is rendered from its knob values (never from the
-// free-form Label, which two different mixes could share), the typed
-// params from a sorted, type-tagged encoding, and the deployment from
+// free-form Label, which two different mixes could share), the params
+// from a sorted key=value encoding, and the deployment from
 // both its generating knobs and its content fingerprint. A scenario
 // whose knobs the generators cannot take is keyed with fingerprint 0
 // and not generated; running it fails in BuildWorld. s.Params must
@@ -84,20 +84,23 @@ func canonDeploy(s Scenario) string {
 }
 
 // canonExtra renders the remaining result-determining scenario knobs:
-// the message and the round cap. Protocol knobs reach the key through
-// canonParams.
+// the message as broadcast (so a scenario that spells out the default
+// message shares cells with one that leaves it unset) and the round
+// cap. A MsgLen the codec refuses, which BuildWorld rejects, is keyed
+// by its raw fields. Protocol knobs reach the key through canonParams.
 func canonExtra(s Scenario) string {
-	return fmt.Sprintf("msg=%d/%d,maxr=%d", s.MsgBits, s.MsgLen, s.MaxRounds)
+	bits, n := s.MsgBits, s.MsgLen
+	if m, err := s.message(); err == nil {
+		bits, n = m.Bits, m.Len
+	}
+	return fmt.Sprintf("msg=%d/%d,maxr=%d", bits, n, s.MaxRounds)
 }
 
-// canonParams renders the typed knob bag canonically: keys sorted,
-// values tagged by type (b/i/f/s) so 1, 1.0, "1" and true can never
-// alias, and key/value text escaped so the ','/'=' separators stay
-// unforgeable.
+// canonParams renders the knob bag canonically: keys sorted and
+// escaped so the ','/'=' separators stay unforgeable, each value in
+// g's shortest form, so two spellings of one number (1 and 1.0, 0x10
+// and 16) share a cell.
 func canonParams(p core.Params) string {
-	if len(p) == 0 {
-		return ""
-	}
 	keys := make([]string, 0, len(p))
 	for k := range p {
 		keys = append(keys, k)
@@ -105,20 +108,7 @@ func canonParams(p core.Params) string {
 	slices.Sort(keys)
 	parts := make([]string, len(keys))
 	for i, k := range keys {
-		var val string
-		switch v := p[k].(type) {
-		case bool:
-			val = "b:" + strconv.FormatBool(v)
-		case int:
-			val = "i:" + strconv.Itoa(v)
-		case float64:
-			val = "f:" + g(v)
-		case string:
-			val = "s:" + escapeParam(v)
-		default:
-			val = fmt.Sprintf("v:%T:%v", v, v)
-		}
-		parts[i] = escapeParam(k) + "=" + val
+		parts[i] = escapeParam(k) + "=" + g(p[k])
 	}
 	return strings.Join(parts, ",")
 }
@@ -145,10 +135,21 @@ func SweepCells(s Scenario, o Options, reps int) []sweep.Cell {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	cells := make([]sweep.Cell, reps)
+	var opts []core.Option
+	if reps == 1 && workers > 1 {
+		opts = []core.Option{core.WithWorkers(workers)}
+	}
 	for rep := 0; rep < reps; rep++ {
-		compute := func() core.Result { return s.Run(rep) }
-		if reps == 1 && workers > 1 {
-			compute = func() core.Result { return s.run(0, core.WithWorkers(workers)) }
+		// sweep.Cell.Compute has no error path (bench/replay.go wraps it
+		// as a func() core.Result), so a scenario BuildWorld rejects
+		// still panics here. Repeat checks its scenario before fanning
+		// out, and the figure, matrix and serve grids are built valid.
+		compute := func() core.Result {
+			r, err := s.run(rep, opts...)
+			if err != nil {
+				panic(err)
+			}
+			return r
 		}
 		cells[rep] = sweep.Cell{
 			Key:     CellKeyFor(s, o, rep),

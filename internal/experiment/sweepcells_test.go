@@ -64,21 +64,28 @@ func TestCellKeyDistinguishesKnobs(t *testing.T) {
 
 	s = base
 	s.Params = core.Params{"gossip.prob": 0.5}
-	add("param-float", s, o, 0)
+	add("param-0.5", s, o, 0)
 	s = base
-	s.Params = core.Params{"gossip.prob": "0.5"}
-	add("param-string", s, o, 0)
-	s = base
-	s.Params = core.Params{"gossip.prob": true}
-	add("param-bool", s, o, 0)
-
-	// int 1 vs float 1 are different typed values.
+	s.Params = core.Params{"gossip.prob": 0.7}
+	add("param-0.7", s, o, 0)
 	s = base
 	s.Params = core.Params{"n": 1}
-	add("param-int1", s, o, 0)
-	s = base
+	add("param-n1", s, o, 0)
+
+	// 1 and 1.0 are one number, and always built one world: they
+	// share a cell, as do two spellings of one -param value.
 	s.Params = core.Params{"n": 1.0}
-	add("param-float1", s, o, 0)
+	if k := CellKeyFor(s, o, 0).String(); keys[k] != "param-n1" {
+		t.Errorf("n=1.0 keyed apart from n=1: %s", k)
+	}
+	var pf core.ParamFlag
+	if err := pf.Set("n=0x1"); err != nil {
+		t.Fatal(err)
+	}
+	s.Params = pf.Params
+	if k := CellKeyFor(s, o, 0); keys[k.String()] != "param-n1" || k.Params != "n=1" {
+		t.Errorf("-param n=0x1 keyed as %s, want the n=1 cell", k)
+	}
 
 	// A -param overlay reaches the key through SweepCells' merge.
 	cells := SweepCells(base, Options{Seed: 1, Params: core.Params{"x": 3}}, 1)
@@ -204,7 +211,7 @@ func TestMatrixDropoffShareCells(t *testing.T) {
 	ladder := o.ladder()
 	s := Scenario{
 		Name:   "dropoff/GossipRB/" + ladder[0].Mix(),
-		Deploy: GridDeploy, GridW: 7, Range: 2, MsgLen: 4, Seed: 1,
+		Deploy: GridDeploy, GridW: 7, Range: 2, MsgBits: 0b1011, MsgLen: 4, Seed: 1,
 	}
 	s.ProtocolName = "GossipRB"
 	s.AdversaryMix = ladder[0]

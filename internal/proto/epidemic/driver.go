@@ -7,7 +7,7 @@ import (
 	"authradio/internal/schedule"
 )
 
-// ParamRepeats is the typed knob (core.Config.Params key) setting how
+// ParamRepeats is the knob (core.Config.Params key) setting how
 // often each holder rebroadcasts (default 1); the family presets pin
 // it.
 const ParamRepeats = "epidemic.repeats"

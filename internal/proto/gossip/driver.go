@@ -45,7 +45,7 @@ const (
 )
 
 // Driver wires GossipRB into a world. Like every driver it takes its
-// knobs through the typed Params bag, and it deliberately uses only
+// knobs through the Params bag, and it deliberately uses only
 // the registry's public extension surface. It registers as a protocol family: the fanout/probability
 // presets below are addressable as "GossipRB/<preset>" and enumerated
 // by core.Instances(), so family sweeps compare forwarding policies in

@@ -182,11 +182,21 @@ func TestLiarInMixedSquareBlocked(t *testing.T) {
 	fake := bitcodec.NewMessage(0b0110, 4)
 	d := topo.Grid(9, 9, 2)
 	// With side R/2=1, each square holds exactly one grid node — a
-	// single liar per square would BE an all-liar square. Use side
-	// slightly above 1 so squares hold 2x2 nodes, keeping honest
-	// company in the liar's square.
-	liars := map[int]bitcodec.Message{10: fake, 40: fake}
+	// single liar per square would BE an all-liar square. Use side 2
+	// so squares hold 2x2 nodes, keeping honest company in the liar's
+	// square. Liar 60 is the lowest id, the rank-0 anchor, of square
+	// (3,3) = {60, 61, 69, 70}; 40, the grid's center, is the source.
+	liars := map[int]bitcodec.Message{10: fake, 60: fake}
 	w := buildWorld(d, msg, worldCfg{liars: liars, side: 2})
+	built := 0
+	for _, n := range w.nodes {
+		if n.IsLiar() {
+			built++
+		}
+	}
+	if built != len(liars) {
+		t.Fatalf("world built %d liars, want %d", built, len(liars))
+	}
 	w.run(400000)
 	complete, correct := w.honestOutcomes(t, msg)
 	if correct != complete {

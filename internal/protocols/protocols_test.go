@@ -314,19 +314,17 @@ func TestGossipParams(t *testing.T) {
 	}
 }
 
-// TestGossipBadParamsError checks out-of-range and wrongly-typed
-// Params surface as Build errors, not panics or silent defaults:
-// Params is caller input.
+// TestGossipBadParamsError checks out-of-range and fractional Params
+// surface as Build errors, not panics or silent defaults: Params is
+// caller input. A bool or string value has no Params spelling; its
+// command-line spelling is refused by core.ParseParam.
 func TestGossipBadParamsError(t *testing.T) {
 	for name, params := range map[string]core.Params{
 		"sub-one-fanout":    {gossip.ParamFanout: 0.5},
 		"fractional-fanout": {gossip.ParamFanout: 2.5}, // must not truncate to 2
 		"zero-fanout":       {gossip.ParamFanout: 0},
-		"bool-fanout":       {gossip.ParamFanout: true}, // wrong type, not a count
-		"string-fanout":     {gossip.ParamFanout: "3"},  // no string coercion
 		"zero-prob":         {gossip.ParamProb: 0.0},
 		"prob>1":            {gossip.ParamProb: 1.5},
-		"bool-prob":         {gossip.ParamProb: false},
 	} {
 		t.Run(name, func(t *testing.T) {
 			_, err := core.Build(core.Config{
@@ -341,11 +339,26 @@ func TestGossipBadParamsError(t *testing.T) {
 			}
 		})
 	}
+	for name, arg := range map[string]string{
+		"bool-fanout":   gossip.ParamFanout + "=true",
+		"string-fanout": gossip.ParamFanout + `="3"`,
+		"bool-prob":     gossip.ParamProb + "=false",
+	} {
+		t.Run(name, func(t *testing.T) { refuseParam(t, arg) })
+	}
+}
+
+// refuseParam checks core.ParseParam refuses the command-line knob arg.
+func refuseParam(t *testing.T, arg string) {
+	t.Helper()
+	if _, v, err := core.ParseParam(arg); err == nil {
+		t.Fatalf("ParseParam(%q) accepted %v", arg, v)
+	}
 }
 
 // TestBuiltinBadParamsError is TestGossipBadParamsError for the other
-// built-in drivers' knobs: every out-of-range or wrongly-typed value
-// fails Build.
+// built-in drivers' knobs: every out-of-range or fractional count
+// fails Build, and every bool or string spelling fails ParseParam.
 func TestBuiltinBadParamsError(t *testing.T) {
 	type build struct {
 		proto  string
@@ -359,9 +372,11 @@ func TestBuiltinBadParamsError(t *testing.T) {
 		"negative-side": {"NeighborWatchRB", core.Params{nwatch.ParamSide: -1.0}},
 		"infinite-side": {"NeighborWatchRB", core.Params{nwatch.ParamSide: math.Inf(1)}},
 		"nan-side":      {"NeighborWatchRB", core.Params{nwatch.ParamSide: math.NaN()}},
-		"bool-side":     {"NeighborWatchRB", core.Params{nwatch.ParamSide: true}},
-		"string-side":   {"NeighborWatchRB", core.Params{nwatch.ParamSide: "1"}},
 		"zero-repeats":  {"Epidemic", core.Params{epidemic.ParamRepeats: 0}},
+	}
+	args := map[string]string{
+		"bool-side":   nwatch.ParamSide + "=true",
+		"string-side": nwatch.ParamSide + `="1"`,
 	}
 	// Counts take neither a bool, a string nor a fraction.
 	for key, proto := range map[string]string{
@@ -370,9 +385,9 @@ func TestBuiltinBadParamsError(t *testing.T) {
 		nwatch.ParamVotes:       "NeighborWatchRB",
 		epidemic.ParamRepeats:   "Epidemic",
 	} {
-		for kind, v := range map[string]any{"bool": true, "string": "2", "fractional": 2.5} {
-			cases[kind+"-"+key] = build{proto, core.Params{key: v}}
-		}
+		cases["fractional-"+key] = build{proto, core.Params{key: 2.5}}
+		args["bool-"+key] = key + "=true"
+		args["string-"+key] = key + `="2"`
 	}
 	for name, tc := range cases {
 		t.Run(name, func(t *testing.T) {
@@ -387,6 +402,9 @@ func TestBuiltinBadParamsError(t *testing.T) {
 				t.Fatalf("%s accepted Params %v", tc.proto, tc.params)
 			}
 		})
+	}
+	for name, arg := range args {
+		t.Run(name, func(t *testing.T) { refuseParam(t, arg) })
 	}
 }
 

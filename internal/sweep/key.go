@@ -39,8 +39,8 @@ type CellKey struct {
 	// round caps at enumeration time; keyed so a quick and a full cell
 	// can never alias).
 	Full bool
-	// Params is the canonical sorted rendering of the cell's typed
-	// driver knobs (name=tag:value, comma-joined).
+	// Params is the canonical sorted rendering of the cell's driver
+	// knobs (name=value, comma-joined).
 	Params string
 	// Extra carries the remaining result-determining knobs of the
 	// producing layer (message bits/length, tolerances, round caps, …).

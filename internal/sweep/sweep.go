@@ -29,4 +29,4 @@ package sweep
 // regenerating the goldens with `make golden`): stale caches from
 // older code then invalidate themselves instead of serving bytes the
 // current code would not produce.
-const Schema = 2
+const Schema = 3

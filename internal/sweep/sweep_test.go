@@ -61,7 +61,7 @@ func TestKeyStringDistinct(t *testing.T) {
 			t.Errorf("variant %d shares the base ID", i)
 		}
 	}
-	if !strings.HasPrefix(base.String(), "v2|") {
+	if !strings.HasPrefix(base.String(), "v3|") {
 		t.Errorf("key string must lead with the schema stamp: %s", base.String())
 	}
 }
