@@ -13,10 +13,12 @@ race:
 
 # Determinism lint: build rbvet (the repo's go/analysis-style
 # multichecker, see DESIGN.md "Determinism lint") and run it over the
-# whole module. Findings exit nonzero; suppressions happen in source
+# whole module, then over the nested bench/ module, which the root
+# ./... skips. Findings exit nonzero; suppressions happen in source
 # via //rbvet:allow <analyzer> <reason>.
 lint:
 	go build -o bin/rbvet ./cmd/rbvet && bin/rbvet ./...
+	cd bench && ../bin/rbvet ./...
 
 # Regenerate the checked-in golden JSON documents after a change that
 # intentionally moves the numbers (a new family instance, a new ladder

@@ -142,8 +142,9 @@ func TestNonFiniteGeometryExit1(t *testing.T) {
 }
 
 // TestMixFlag runs rbsim's one adversary spelling, -mix: a valid label
-// places liars that transmit, a label the grammar rejects exits 2 with
-// a one-line error, and the per-kind fraction flags are gone.
+// places liars that transmit, a label the grammar rejects (percentages
+// summing above 100 included) exits 2 with a one-line error, and the
+// per-kind fraction flags are gone.
 func TestMixFlag(t *testing.T) {
 	stdout, stderr, err := runRbsim("-grid", "9", "-range", "2", "-mix", "liar5")
 	if err != nil {
@@ -161,6 +162,7 @@ func TestMixFlag(t *testing.T) {
 	for _, args := range [][]string{
 		{"-mix", "jam10b-3"},
 		{"-mix", "liar150"},
+		{"-mix", "liar60+jam60"},
 		{"-liars", "0.05"},
 	} {
 		_, stderr, err := runRbsim(append([]string{"-grid", "9", "-range", "2"}, args...)...)

@@ -116,7 +116,7 @@ func (b *WorldBuilder) AddLiar(id int, n ProtocolNode) {
 	b.w.Eng.Add(n, 0)
 }
 
-// Schedules are pure functions of their knobs, and read-only once
+// Node schedules are pure functions of their knobs, and read-only once
 // built, so they are shared across worlds: experiment sweeps run many
 // repetitions against cached deployments, and without this cache every
 // repetition would redo the greedy colouring (the most expensive part
@@ -124,11 +124,10 @@ func (b *WorldBuilder) AddLiar(id int, n ProtocolNode) {
 // keys on the deployment's content fingerprint (plus its size, a free
 // collision guard), so equal-but-distinct deployment objects — built
 // by callers that bypass the experiment harness's deployment cache —
-// share schedules too; gridCache needs no deployment at all, since a
-// SquareGrid is a pure function of (range, side, sense range) and
-// carries no per-deployment state. On overflow the whole map is
-// dropped, like the deployment cache (sweeps revisit keys in cell
-// order; partial eviction buys nothing).
+// share schedules too. On overflow the whole map is dropped, like the
+// deployment cache (sweeps revisit keys in cell order; partial
+// eviction buys nothing). A schedule.SquareGrid is a few float
+// operations and one allocation, so drivers build theirs directly.
 type nodeSchedKey struct {
 	dfp     uint64
 	n       int
@@ -138,14 +137,9 @@ type nodeSchedKey struct {
 	src     int
 }
 
-type gridKey struct {
-	r, side, sense float64
-}
-
 var (
 	schedMu        sync.Mutex
 	nodeSchedCache = make(map[nodeSchedKey]*schedule.NodeSchedule)
-	gridCache      = make(map[gridKey]*schedule.SquareGrid)
 )
 
 const maxSchedCache = 256
@@ -175,26 +169,4 @@ func (b *WorldBuilder) NodeSchedule(spacing float64, slotLen int, reserveSourceS
 	nodeSchedCache[key] = ns
 	schedMu.Unlock()
 	return ns
-}
-
-// SquareGrid returns the square-partition schedule with the given
-// square side for the deployment's range and the medium's sense range,
-// cached like NodeSchedule. The result is shared and must be treated as
-// immutable.
-func (b *WorldBuilder) SquareGrid(side float64) *schedule.SquareGrid {
-	key := gridKey{r: b.cfg.Deploy.R, side: side, sense: b.cfg.Medium.SenseRange()}
-	schedMu.Lock()
-	g, ok := gridCache[key]
-	schedMu.Unlock()
-	if ok {
-		return g
-	}
-	g = schedule.NewSquareGrid(key.r, key.side, key.sense)
-	schedMu.Lock()
-	if len(gridCache) >= maxSchedCache {
-		clear(gridCache)
-	}
-	gridCache[key] = g
-	schedMu.Unlock()
-	return g
 }

@@ -345,27 +345,6 @@ func TestNodeScheduleCache(t *testing.T) {
 	}
 }
 
-func TestSquareGridCache(t *testing.T) {
-	d := topo.Grid(6, 6, 2)
-	b := testBuilder(d)
-	g1 := b.SquareGrid(1)
-	if b.SquareGrid(1) != g1 {
-		t.Fatal("identical grid knobs rebuilt the square grid")
-	}
-	if b.SquareGrid(0.5) == g1 {
-		t.Fatal("different side shared a grid")
-	}
-	// The grid depends only on (R, side, sense): another deployment
-	// with the same parameters shares it.
-	if b2 := testBuilder(topo.Grid(8, 8, 2)); b2.SquareGrid(1) != g1 {
-		t.Fatal("same (R, side, sense) on another deployment missed the cache")
-	}
-	direct := schedule.NewSquareGrid(d.R, 1, b.cfg.Medium.SenseRange())
-	if g1.Q != direct.Q || g1.NumSlots != direct.NumSlots || g1.Side != direct.Side {
-		t.Fatal("cached grid differs from a direct build")
-	}
-}
-
 func TestChainHooks(t *testing.T) {
 	if chainHooks(nil) != nil {
 		t.Fatal("no hooks should chain to nil")

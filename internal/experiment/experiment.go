@@ -53,7 +53,7 @@ type Scenario struct {
 
 	// MsgBits is the broadcast message, taken as given (zero
 	// included) whenever MsgLen is set; a zero MsgLen broadcasts the
-	// 4-bit default 0b1011 instead.
+	// 4-bit default 0b1011 instead, and then MsgBits must be zero.
 	MsgBits uint64
 	MsgLen  int
 
@@ -155,8 +155,10 @@ func (s Scenario) roles(d *topo.Deployment, src, rep int) []core.Role {
 		for placed := 0; placed < want; {
 			id := rng.Intn(d.N())
 			if id == src || roles[id] != core.Honest {
-				// Resample; fractions are small enough that this
-				// terminates quickly.
+				// Resample. Fractions that fit (BuildWorld refuses a
+				// sum above 1) can still round to more devices than
+				// the honest source leaves, as liar100 does, so stop
+				// once the source is the only honest device.
 				if countNonHonest(roles) >= d.N()-1 {
 					return
 				}
@@ -212,11 +214,16 @@ func (s Scenario) run(rep int, opts ...core.Option) (core.Result, error) {
 // for callers that want to attach hooks (core.WithRoundHook and
 // friends) or inspect devices. An invalid deployment, such as an empty
 // one, is an error, and so are knobs the deployment generators cannot
-// take (see deployment) and a MsgLen the codec cannot carry.
+// take (see deployment), a message the codec cannot carry (see
+// message) and an adversary mix whose fractions do not fit (see
+// AdversaryMix.check).
 func (s Scenario) BuildWorld(rep int, opts ...core.Option) (*core.World, error) {
 	msg, err := s.message()
 	if err != nil {
 		return nil, err
+	}
+	if err := s.AdversaryMix.check(); err != nil {
+		return nil, fmt.Errorf("experiment: adversary mix: %w", err)
 	}
 	d, err := s.deployment(rep)
 	if err != nil {
@@ -244,10 +251,13 @@ func (s Scenario) BuildWorld(rep int, opts ...core.Option) (*core.World, error) 
 
 // message returns the scenario's broadcast payload: MsgBits as given
 // whenever MsgLen is set, and the paper's 4-bit message 0b1011 (an
-// arbitrary fixed pattern with both bit values) when it is not. A
-// MsgLen outside 0..64 is an error.
+// arbitrary fixed pattern with both bit values) when neither is. A
+// MsgLen outside 0..64 is an error, and so is MsgBits without a
+// MsgLen, which would otherwise broadcast the default instead.
 func (s Scenario) message() (bitcodec.Message, error) {
 	switch {
+	case s.MsgLen == 0 && s.MsgBits != 0:
+		return bitcodec.Message{}, fmt.Errorf("experiment: MsgBits %#b set without a MsgLen", s.MsgBits)
 	case s.MsgLen == 0:
 		return bitcodec.NewMessage(0b1011, 4), nil
 	case s.MsgLen < 0 || s.MsgLen > 64:

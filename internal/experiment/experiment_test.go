@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -237,6 +238,49 @@ func TestMessageDefaults(t *testing.T) {
 			t.Errorf("BuildWorld with MsgLen %d: error %v, want one naming MsgLen", n, err)
 		}
 		CellKeyFor(s, Options{}, 0)
+	}
+	// MsgBits without a MsgLen is an error too, not the default
+	// message, and CellKeyFor keys it apart from the default.
+	s, def := tiny(), tiny()
+	s.MsgLen, s.MsgBits = 0, 0b0110
+	def.MsgLen, def.MsgBits = 0, 0
+	if m, err := s.message(); err == nil {
+		t.Errorf("message of MsgBits %b without MsgLen = %+v, want an error", s.MsgBits, m)
+	}
+	if _, err := s.BuildWorld(0); err == nil || !strings.Contains(err.Error(), "MsgBits") {
+		t.Errorf("BuildWorld with MsgBits and no MsgLen: error %v, want one naming MsgBits", err)
+	}
+	if CellKeyFor(s, Options{}, 0) == CellKeyFor(def, Options{}, 0) {
+		t.Error("MsgBits without MsgLen shares the default message's cell key")
+	}
+}
+
+// TestBuildWorldRejectsBadMix builds scenarios whose role fractions do
+// not fit one deployment: BuildWorld refuses them rather than placing
+// fewer adversaries than asked. Fractions that take every device build.
+func TestBuildWorldRejectsBadMix(t *testing.T) {
+	for _, m := range []AdversaryMix{
+		{LiarFrac: 0.6, JamFrac: 0.6},
+		{LiarFrac: 1, CrashFrac: 0.01},
+		{CrashFrac: -0.1},
+		{SpoofFrac: 1.5},
+		{ChurnFrac: math.NaN()},
+	} {
+		s := tiny()
+		s.AdversaryMix = m
+		if _, err := s.BuildWorld(0); err == nil || !strings.Contains(err.Error(), "adversary mix") {
+			t.Errorf("BuildWorld with mix %+v: error %v, want one naming the adversary mix", m, err)
+		}
+	}
+	for _, m := range []AdversaryMix{
+		{LiarFrac: 1},
+		{LiarFrac: 0.33, CrashFrac: 0.56, JamFrac: 0.11},
+	} {
+		s := tiny()
+		s.AdversaryMix = m
+		if _, err := s.BuildWorld(0); err != nil {
+			t.Errorf("BuildWorld with mix %+v: %v", m, err)
+		}
 	}
 }
 

@@ -55,6 +55,25 @@ func (m AdversaryMix) IsZero() bool {
 	return m.LiarFrac == 0 && m.CrashFrac == 0 && m.JamFrac == 0 && m.SpoofFrac == 0 && m.ChurnFrac == 0
 }
 
+// check refuses role fractions that do not fit one deployment: each
+// must lie in [0, 1] and together they may not exceed 1, since roles
+// would otherwise place fewer adversaries than asked. A sum above 1 by
+// rounding alone (liar33+crash56+jam11 adds up to 1.0000000000000002)
+// passes.
+func (m AdversaryMix) check() error {
+	sum := 0.0
+	for _, f := range []float64{m.LiarFrac, m.CrashFrac, m.JamFrac, m.SpoofFrac, m.ChurnFrac} {
+		if !(f >= 0 && f <= 1) {
+			return fmt.Errorf("role fraction %v outside [0, 1]", f)
+		}
+		sum += f
+	}
+	if sum > 1+1e-9 {
+		return fmt.Errorf("roles take %.4g%% of the devices, above 100%%", 100*sum)
+	}
+	return nil
+}
+
 // Mix returns the mix's display label: Label when set, otherwise a
 // deterministic compact rendering of the non-zero knobs ("clean",
 // "liar10%", "jam10%b16", "liar5%+spoof10%b8").

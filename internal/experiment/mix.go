@@ -21,8 +21,9 @@ import (
 // '%' ("liar10%"); a budget may be separated by '/' ("jam10/b8", the
 // ladder's label spelling), and churn's outage budget uses 'o' the same
 // way ("churn10/o8"). Matching is case-insensitive. Each kind may
-// appear at most once. The returned mix carries the input (trimmed) as
-// its Label, so tables show the label the user asked for.
+// appear at most once, and the percentages may not sum above 100. The
+// returned mix carries the input (trimmed) as its Label, so tables show
+// the label the user asked for.
 func ParseMix(s string) (AdversaryMix, error) {
 	label := strings.TrimSpace(s)
 	in := strings.ToLower(label)
@@ -55,6 +56,9 @@ func ParseMix(s string) (AdversaryMix, error) {
 		case "churn":
 			m.ChurnFrac, m.ChurnOutage = frac, budget
 		}
+	}
+	if err := m.check(); err != nil {
+		return AdversaryMix{}, fmt.Errorf("mix %q: %w", label, err)
 	}
 	return m, nil
 }

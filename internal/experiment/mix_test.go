@@ -33,6 +33,8 @@ func TestParseMix(t *testing.T) {
 		{"liar100", AdversaryMix{Label: "liar100", LiarFrac: 1}},
 		{"liar1e2", AdversaryMix{Label: "liar1e2", LiarFrac: 1}},
 		{"liar1e-02", AdversaryMix{Label: "liar1e-02", LiarFrac: 0.0001}},
+		// 100% in all, though the fractions add up to 1 + 2^-52.
+		{"liar33+crash56+jam11", AdversaryMix{Label: "liar33+crash56+jam11", LiarFrac: 0.33, CrashFrac: 0.56, JamFrac: 0.11}},
 	}
 	for _, c := range cases {
 		got, err := ParseMix(c.in)
@@ -50,30 +52,32 @@ func TestParseMixErrors(t *testing.T) {
 	for _, in := range []string{
 		"",
 		"  ",
-		"liar",         // no percentage
-		"liar0",        // zero fraction
-		"liar101",      // > 100%
-		"liar-5",       // negative
-		"liar5x",       // trailing garbage
-		"liar5b4",      // liars take no budget
-		"crash5b4",     // crashers take no budget
-		"jam5b",        // empty budget
-		"jam5b0",       // zero budget
-		"jam5b-3",      // negative budget
-		"jam5o4",       // jam's budget marker is 'b', not 'o'
-		"churn5b4",     // churn's budget marker is 'o', not 'b'
-		"churn5o",      // empty outage budget
-		"churn5o0",     // zero outage budget
-		"churn5o-3",    // negative outage budget
-		"gremlin5",     // unknown kind
-		"liar5+liar10", // duplicate kind
-		"liar5+",       // empty component
-		"liar5,jam5",   // list syntax is ParseMixes' job
-		"jam5//b4",     // doubled separator
-		"liar5..5",     // malformed number
-		"clean+liar5",  // clean is not a component
-		"liar1e",       // dangling exponent marker
-		"liar1e-",      // exponent without digits
+		"liar",               // no percentage
+		"liar0",              // zero fraction
+		"liar101",            // > 100%
+		"liar-5",             // negative
+		"liar5x",             // trailing garbage
+		"liar5b4",            // liars take no budget
+		"crash5b4",           // crashers take no budget
+		"jam5b",              // empty budget
+		"jam5b0",             // zero budget
+		"jam5b-3",            // negative budget
+		"jam5o4",             // jam's budget marker is 'b', not 'o'
+		"churn5b4",           // churn's budget marker is 'o', not 'b'
+		"churn5o",            // empty outage budget
+		"churn5o0",           // zero outage budget
+		"churn5o-3",          // negative outage budget
+		"gremlin5",           // unknown kind
+		"liar5+liar10",       // duplicate kind
+		"liar5+",             // empty component
+		"liar5,jam5",         // list syntax is ParseMixes' job
+		"jam5//b4",           // doubled separator
+		"liar5..5",           // malformed number
+		"clean+liar5",        // clean is not a component
+		"liar1e",             // dangling exponent marker
+		"liar1e-",            // exponent without digits
+		"liar60+jam60",       // more adversaries than devices
+		"liar100+crash0.001", // over 100% by a thousandth of a percent
 	} {
 		if m, err := ParseMix(in); err == nil {
 			t.Errorf("ParseMix(%q) = %+v, want error", in, m)

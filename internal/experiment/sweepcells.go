@@ -86,8 +86,9 @@ func canonDeploy(s Scenario) string {
 // canonExtra renders the remaining result-determining scenario knobs:
 // the message as broadcast (so a scenario that spells out the default
 // message shares cells with one that leaves it unset) and the round
-// cap. A MsgLen the codec refuses, which BuildWorld rejects, is keyed
-// by its raw fields. Protocol knobs reach the key through canonParams.
+// cap. A message BuildWorld rejects (a MsgLen the codec refuses, or
+// MsgBits without a MsgLen) is keyed by its raw fields. Protocol knobs
+// reach the key through canonParams.
 func canonExtra(s Scenario) string {
 	bits, n := s.MsgBits, s.MsgLen
 	if m, err := s.message(); err == nil {

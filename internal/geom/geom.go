@@ -2,7 +2,9 @@
 // simulator: points, the L-infinity and Euclidean metrics from the paper's
 // analytical and simulation models, rectangles, and GridIndex, the one
 // spatial hash. GridIndex answers the range queries over a deployment's
-// fixed positions and the box gathers over each round's transmissions.
+// fixed positions and the box gathers over each round's transmissions,
+// groups each round's listeners by the same cells, and holds the
+// half-range cells of the partition pass.
 //
 // The paper analyses the protocols on a two-dimensional grid under the
 // L-infinity norm ("we say that v is in the neighborhood of w if

@@ -3,6 +3,7 @@ package geom
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -228,19 +229,102 @@ func TestGridIndexWithinMatchesIndex(t *testing.T) {
 	}
 }
 
+// TestGridIndexResetReusesStorage pins that rebuilding the index, and
+// regrouping an index list into warm Buckets, allocate nothing.
 func TestGridIndexResetReusesStorage(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	pts := make([]Point, 500)
 	for i := range pts {
 		pts[i] = Point{rng.Float64() * 40, rng.Float64() * 40}
 	}
+	ixs := make([]int32, 300)
+	for k := range ixs {
+		ixs[k] = int32(rng.Intn(len(pts)))
+	}
 	var g GridIndex
+	var b Buckets
 	g.Reset(pts, 3) // warm up the backing arrays
+	g.Group(&b, pts, ixs)
 	allocs := testing.AllocsPerRun(50, func() {
 		g.Reset(pts, 3)
+		g.Group(&b, pts, ixs)
 	})
 	if allocs != 0 {
-		t.Errorf("warm Reset allocated %v times per run, want 0", allocs)
+		t.Errorf("warm Reset and Group allocated %v times per run, want 0", allocs)
+	}
+}
+
+// groupOracle is Group by brute force: the items (ixs, or every point
+// when ixs is nil) stably sorted by their clamped CellOf, and the
+// offset of each cell's first item.
+func groupOracle(g *GridIndex, pos []Point, ixs []int32) Buckets {
+	if ixs == nil {
+		for i := range pos {
+			ixs = append(ixs, int32(i))
+		}
+	}
+	ids := slices.Clone(ixs)
+	slices.SortStableFunc(ids, func(a, b int32) int { return g.CellOf(pos[a]) - g.CellOf(pos[b]) })
+	cols, rows := g.Dims()
+	start := make([]int32, cols*rows+1)
+	for c := range start {
+		start[c] = int32(len(ids))
+		for k, ix := range ids {
+			if g.CellOf(pos[ix]) >= c {
+				start[c] = int32(k)
+				break
+			}
+		}
+	}
+	return Buckets{Start: start, IDs: ids}
+}
+
+// TestGridIndexGroupMatchesSort checks Group against the stable sort on
+// every point, on index lists (unsorted, with repeats) into points
+// spread past the grid on every side, and on an empty list, regrouping
+// into one Buckets throughout.
+func TestGridIndexGroupMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(28))
+	var g GridIndex
+	var b Buckets
+	for trial := 0; trial < 30; trial++ {
+		pts := make([]Point, rng.Intn(200))
+		for i := range pts {
+			pts[i] = Point{rng.Float64() * 30, rng.Float64() * 30}
+		}
+		g.Reset(pts, 0.5+rng.Float64()*5)
+		// Listeners of a round: a superset of the map, so some clamp.
+		pos := make([]Point, 1+rng.Intn(300))
+		for i := range pos {
+			pos[i] = Point{rng.Float64()*50 - 10, rng.Float64()*50 - 10}
+		}
+		ixs := make([]int32, rng.Intn(2*len(pos)))
+		for k := range ixs {
+			ixs[k] = int32(rng.Intn(len(pos)))
+		}
+		for _, c := range []struct {
+			name string
+			pos  []Point
+			ixs  []int32
+		}{
+			{"every point", pts, nil},
+			{"every outside point", pos, nil},
+			{"index list", pos, ixs},
+			{"empty list", pos, []int32{}},
+		} {
+			g.Group(&b, c.pos, c.ixs)
+			want := groupOracle(&g, c.pos, c.ixs)
+			if !slices.Equal(b.Start, want.Start) || !slices.Equal(b.IDs, want.IDs) {
+				t.Fatalf("trial %d, %s: Group = %v / %v, want %v / %v", trial, c.name, b.Start, b.IDs, want.Start, want.IDs)
+			}
+		}
+		// The index's own cells are the grouping of its points.
+		want := groupOracle(&g, pts, nil)
+		for c := range len(want.Start) - 1 {
+			if !slices.Equal(g.Cell(c), want.IDs[want.Start[c]:want.Start[c+1]]) {
+				t.Fatalf("trial %d: Cell(%d) = %v, want %v", trial, c, g.Cell(c), want.IDs[want.Start[c]:want.Start[c+1]])
+			}
+		}
 	}
 }
 

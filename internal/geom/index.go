@@ -16,14 +16,16 @@ func bounds(pts []Point) (minX, minY, maxX, maxY float64) {
 }
 
 // GridIndex is a spatial hash over a point set, supporting "all points
-// within distance r of p" queries and cell-grouped box gathers. It
-// serves both the fixed positions of a deployment and the
-// transmissions of each simulated radio round: the cells are a uniform
-// cols×rows grid anchored at the points' bounding box, and the buckets
-// are stored in CSR layout (one ids array plus per-cell offsets), so
-// Reset reuses all backing arrays and, after warm-up, rebuilding the
-// index allocates nothing. Queries may use any radius; out-of-range
-// points clamp to the border cells.
+// within distance r of p" queries and cell-grouped box gathers. It is
+// the one code that puts points into uniform cells: a deployment's
+// range index, each simulated radio round's transmission index (whose
+// cells also group the round's listeners, see Group) and the
+// partition pass's half-range cells are all GridIndexes. The cells are
+// a uniform cols×rows grid anchored at the points' bounding box, and
+// the buckets are stored in CSR layout (see Buckets), so Reset reuses
+// all backing arrays and, after warm-up, rebuilding the index
+// allocates nothing. Queries may use any radius; out-of-range points
+// clamp to the border cells.
 //
 // A GridIndex is safe for concurrent reads between Resets.
 type GridIndex struct {
@@ -32,8 +34,16 @@ type GridIndex struct {
 	cols, rows int
 
 	pts   []Point
-	start []int32 // cell -> offset into ids; len cells+1
-	ids   []int32 // point ids grouped by cell, ascending within a cell
+	cells Buckets // the points, ascending ids within a cell
+}
+
+// Buckets is a list of items grouped by the cells of a GridIndex, in
+// CSR layout: the items of cell c are IDs[Start[c]:Start[c+1]], in the
+// order they were given. Grouping into the same Buckets again reuses
+// both arrays.
+type Buckets struct {
+	Start []int32 // cell -> offset into IDs; len cells+1
+	IDs   []int32 // item ids grouped by cell
 }
 
 // maxCellsFactor bounds the cell-grid size relative to the point count,
@@ -45,75 +55,94 @@ const maxCellsFactor = 4
 // Reset rebuilds the index over pts with the given cell size, reusing
 // all internal storage. The pts slice is retained (not copied) and must
 // not be mutated until the next Reset. cell must be positive and
-// finite; it is grown as needed to bound the grid size.
+// finite; it is doubled until the grid has at most 4·len(pts)+16
+// cells (see CellSize).
 func (g *GridIndex) Reset(pts []Point, cell float64) {
 	if !(cell > 0) || math.IsInf(cell, 1) {
 		panic("geom: GridIndex cell size must be positive and finite")
 	}
 	g.pts = pts
 	g.cell = cell
-	if len(pts) == 0 {
-		g.cols, g.rows = 1, 1
-		g.start = append(g.start[:0], 0, 0)
-		g.ids = g.ids[:0]
-		return
-	}
-	minX, minY, maxX, maxY := bounds(pts)
-	if !finite(minX) || !finite(minY) || !finite(maxX) || !finite(maxY) {
-		// A NaN/Inf coordinate would otherwise spin the cell-doubling
-		// loop below forever; fail loudly at the device with the bad
-		// position instead.
-		panic("geom: GridIndex point coordinates must be finite")
-	}
-	g.minX, g.minY = minX, minY
-	// Size the grid in float64: for tiny cells the cell counts (and
-	// their product) can exceed the int range long before the clamp
-	// below would trigger.
-	limit := maxCellsFactor*len(pts) + 16
-	for {
-		cols := math.Floor((maxX-minX)/g.cell) + 1
-		rows := math.Floor((maxY-minY)/g.cell) + 1
-		if cols*rows <= float64(limit) {
-			g.cols = int(cols)
-			g.rows = int(rows)
-			break
+	g.cols, g.rows = 1, 1
+	if len(pts) > 0 {
+		minX, minY, maxX, maxY := bounds(pts)
+		if !finite(minX) || !finite(minY) || !finite(maxX) || !finite(maxY) {
+			// A NaN/Inf coordinate would otherwise spin the
+			// cell-doubling loop below forever; fail loudly at the
+			// device with the bad position instead.
+			panic("geom: GridIndex point coordinates must be finite")
 		}
-		g.cell *= 2
+		g.minX, g.minY = minX, minY
+		// Size the grid in float64: for tiny cells the cell counts
+		// (and their product) can exceed the int range long before
+		// the clamp below would trigger.
+		limit := maxCellsFactor*len(pts) + 16
+		for {
+			cols := math.Floor((maxX-minX)/g.cell) + 1
+			rows := math.Floor((maxY-minY)/g.cell) + 1
+			if cols*rows <= float64(limit) {
+				g.cols = int(cols)
+				g.rows = int(rows)
+				break
+			}
+			g.cell *= 2
+		}
 	}
-	cells := g.cols * g.rows
+	g.Group(&g.cells, pts, nil)
+}
 
-	// CSR build: count per cell, prefix-sum into offsets, then fill.
-	// Filling in ascending point order keeps ids sorted within a cell.
-	if cap(g.start) < cells+1 {
-		g.start = make([]int32, cells+1)
+// Group buckets items by the cells of the last Reset into b: the items
+// are pos[ix] for each ix in ixs, with id ix, or, when ixs is nil,
+// every point of pos, with its position as id. Out-of-range items clamp
+// to the border cells. It is a counting sort (count per cell,
+// prefix-sum into offsets, fill), so a cell's items keep their input
+// order, and with warm storage in b it allocates nothing.
+func (g *GridIndex) Group(b *Buckets, pos []Point, ixs []int32) {
+	cells := g.cols * g.rows
+	n := len(ixs)
+	if ixs == nil {
+		n = len(pos)
 	}
-	start := g.start[:cells+1]
-	for i := range start {
-		start[i] = 0
+	if cap(b.Start) < cells+1 {
+		b.Start = make([]int32, cells+1)
 	}
-	for _, p := range pts {
-		start[g.CellOf(p)+1]++
+	if cap(b.IDs) < n {
+		b.IDs = make([]int32, n)
+	}
+	start, ids := b.Start[:cells+1], b.IDs[:n]
+	clear(start)
+	// One loop per case, not a closure per item (this is on phase B's
+	// per-round path); each item's cell is computed twice, not stored.
+	if ixs == nil {
+		for _, p := range pos {
+			start[g.CellOf(p)+1]++
+		}
+	} else {
+		for _, ix := range ixs {
+			start[g.CellOf(pos[ix])+1]++
+		}
 	}
 	for c := 1; c <= cells; c++ {
 		start[c] += start[c-1]
 	}
-	if cap(g.ids) < len(pts) {
-		g.ids = make([]int32, len(pts))
+	// The fill advances start[c] as cell c's cursor; shifting back one
+	// cell then restores the offsets.
+	if ixs == nil {
+		for i, p := range pos {
+			c := g.CellOf(p)
+			ids[start[c]] = int32(i)
+			start[c]++
+		}
+	} else {
+		for _, ix := range ixs {
+			c := g.CellOf(pos[ix])
+			ids[start[c]] = ix
+			start[c]++
+		}
 	}
-	ids := g.ids[:len(pts)]
-	// cursor reuses the start offsets: fill advances start[c], then the
-	// offsets are restored by shifting back one cell.
-	for i, p := range pts {
-		c := g.CellOf(p)
-		ids[start[c]] = int32(i)
-		start[c]++
-	}
-	for c := cells; c > 0; c-- {
-		start[c] = start[c-1]
-	}
+	copy(start[1:], start[:cells])
 	start[0] = 0
-	g.start = start
-	g.ids = ids
+	b.Start, b.IDs = start, ids
 }
 
 func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
@@ -121,11 +150,20 @@ func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 // Len returns the number of indexed points.
 func (g *GridIndex) Len() int { return len(g.pts) }
 
-// Cells returns the number of cells in the current grid.
-func (g *GridIndex) Cells() int { return g.cols * g.rows }
+// CellSize returns the side of the grid's square cells: the size
+// given to Reset, doubled as often as the grid-size bound required.
+func (g *GridIndex) CellSize() float64 { return g.cell }
+
+// Dims returns the grid's size in cells; cell (cx, cy) has index
+// cy*cols + cx.
+func (g *GridIndex) Dims() (cols, rows int) { return g.cols, g.rows }
+
+// Cell returns the ids of the indexed points in cell c, ascending
+// (read-only, valid until the next Reset).
+func (g *GridIndex) Cell(c int) []int32 { return g.cells.IDs[g.cells.Start[c]:g.cells.Start[c+1]] }
 
 // CellOf returns the index of the grid cell containing p, in
-// [0, Cells()). Out-of-range points clamp to the border cells. The
+// [0, cols*rows). Out-of-range points clamp to the border cells. The
 // assignment is only valid until the next Reset.
 func (g *GridIndex) CellOf(p Point) int {
 	cx := int((p.X - g.minX) / g.cell)
@@ -181,8 +219,7 @@ func (g *GridIndex) Within(dst []int, p Point, r float64, m Metric) []int {
 	for cy := cy0; cy <= cy1; cy++ {
 		row := cy * g.cols
 		for cx := cx0; cx <= cx1; cx++ {
-			c := row + cx
-			for _, id := range g.ids[g.start[c]:g.start[c+1]] {
+			for _, id := range g.Cell(row + cx) {
 				if m.Within(p, g.pts[id], r) {
 					dst = append(dst, int(id))
 				}
@@ -209,7 +246,7 @@ func (g *GridIndex) GatherBox(dst []int32, lo, hi Point, r float64) []int32 {
 	}
 	for cy := cy0; cy <= cy1; cy++ {
 		row := cy * g.cols
-		dst = append(dst, g.ids[g.start[row+cx0]:g.start[row+cx1+1]]...)
+		dst = append(dst, g.cells.IDs[g.cells.Start[row+cx0]:g.cells.Start[row+cx1+1]]...)
 	}
 	return dst
 }

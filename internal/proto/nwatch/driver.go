@@ -6,6 +6,7 @@ import (
 
 	"authradio/internal/core"
 	"authradio/internal/geom"
+	"authradio/internal/schedule"
 )
 
 // Knob names accepted through core.Config.Params.
@@ -81,7 +82,7 @@ func (dr Driver) Build(cfg core.Config, b *core.WorldBuilder) error {
 	if !(side > 0) || math.IsInf(side, 1) {
 		return fmt.Errorf("nwatch: %s must be positive and finite, got %v", ParamSide, side)
 	}
-	g := b.SquareGrid(side)
+	g := schedule.NewSquareGrid(d.R, side, cfg.Medium.SenseRange())
 	sh := NewShared(d, g, cfg.Msg.Len, cfg.SourceID, votes, b.Active())
 	b.SetCycle(g.Cycle)
 	b.AddDevice(NewSource(sh, cfg.Msg))

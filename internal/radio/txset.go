@@ -11,7 +11,8 @@ import (
 // listener against the full transmission list is O(listeners × txs);
 // a TxSet lets a CellMedium examine only the transmissions near each
 // cell of listeners, which is O(listeners × local) for geometrically
-// bounded media.
+// bounded media. The listeners are grouped by the same cells as the
+// transmissions (Group), so one spatial hash serves both sides.
 //
 // A TxSet is built (or rebuilt, allocation-free after warm-up) once per
 // round via Reset and is then safe for concurrent reads, so one set is
@@ -40,14 +41,12 @@ func (s *TxSet) Len() int { return len(s.txs) }
 // Txs returns the underlying transmissions (read-only).
 func (s *TxSet) Txs() []Tx { return s.txs }
 
-// Cells returns the number of cells of the set's spatial hash.
-func (s *TxSet) Cells() int { return s.ix.Cells() }
-
-// CellOf returns the spatial-hash cell containing p, in [0, Cells());
-// out-of-range points clamp to the border cells. The assignment is only
-// valid until the next Reset. The engine uses it to group a round's
-// listeners by cell so that nearby listeners are resolved together.
-func (s *TxSet) CellOf(p geom.Point) int { return s.ix.CellOf(p) }
+// Group buckets the points pos[ix], for each ix in ixs, by the cells
+// of the set's spatial hash into b (see geom.GridIndex.Group); points
+// outside the grid clamp to its border cells. The grouping is valid
+// until the next Reset. The engine groups each round's listeners with
+// it, so that nearby listeners are resolved together.
+func (s *TxSet) Group(b *geom.Buckets, pos []geom.Point, ixs []int32) { s.ix.Group(b, pos, ixs) }
 
 // GatherBox appends to dst, in ascending order, the indices of every
 // transmission whose spatial-hash cell overlaps the axis-aligned box

@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"unsafe"
 
+	"authradio/internal/geom"
 	"authradio/internal/radio"
 )
 
@@ -38,9 +39,7 @@ type resolver struct {
 	txs       []radio.Tx
 	listenIxs []int32
 	txSet     radio.TxSet
-	cellIdx   []int32          // listener -> spatial cell
-	cellStart []int32          // cell -> offset into cellOrder (CSR)
-	cellOrder []int32          // listener indices grouped by cell
+	listenBy  geom.Buckets     // listener indices grouped by txSet's cells
 	shardEnd  []int32          // phase-B shard -> exclusive end cell
 	obsRec    []radio.Obs      // index -> observation (only when a hook is set)
 	scratch   []*workerScratch // worker slot -> that worker's scratch
@@ -264,54 +263,20 @@ func asHandles(ixs []int32) []uint32 {
 const shardTarget = 64
 
 // deliverCells resolves the round's listeners in spatial-cell order:
-// listeners are grouped by the transmission index's cells (counting
-// sort, allocation-free after warm-up), one BeginCell per cell shares
-// the candidate gather and the listener-independent half of the math
-// with every listener in it, and cells are packed into contiguous
-// shards claimed by workers through an atomic cursor. Nearby listeners
-// therefore share both the candidate work and its cache lines, and a
-// jammed (expensive) region is split across many shards instead of
-// serializing one worker's chunk. Each cell's observations are
-// delivered together (deliver).
+// listeners are grouped by the transmission index's cells (TxSet.Group,
+// the index's own counting sort, allocation-free after warm-up), one
+// BeginCell per cell shares the candidate gather and the
+// listener-independent half of the math with every listener in it,
+// and cells are packed into contiguous shards claimed by workers
+// through an atomic cursor. Nearby listeners therefore share both the
+// candidate work and its cache lines, and a jammed (expensive) region
+// is split across many shards instead of serializing one worker's
+// chunk. Each cell's observations are delivered together (deliver).
 func (v *resolver) deliverCells(r uint64, cm radio.CellMedium, rec []radio.Obs) {
-	e := v.e
-	listeners := v.listenIxs
-	nl := len(listeners)
-	cells := v.txSet.Cells()
-
-	// Counting sort of listeners by cell, building the CSR offsets.
-	if cap(v.cellStart) < cells+1 {
-		v.cellStart = make([]int32, cells+1)
-	}
-	cs := v.cellStart[:cells+1]
-	for i := range cs {
-		cs[i] = 0
-	}
-	if cap(v.cellIdx) < nl {
-		v.cellIdx = make([]int32, nl)
-	}
-	ci := v.cellIdx[:nl]
-	for j, ix := range listeners {
-		c := int32(v.txSet.CellOf(e.pos[ix]))
-		ci[j] = c
-		cs[c+1]++
-	}
-	for c := 1; c <= cells; c++ {
-		cs[c] += cs[c-1]
-	}
-	if cap(v.cellOrder) < nl {
-		v.cellOrder = make([]int32, nl)
-	}
-	ord := v.cellOrder[:nl]
-	for j, ix := range listeners {
-		c := ci[j]
-		ord[cs[c]] = ix
-		cs[c]++
-	}
-	for c := cells; c > 0; c-- {
-		cs[c] = cs[c-1]
-	}
-	cs[0] = 0
+	nl := len(v.listenIxs)
+	v.txSet.Group(&v.listenBy, v.e.pos, v.listenIxs)
+	cs := v.listenBy.Start
+	cells := len(cs) - 1
 
 	// Pack cells into contiguous shards of ~shardTarget listeners.
 	v.shardEnd = v.shardEnd[:0]
@@ -326,24 +291,22 @@ func (v *resolver) deliverCells(r uint64, cm radio.CellMedium, rec []radio.Obs) 
 		v.shardEnd = append(v.shardEnd, int32(cells))
 	}
 
-	v.cells = cellJob{v: v, r: r, cm: cm, rec: rec, start: cs, order: ord}
+	v.cells = cellJob{v: v, r: r, cm: cm, rec: rec}
 	v.parallel(nl, len(v.shardEnd), 1, &v.cells)
 }
 
 // cellJob is the cell path's phase-B body: its pieces are runs of
 // shards, each resolving and delivering its cells' listeners.
 type cellJob struct {
-	v     *resolver
-	r     uint64
-	cm    radio.CellMedium
-	rec   []radio.Obs
-	start []int32 // cell -> offset into order (CSR)
-	order []int32 // listener indices grouped by cell
+	v   *resolver
+	r   uint64
+	cm  radio.CellMedium
+	rec []radio.Obs
 }
 
 func (j *cellJob) piece(lo, hi, w int) {
 	v, e := j.v, j.v.e
-	cs, ord := j.start, j.order
+	cs, ord := v.listenBy.Start, v.listenBy.IDs
 	sc := v.scratch[w]
 	first := int32(0)
 	if lo > 0 {

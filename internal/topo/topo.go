@@ -7,7 +7,8 @@
 // query: it returns ids unordered, grouped by index cell, which is what
 // set-like callers (schedule colouring) want. Neighbors builds on it
 // and sorts, excluding the device itself. LiveComponents runs no range
-// query: it joins devices through a grid of half-range cells.
+// query: it joins devices through a second GridIndex, of half-range
+// cells.
 package topo
 
 import (

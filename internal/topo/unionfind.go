@@ -1,9 +1,9 @@
 package topo
 
 import (
-	"cmp"
 	"math"
-	"slices"
+
+	"authradio/internal/geom"
 )
 
 // This file tracks connectivity of the live communication graph with a
@@ -13,8 +13,9 @@ import (
 // vertex can split the deployment; nodes in a component the source
 // cannot reach are not "failures to deliver" so much as "unreachable",
 // and the two must not be averaged together). LiveComponents fills it
-// from a grid of half-range cells, so it never enumerates the neighbor
-// graph: a partition needs only enough edges to connect each
+// from a geom.GridIndex of half-range cells, the same cell layout that
+// serves range queries and phase B, so it never enumerates the
+// neighbor graph: a partition needs only enough edges to connect each
 // component, and components do not depend on which edges found them.
 
 // UnionFind is a disjoint-set forest over n elements with path halving
@@ -72,24 +73,6 @@ func (u *UnionFind) SizeOf(x int) int { return int(u.size[u.Find(x)]) }
 // Count returns the number of disjoint sets.
 func (u *UnionFind) Count() int { return u.count }
 
-// cellReach is how many cells apart, along either axis, two devices
-// within range can be when cells are at least R/2 wide: two in exact
-// arithmetic, three once the floor in the cell computation rounds a
-// pair at exactly R across a cell border.
-const cellReach = 3
-
-// maxCellSpan caps the live devices' extent in cells along either
-// axis, so cell coordinates fit in int32 and their rounding error stays
-// far below one cell.
-const maxCellSpan = 1 << 30
-
-// cellDev is a live device and the grid cell it falls in.
-type cellDev struct{ cy, cx, id int32 }
-
-// before reports whether c's cell precedes cell (y, x) in row-major
-// order.
-func (c cellDev) before(y, x int32) bool { return c.cy < y || c.cy == y && c.cx < x }
-
 // LiveComponents returns the connected components of the deployment's
 // communication graph restricted to the devices with alive[i] true:
 // two alive devices are connected when they are within range R. Each
@@ -97,121 +80,90 @@ func (c cellDev) before(y, x int32) bool { return c.cy < y || c.cy == y && c.cx 
 // statistics over live devices only should skip them). alive nil means
 // every device is alive.
 //
-// The pass never enumerates the neighbor graph. It sorts the live
-// devices into square cells of side R/2, by (cell y, cell x, id), and
-// unions each cell's devices outright: two devices in one cell are at
-// most R/√2 apart, in range under L2 and L∞ by a margin no rounding can
-// close. Two devices in range are at most cellReach cells apart along
-// each axis, so it then visits each pair of occupied cells within that
-// reach, nearer rings first, since a far pair is mostly joined through
-// nearer cells by the time it comes up. For a pair not yet in one set
-// it tests device pairs with the exact Metric.Within and stops at the
-// first that links them. Components do not depend on which edges found
-// them, so the partition is the neighbor graph's.
+// The pass never enumerates the neighbor graph. It indexes every
+// device in a geom.GridIndex of cell side R/2 and, skipping dead
+// devices, unions each cell's devices outright: two devices in one
+// cell are at most R/√2 apart, in range under L2 and L∞ by a margin no
+// rounding can close. Two devices in range are at most reach =
+// ⌈R/cell⌉+1 cells apart along each axis (3 at R/2: 2 in exact
+// arithmetic, one more once the floor rounds a pair at exactly R
+// across a cell border), so it then visits each pair of cells within
+// that reach, nearer rings first, since a far pair is mostly joined
+// through nearer cells by the time it comes up. For a pair not yet in
+// one set it tests device pairs with the exact Metric.Within and stops
+// at the first that links them. Components do not depend on which
+// edges found them, so the partition is the neighbor graph's.
 //
-// Sorted cells stay R/2 wide however sparse the map. Only when the
-// live devices span more than maxCellSpan such cells do the cells
-// widen, to keep their coordinates exact; two devices in one cell may
-// then be out of range, so every device pair in a cell, and in each
-// cell pair within reach, is tested.
+// The index widens its cells past R/2 when R/2 cells would outnumber
+// 4n+16 (n devices), which takes fewer than about one device per R²
+// of bounding box, under π expected neighbors per device on a uniform
+// map. Two devices in one cell may then be out of range, so every
+// device pair in a cell, and in each cell pair within reach, is
+// tested: a widened cell of k devices costs O(k²) pair tests.
 func (d *Deployment) LiveComponents(alive []bool) *UnionFind {
 	u := NewUnionFind(d.N())
-	minX, minY := math.Inf(1), math.Inf(1)
-	maxX, maxY := math.Inf(-1), math.Inf(-1)
-	live := 0
-	for i, p := range d.Pos {
-		if alive == nil || alive[i] {
-			minX, minY = math.Min(minX, p.X), math.Min(minY, p.Y)
-			maxX, maxY = math.Max(maxX, p.X), math.Max(maxY, p.Y)
-			live++
-		}
-	}
-	if live == 0 {
-		return u
-	}
-	side, wide := d.R/2, false
-	if s := math.Max(maxX-minX, maxY-minY) / maxCellSpan; s > side {
-		side, wide = s, true
-	}
-	devs := make([]cellDev, 0, live)
-	for i, p := range d.Pos {
-		if alive == nil || alive[i] {
-			devs = append(devs, cellDev{cy: int32((p.Y - minY) / side), cx: int32((p.X - minX) / side), id: int32(i)})
-		}
-	}
-	slices.SortFunc(devs, func(a, b cellDev) int {
-		if c := cmp.Compare(a.cy, b.cy); c != 0 {
-			return c
-		}
-		if c := cmp.Compare(a.cx, b.cx); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.id, b.id)
-	})
-	// start[k] is the offset in devs of the k-th occupied cell; the
-	// last entry closes the final cell.
-	start := make([]int32, 0, live+1)
-	for i, c := range devs {
-		if i == 0 || c.cy != devs[i-1].cy || c.cx != devs[i-1].cx {
-			start = append(start, int32(i))
-		}
-	}
-	cells := len(start)
-	start = append(start, int32(live))
-	cell := func(k int) []cellDev { return devs[start[k]:start[k+1]] }
-
-	link := func(a, b []cellDev) {
-		if wide {
-			for _, p := range a {
-				for _, q := range b {
-					if !u.Same(int(p.id), int(q.id)) && d.Metric.Within(d.Pos[p.id], d.Pos[q.id], d.R) {
-						u.Union(int(p.id), int(q.id))
-					}
-				}
+	var g geom.GridIndex
+	g.Reset(d.Pos, d.R/2)
+	cols, rows := g.Dims()
+	wide := g.CellSize() != d.R/2
+	reach := int(math.Ceil(d.R/g.CellSize())) + 1
+	live := func(i int32) bool { return alive == nil || alive[i] }
+	// lead returns the first live device of a cell, or -1.
+	lead := func(c []int32) int {
+		for _, i := range c {
+			if live(i) {
+				return int(i)
 			}
-			return
 		}
-		if u.Same(int(a[0].id), int(b[0].id)) {
+		return -1
+	}
+
+	// link unions the live pairs in range across cells a and b; on
+	// half-range cells, where a and b are each one set, the first does.
+	link := func(a, b []int32) {
+		if la, lb := lead(a), lead(b); la < 0 || lb < 0 || !wide && u.Same(la, lb) {
 			return
 		}
 		for _, p := range a {
+			if !live(p) {
+				continue
+			}
 			for _, q := range b {
-				if d.Metric.Within(d.Pos[p.id], d.Pos[q.id], d.R) {
-					u.Union(int(p.id), int(q.id))
-					return
+				if live(q) && d.Metric.Within(d.Pos[p], d.Pos[q], d.R) {
+					u.Union(int(p), int(q))
+					if !wide {
+						return
+					}
 				}
 			}
 		}
 	}
 
-	for k := range cells {
-		if c := cell(k); wide {
-			link(c, c)
-		} else {
-			for _, q := range c[1:] {
-				u.Union(int(c[0].id), int(q.id))
+	for c := range cols * rows {
+		a := g.Cell(c)
+		if wide {
+			for k := range a {
+				link(a[k:k+1], a[k+1:])
+			}
+		} else if l := lead(a); l >= 0 {
+			for _, i := range a {
+				if live(i) {
+					u.Union(l, int(i))
+				}
 			}
 		}
 	}
 	// Visit each cell offset (dx, dy) within reach, one of each ±
-	// pair, ring max(|dx|, |dy|) by ring. For one offset the target
-	// cells ascend with the cells in devs' order, so one cursor sweep
-	// finds them all.
-	for r := int32(1); r <= cellReach; r++ {
-		for dy := int32(0); dy <= r; dy++ {
+	// pair, ring max(|dx|, |dy|) by ring.
+	for r := 1; r <= reach; r++ {
+		for dy := 0; dy <= r; dy++ {
 			for dx := -r; dx <= r; dx++ {
 				if max(dx, -dx, dy) != r || dy == 0 && dx < 0 {
 					continue
 				}
-				j := 0
-				for k := range cells {
-					a := cell(k)
-					y, x := a[0].cy+dy, a[0].cx+dx
-					for j < cells && devs[start[j]].before(y, x) {
-						j++
-					}
-					if j < cells && devs[start[j]].cy == y && devs[start[j]].cx == x {
-						link(a, cell(j))
+				for cy := 0; cy+dy < rows; cy++ {
+					for cx := max(0, -dx); cx < cols && cx+dx < cols; cx++ {
+						link(g.Cell(cy*cols+cx), g.Cell((cy+dy)*cols+cx+dx))
 					}
 				}
 			}

@@ -147,21 +147,36 @@ func partitionLabels(u *UnionFind, n int) []int {
 	return labels
 }
 
+// widened reports whether the pass's index over d widens its cells
+// past R/2.
+func widened(d *Deployment) bool {
+	var g geom.GridIndex
+	g.Reset(d.Pos, d.R/2)
+	return g.CellSize() != d.R/2
+}
+
 // TestLiveComponentsMatchesScan checks the cell pass against the
 // neighbor scan, set by set, on the deployments its exactness argument
-// has to cover: uniform maps under both metrics, tight clusters on a
-// large side (sparse overall, so the cells stay half-range only
-// because they are sorted, not indexed), integer and half-integer
-// L∞ grids and a decimal-spaced one (many pairs at exactly R, or at R
-// up to rounding), pairs at R that the floor puts three cells apart, a
-// map spanning more than maxCellSpan half-ranges (widened cells), one
-// device, and all devices dead; each with every device alive (alive
-// nil) or 0-50% dead.
+// has to cover: uniform maps under both metrics (the sparser ones with
+// widened cells), tight clusters on a large side (sparse overall, so
+// their cells widen), integer and half-integer L∞ grids and a
+// decimal-spaced one (many pairs at exactly R, or at R up to
+// rounding), pairs at R that the floor puts three half-range cells
+// apart, a map spanning 2^41 half-ranges and two clusters 10^4·R apart
+// (widened cells), one device, and all devices dead; each with every
+// device alive (alive nil) or 0-50% dead. Shapes that must run in one
+// cell mode check that they do.
 func TestLiveComponentsMatchesScan(t *testing.T) {
 	rng := xrand.New(24)
 	type shape struct {
 		name string
 		make func() *Deployment
+	}
+	// mustWiden holds the shapes whose cells must (true) or must not
+	// (false) widen on every trial.
+	mustWiden := map[string]bool{
+		"pair at R three cells apart, half-range cells": false,
+		"two clusters 1e4·R apart":                      true,
 	}
 	shapes := []shape{
 		{"uniform L2", func() *Deployment { return Uniform(50+rng.Intn(500), 5+30*rng.Float64(), 1+3*rng.Float64(), rng) }},
@@ -199,11 +214,44 @@ func TestLiveComponentsMatchesScan(t *testing.T) {
 				Metric: geom.Metric(rng.Intn(2)),
 			}
 		}},
+		{"pair at R three cells apart, half-range cells", func() *Deployment {
+			// The shape above with 17 devices on the origin instead of
+			// one, out of everyone else's range: 21 devices keep the
+			// 10×10 grid of half-range cells (4·21+16 = 100).
+			r := 2.6
+			x := 7 * (r / 2)
+			d := &Deployment{
+				Area:   geom.Rect{MaxX: x + r, MaxY: x + r},
+				Pos:    []geom.Point{{X: x}, {X: x + r}, {Y: x}, {Y: x + r}},
+				R:      r,
+				Metric: geom.Metric(rng.Intn(2)),
+			}
+			for range 17 {
+				d.Pos = append(d.Pos, geom.Point{})
+			}
+			return d
+		}},
+		{"two clusters 1e4·R apart", func() *Deployment {
+			// 64 devices span 2·10^4 half-range cells along each
+			// axis, past the index's 4n+16 cells. Each cluster spans
+			// 4R, so it may split.
+			r := 1 + rng.Float64()
+			far := 1e4 * r
+			d := &Deployment{Area: geom.Square(far + 4*r), R: r, Metric: geom.Metric(rng.Intn(2))}
+			for i := range 64 {
+				c := float64(i%2) * far
+				d.Pos = append(d.Pos, geom.Point{X: c + 4*r*rng.Float64(), Y: c + 4*r*rng.Float64()})
+			}
+			return d
+		}},
 		{"one device", func() *Deployment { return Uniform(1, 10, 2, rng) }},
 	}
 	for _, sh := range shapes {
 		for trial := 0; trial < 25; trial++ {
 			d := sh.make()
+			if want, ok := mustWiden[sh.name]; ok && widened(d) != want {
+				t.Fatalf("%s trial %d: widened cells %v, want %v", sh.name, trial, !want, want)
+			}
 			var alive []bool
 			switch trial % 3 {
 			case 1: // 0-50% dead
