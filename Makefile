@@ -67,12 +67,13 @@ bench-scale:
 		-count 3 -benchtime 1x -benchmem .
 
 # Short local fuzz pass over the -param parser, the typed getters, the
-# adversary-mix label parser, the fault-plan grammar and the MultiPathRB
-# frame decoder (CI replays the checked-in corpus under testdata/fuzz on
-# every run).
+# adversary-mix label parser, the fault-plan grammar, the MultiPathRB
+# frame decoder and the slot cursor (CI replays the checked-in corpus
+# under testdata/fuzz on every run).
 fuzz:
 	go test ./internal/core/ -fuzz FuzzParseParam -fuzztime 30s -run '^$$'
 	go test ./internal/core/ -fuzz FuzzParamsGetters -fuzztime 30s -run '^$$'
 	go test ./internal/experiment/ -fuzz FuzzParseMix -fuzztime 30s -run '^$$'
 	go test ./internal/faultnet/ -fuzz FuzzParsePlan -fuzztime 30s -run '^$$'
 	go test ./internal/bitcodec/ -fuzz FuzzDecodeFrame -fuzztime 30s -run '^$$'
+	go test ./internal/schedule/ -fuzz FuzzSlotCursor -fuzztime 30s -run '^$$'

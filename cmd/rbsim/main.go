@@ -7,8 +7,10 @@
 // wired in outside core (e.g. GossipRB). Driver knobs are drivable
 // without a rebuild through repeated `-param name=value` flags into
 // the core.Params bag. Every knob is a number: a value that is not one
-// exits 2 at flag parse, and one the driver cannot take (a fractional
-// count, an out-of-range value) exits 1 at Build.
+// exits 2 at flag parse, one the driver cannot take (a fractional
+// count, an out-of-range value) exits 1 at Build, and a knob the
+// protocol does not read (a misspelling, another protocol's knob) exits
+// 2 once the world is built.
 //
 // Examples:
 //
@@ -46,6 +48,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"maps"
 	"os"
 	"runtime"
 	"slices"
@@ -212,7 +215,7 @@ func main() {
 		}
 	}
 
-	res, coll, closeErr := runScenario(s, *rep, *stats, *traceN, *traceRx, transport)
+	res, coll, closeErr := runScenario(s, params.Params, *rep, *stats, *traceN, *traceRx, transport)
 	fmt.Printf("protocol:        %s\n", drv.Name())
 	fmt.Printf("honest nodes:    %d\n", res.Honest)
 	fmt.Printf("completed:       %d (%.1f%%)\n", res.Complete, 100*res.CompletionFrac())
@@ -269,13 +272,14 @@ func protocolList() string {
 // engine-level parallelism enabled (a single scenario run has no
 // repetition fan-out to feed, and worker counts never change results)
 // and optional channel statistics, tracing and a non-default transport
-// attached through build options. The udp transport (transport != nil)
-// hosts every device behind its own loopback socket and produces
-// results bit-identical to sim for the same seed (pinned by
-// internal/medium/net's tests). The returned close error is the
-// transport teardown verdict — a *CrashError inside it names the
-// devices the retry policy gave up on.
-func runScenario(s experiment.Scenario, rep int, stats bool, traceN int, traceRx bool, transport *netmedium.Transport) (core.Result, *metrics.Collector, error) {
+// attached through build options. It exits 2 before running if the
+// built protocol did not read one of knobs (the -param flags). The udp
+// transport (transport != nil) hosts every device behind its own
+// loopback socket and produces results bit-identical to sim for the
+// same seed (pinned by internal/medium/net's tests). The returned close
+// error is the transport teardown verdict — a *CrashError inside it
+// names the devices the retry policy gave up on.
+func runScenario(s experiment.Scenario, knobs core.Params, rep int, stats bool, traceN int, traceRx bool, transport *netmedium.Transport) (core.Result, *metrics.Collector, error) {
 	opts := []core.Option{core.WithWorkers(runtime.GOMAXPROCS(0))}
 	var coll *metrics.Collector
 	if stats {
@@ -298,6 +302,11 @@ func runScenario(s experiment.Scenario, rep int, stats bool, traceN int, traceRx
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
+	if err := checkKnobsRead(w, knobs); err != nil {
+		w.Close()
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 	if tl != nil {
 		// The cycle is a product of the build; the hook only reads it
 		// once rounds start.
@@ -309,6 +318,18 @@ func runScenario(s experiment.Scenario, rep int, stats bool, traceN int, traceRx
 	}
 	res := w.Run(maxRounds)
 	return res, coll, w.Close()
+}
+
+// checkKnobsRead rejects a -param knob the world's driver did not read:
+// it would leave the run unchanged without a word. The -t flag's
+// multipath.t is not checked, since every run sets it.
+func checkKnobsRead(w *core.World, knobs core.Params) error {
+	for _, name := range slices.Sorted(maps.Keys(knobs)) {
+		if !w.ParamRead(name) {
+			return fmt.Errorf("-param %s: %s reads no such knob", name, w.DriverName)
+		}
+	}
+	return nil
 }
 
 // checkMsgLen rejects a -msglen the message codec cannot carry. Zero is

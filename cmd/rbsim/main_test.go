@@ -183,8 +183,9 @@ func TestMixFlag(t *testing.T) {
 // TestParamFlag runs rbsim's -param front door: a value that is not a
 // number exits 2 at flag parse, with a first line naming the knob
 // (the flag package's usage text follows, as for any bad flag); a
-// number the driver cannot take exits 1 at Build; and any spelling
-// ParseParam takes runs.
+// number the driver cannot take exits 1 at Build; a knob the protocol
+// does not read, misspelled or another protocol's, exits 2 naming it;
+// and any spelling ParseParam takes runs.
 func TestParamFlag(t *testing.T) {
 	base := []string{"-proto", "gossip", "-grid", "5", "-range", "1.5"}
 	for _, c := range []struct {
@@ -194,7 +195,9 @@ func TestParamFlag(t *testing.T) {
 		{"x=true", `invalid value "x=true" for flag -param: param x: want a number, got "true"` + "\n", 2},
 		{"gossip.fanout=hi", `invalid value "gossip.fanout=hi" for flag -param: param gossip.fanout: want a number, got "hi"` + "\n", 2},
 		{"gossip.fanout=2.5", "core: building GossipRB: param gossip.fanout: want an int, got 2.5\n", 1},
-		{"multipath.t=0x2", "", 0},
+		{"gossip.fanout=0x2", "", 0},
+		{"gosip.fanout=1", "-param gosip.fanout: GossipRB reads no such knob\n", 2},
+		{"multipath.t=2", "-param multipath.t: GossipRB reads no such knob\n", 2},
 	} {
 		stdout, stderr, err := runRbsim(append(base, "-param", c.param)...)
 		code := 0

@@ -32,6 +32,9 @@ type WorldBuilder struct {
 	// paramErrs collects IntParam failures; Build surfaces them as an
 	// error even when the driver's Build returns nil.
 	paramErrs []error
+	// paramsRead lists the knobs the param getters were asked for;
+	// Build hands it to the world (see World.ParamRead).
+	paramsRead []string
 }
 
 // Deployment returns the (validated) device deployment.
@@ -61,16 +64,19 @@ func (b *WorldBuilder) Active() []bool { return b.w.live }
 // surfaced as an error from Build: the driver receives def and may
 // finish constructing, but the world is discarded. Drivers therefore
 // range-check the returned value and need no error plumbing of their
-// own.
+// own. Both getters record the name they were asked for, present or
+// not, so the world can tell which knobs its driver reads.
 
 // FloatParam returns the named knob, or def when absent.
 func (b *WorldBuilder) FloatParam(name string, def float64) float64 {
+	b.paramsRead = append(b.paramsRead, name)
 	return b.cfg.Params.FloatOr(name, def)
 }
 
 // IntParam returns the named knob as an int, or def when absent. A
 // fraction, NaN or infinity is an error, not a truncation.
 func (b *WorldBuilder) IntParam(name string, def int) int {
+	b.paramsRead = append(b.paramsRead, name)
 	v, err := b.cfg.Params.IntOr(name, def)
 	if err != nil {
 		b.paramErrs = append(b.paramErrs, err)

@@ -31,6 +31,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"authradio/internal/adversary"
 	"authradio/internal/bitcodec"
@@ -157,7 +158,15 @@ type World struct {
 	// live is the participation mask derived from Config.Roles: true for
 	// honest, liar and churn devices.
 	live []bool
+	// paramsRead lists the knobs the driver asked its builder for.
+	paramsRead []string
 }
+
+// ParamRead reports whether the driver asked for the named knob while
+// building the world, whether or not Cfg.Params held it. A knob it
+// never asked for had no effect on the world, which is how a command
+// line tells a misspelled or foreign knob from one the protocol takes.
+func (w *World) ParamRead(name string) bool { return slices.Contains(w.paramsRead, name) }
 
 // role returns device i's configured behaviour (Honest when Roles is
 // nil).
@@ -265,6 +274,7 @@ func Build(cfg Config, opts ...Option) (*World, error) {
 		// default after the caller supplied a malformed knob.
 		return nil, fmt.Errorf("core: building %s: %w", drv.Name(), err)
 	}
+	w.paramsRead = b.paramsRead
 
 	// Jammers attack whatever slot structure the protocol uses.
 	for i := 0; i < d.N(); i++ {

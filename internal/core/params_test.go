@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -140,5 +141,8 @@ func TestBuilderParamGettersAccumulate(t *testing.T) {
 	}
 	if len(b.paramErrs) != 2 {
 		t.Fatalf("recorded %d param errors, want 2: %v", len(b.paramErrs), b.paramErrs)
+	}
+	if want := []string{"bad.int", "nan.int", "good.int", "good.float", "absent"}; !slices.Equal(b.paramsRead, want) {
+		t.Fatalf("knobs read %v, want %v", b.paramsRead, want)
 	}
 }

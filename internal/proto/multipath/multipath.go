@@ -101,17 +101,24 @@ type rxState struct {
 // Node is a MultiPathRB device; honest by default, lying when built
 // with NewLiar.
 type Node struct {
-	sh  *Shared
+	// An in-slot Wake reads only the first four fields, 56 bytes that
+	// fit one cache line: the cursor's place in interest, and the 2Bit
+	// exchange of the slot occurrence it is in, replaced at each
+	// occurrence's start.
+	sh *Shared
+	at schedule.Cursor
+	x  twobit.Exchange
+	// interest lists the slots this node participates in, ascending,
+	// and streams holds the neighbor stream received in each of them:
+	// streams[k] is interest[k]'s, and the node's own slot's entry is
+	// unused. A receiver's stream is the cursor's Index.
+	interest []int
+	streams  []rxState
+
 	id  int
 	pos geom.Point
 
 	mySlot int
-	// interest lists the slots this node participates in, ascending,
-	// and streams holds the neighbor stream received in each of them:
-	// streams[k] is interest[k]'s, and the node's own slot's entry is
-	// unused.
-	interest []int
-	streams  []rxState
 
 	send *onehop.FrameSender
 
@@ -126,15 +133,6 @@ type Node struct {
 
 	complete    bool
 	completedAt uint64
-
-	// Per-slot activity: the slot's 2Bit exchange, replaced at slot
-	// start, and for a receiver the index of the stream it feeds.
-	cur struct {
-		active bool
-		start  uint64
-		x      twobit.Exchange
-		stream int
-	}
 }
 
 // NewNode builds an honest node for device id.
@@ -239,49 +237,44 @@ func (n *Node) QueueLen() int { return n.send.QueueLen() }
 
 // Wake implements sim.Device.
 func (n *Node) Wake(r uint64) sim.Step {
-	_, slot, sub := n.sh.NS.At(r)
-	start := r - uint64(sub)
-	if n.cur.active && n.cur.start != start {
-		n.cur.active = false
+	cyc := n.sh.NS.Cycle
+	sub, k, fresh := n.at.Enter(cyc, n.interest, r)
+	if fresh {
+		n.beginSlot(k)
 	}
-	if !n.cur.active {
-		n.beginSlot(start, slot)
-	}
-	act, kind := n.cur.x.Act(sub)
-	return sim.Step{Action: act, Frame: radio.Frame{Kind: kind}, NextWake: n.sh.NS.NextIn(r+1, n.interest)}
+	act, kind := n.x.Act(sub)
+	return sim.Step{Action: act, Frame: radio.Frame{Kind: kind}, NextWake: n.at.Next(cyc, n.interest, r)}
 }
 
-// beginSlot starts the node's exchange for the slot starting at start:
-// a sender in its own slot while it has a pair to send, a receiver in a
-// neighbor's slot, idle otherwise.
-func (n *Node) beginSlot(start uint64, slot int) {
-	n.cur.active = true
-	n.cur.start = start
-	n.cur.x = twobit.Exchange{}
-	if slot != n.mySlot {
-		if k, ok := slices.BinarySearch(n.interest, slot); ok {
-			n.cur.x, n.cur.stream = twobit.Receive(), k
+// beginSlot starts the node's exchange for a slot occurrence: a sender
+// in its own slot while it has a pair to send, a receiver in a
+// neighbor's (interest[k]), idle otherwise (k is -1 outside interest).
+func (n *Node) beginSlot(k int) {
+	n.x = twobit.Exchange{}
+	switch {
+	case k < 0:
+	case n.interest[k] != n.mySlot:
+		n.x = twobit.Receive()
+	default:
+		if p, ok := n.send.Current(); ok {
+			n.x = twobit.Send(p.B1, p.B2)
 		}
-	} else if p, ok := n.send.Current(); ok {
-		n.cur.x = twobit.Send(p.B1, p.B2)
 	}
 }
 
 // Deliver implements sim.Device.
 func (n *Node) Deliver(r uint64, obs radio.Obs) {
-	if !n.cur.active {
-		return
-	}
-	out := n.cur.x.Observe(int(r-n.cur.start), obs.Busy)
+	out := n.x.Observe(n.at.Sub(r), obs.Busy)
 	if out == twobit.Pending {
 		return
 	}
-	if n.cur.x.Role() == twobit.Sender {
+	if n.x.Role() == twobit.Sender {
 		n.send.SlotDone(out == twobit.Success)
 	} else if out == twobit.Success {
-		b1, b2 := n.cur.x.Bits()
-		if frame, done := n.streams[n.cur.stream].fr.Accept(onehop.Pair{B1: b1, B2: b2}); done {
-			n.handleFrame(r, n.cur.stream, frame)
+		b1, b2 := n.x.Bits()
+		k := n.at.Index()
+		if frame, done := n.streams[k].fr.Accept(onehop.Pair{B1: b1, B2: b2}); done {
+			n.handleFrame(r, k, frame)
 		}
 	}
 }

@@ -98,17 +98,25 @@ type rxStream struct {
 
 // Node is an honest (or lying, see NewLiar) NeighborWatchRB device.
 type Node struct {
-	sh  *Shared
+	// An in-slot Wake reads only the first four fields, 56 bytes that
+	// fit one cache line: the cursor's place in interest, and the 2Bit
+	// exchange of the slot occurrence it is in, replaced at each
+	// occurrence's start.
+	sh *Shared
+	at schedule.Cursor
+	x  twobit.Exchange
+	// interest lists the slots this node participates in, ascending,
+	// and streams holds the stream received in each of them: streams[k]
+	// is interest[k]'s, and the node's own slot's entry is unused. A
+	// receiver's stream is the cursor's Index.
+	interest []int
+	streams  []rxStream
+
 	id  int
 	pos geom.Point
 
 	sq     schedule.Square
 	mySlot int
-	// interest lists the slots this node participates in, ascending,
-	// and streams holds the stream received in each of them: streams[k]
-	// is interest[k]'s, and the node's own slot's entry is unused.
-	interest []int
-	streams  []rxStream
 
 	// send holds the committed prefix, which the node's square relays.
 	send *onehop.StreamSender
@@ -131,15 +139,6 @@ type Node struct {
 	failStreak int
 	rank       int
 	yielded    bool
-
-	// Per-slot activity: the slot's 2Bit exchange, replaced at slot
-	// start, and for a receiver the index of the stream it feeds.
-	cur struct {
-		active bool
-		start  uint64
-		x      twobit.Exchange
-		stream int
-	}
 }
 
 // NewNode builds an honest node for device id.
@@ -260,56 +259,48 @@ func (n *Node) Message() (bitcodec.Message, bool) {
 
 // Wake implements sim.Device.
 func (n *Node) Wake(r uint64) sim.Step {
-	_, slot, sub := n.sh.G.At(r)
-	start := r - uint64(sub)
-	if n.cur.active && n.cur.start != start {
-		n.cur.active = false
+	cyc := n.sh.G.Cycle
+	sub, k, fresh := n.at.Enter(cyc, n.interest, r)
+	if fresh {
+		n.beginSlot(k)
 	}
-	if !n.cur.active {
-		n.beginSlot(start, slot)
-	}
-	act, kind := n.cur.x.Act(sub)
-	return sim.Step{Action: act, Frame: radio.Frame{Kind: kind}, NextWake: n.sh.G.NextIn(r+1, n.interest)}
+	act, kind := n.x.Act(sub)
+	return sim.Step{Action: act, Frame: radio.Frame{Kind: kind}, NextWake: n.at.Next(cyc, n.interest, r)}
 }
 
-// beginSlot starts the node's exchange for the slot starting at start.
-func (n *Node) beginSlot(start uint64, slot int) {
-	n.cur.active = true
-	n.cur.start = start
-	n.cur.x = twobit.Exchange{}
+// beginSlot starts the node's exchange for a slot occurrence of
+// interest[k] (k is -1 outside interest, where the node idles).
+func (n *Node) beginSlot(k int) {
+	n.x = twobit.Exchange{}
 	switch {
-	case slot != n.mySlot:
-		if k, ok := slices.BinarySearch(n.interest, slot); ok {
-			n.cur.x, n.cur.stream = twobit.Receive(), k
-		}
+	case k < 0:
+	case n.interest[k] != n.mySlot:
+		n.x = twobit.Receive()
 	case n.yielded:
 		// A yielded member sits its own slot out (see senderDone).
 	default:
 		if p, _, ok := n.send.Current(); ok {
-			n.cur.x = twobit.Send(p.B1, p.B2)
+			n.x = twobit.Send(p.B1, p.B2)
 		} else {
 			// Nothing committed yet (or stream finished): monitor the
 			// square. Pre-stream positions expect parity 1, so the
 			// activity-triggered watcher suffices (see package twobit).
-			n.cur.x = twobit.Watch()
+			n.x = twobit.Watch()
 		}
 	}
 }
 
 // Deliver implements sim.Device.
 func (n *Node) Deliver(r uint64, obs radio.Obs) {
-	if !n.cur.active {
-		return
-	}
-	out := n.cur.x.Observe(int(r-n.cur.start), obs.Busy)
+	out := n.x.Observe(n.at.Sub(r), obs.Busy)
 	if out == twobit.Pending {
 		return
 	}
-	if n.cur.x.Role() == twobit.Sender {
+	if n.x.Role() == twobit.Sender {
 		n.senderDone(out == twobit.Success)
 	} else if out == twobit.Success {
-		b1, b2 := n.cur.x.Bits()
-		n.acceptPair(r, n.cur.stream, onehop.Pair{B1: b1, B2: b2})
+		b1, b2 := n.x.Bits()
+		n.acceptPair(r, n.at.Index(), onehop.Pair{B1: b1, B2: b2})
 	}
 }
 

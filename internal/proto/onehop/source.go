@@ -33,18 +33,18 @@ type Source struct {
 	id    int
 	pos   geom.Point
 	cyc   schedule.Cycle
-	slot  int
+	slot  [1]int // the one slot, as the cursor's slot list
 	pairs []Pair
 
-	next  int             // index of the pair being sent
-	tx    twobit.Exchange // the latest exchange; Idle before the first
-	start uint64          // first round of tx's slot occurrence
+	next int             // index of the pair being sent
+	at   schedule.Cursor // place in the slot
+	tx   twobit.Exchange // the slot occurrence's exchange; Idle outside the slot
 }
 
 // NewSource returns a source for device id at pos that sends pairs in
 // the given slot of cyc.
 func NewSource(id int, pos geom.Point, cyc schedule.Cycle, slot int, pairs []Pair) *Source {
-	return &Source{id: id, pos: pos, cyc: cyc, slot: slot, pairs: pairs}
+	return &Source{id: id, pos: pos, cyc: cyc, slot: [1]int{slot}, pairs: pairs}
 }
 
 // ID implements sim.Device.
@@ -61,25 +61,21 @@ func (s *Source) Wake(r uint64) sim.Step {
 	if s.Done() {
 		return sim.Step{Action: sim.Sleep, NextWake: sim.NoWake}
 	}
-	_, slot, sub := s.cyc.At(r)
-	if slot != s.slot {
-		return sim.Step{Action: sim.Sleep, NextWake: s.cyc.NextStart(r+1, s.slot)}
-	}
-	if start := r - uint64(sub); s.tx.Role() == twobit.Idle || s.start != start {
-		p := s.pairs[s.next]
-		s.tx, s.start = twobit.Send(p.B1, p.B2), start
+	sub, k, fresh := s.at.Enter(s.cyc, s.slot[:], r)
+	if fresh {
+		s.tx = twobit.Exchange{}
+		if k == 0 {
+			p := s.pairs[s.next]
+			s.tx = twobit.Send(p.B1, p.B2)
+		}
 	}
 	act, kind := s.tx.Act(sub)
-	next := r + 1
-	if sub == twobit.R6 {
-		next = s.cyc.NextStart(next, s.slot)
-	}
-	return sim.Step{Action: act, Frame: radio.Frame{Kind: kind}, NextWake: next}
+	return sim.Step{Action: act, Frame: radio.Frame{Kind: kind}, NextWake: s.at.Next(s.cyc, s.slot[:], r)}
 }
 
 // Deliver implements sim.Device.
 func (s *Source) Deliver(r uint64, obs radio.Obs) {
-	if s.tx.Observe(int(r-s.start), obs.Busy) == twobit.Success {
+	if s.tx.Observe(s.at.Sub(r), obs.Busy) == twobit.Success {
 		s.next++
 	}
 }

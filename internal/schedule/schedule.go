@@ -23,6 +23,7 @@ package schedule
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"authradio/internal/geom"
@@ -71,25 +72,96 @@ func (c Cycle) NextStart(after uint64, slot int) uint64 {
 	return base + k*cr
 }
 
-// NextIn returns the first round >= after that lies inside one of the
-// given slots, which must be ascending; ^uint64(0) if there are none.
-// This is when a device that takes part in exactly those slots next
-// needs its radio.
-func (c Cycle) NextIn(after uint64, slots []int) uint64 {
-	cycle, cur, sub := c.At(after)
-	for _, s := range slots {
-		switch {
-		case s < cur:
-			continue
-		case s == cur && sub != 0:
-			return after
+// Cursor is a slotted device's place in its own slot list: the
+// ascending, non-empty list of the cycle's slots it takes part in. It
+// holds the first round of the slot occurrence the device is in and
+// that slot's index in the list, so a device that wakes only when its
+// cursor says walks its slots by comparison and addition alone: inside
+// a listed slot the next wake is the next round, and after the slot's
+// last round it is the next listed slot's start. Only a wake the
+// cursor did not predict, such as a device's first, pays for At and a
+// binary search.
+//
+// The cursor holds neither the cycle nor the list: every call takes
+// both, and they must be the same on every call. The zero Cursor has
+// entered no occurrence.
+type Cursor struct {
+	start uint64 // first round of the occurrence entered last
+	k     int32  // index in the slot list of that occurrence's slot
+	on    bool   // an occurrence has been entered
+}
+
+// Enter moves the cursor to round r, a round the device wakes in, which
+// must be later than the round it entered last. It returns r's
+// sub-round within its slot, the index of that slot in slots (-1 when
+// the slot is not listed), and whether r leaves the listed occurrence
+// the cursor was in: fresh is false only for a later round of the same
+// occurrence of a listed slot.
+func (c *Cursor) Enter(cyc Cycle, slots []int, r uint64) (sub, k int, fresh bool) {
+	if d := r - c.start; c.on && d-1 < uint64(cyc.SlotLen-1) {
+		return int(d), int(c.k), false
+	}
+	if c.on {
+		if next, k := c.after(cyc, slots); next == r {
+			c.start, c.k = r, int32(k)
+			return 0, k, true
 		}
-		return c.Start(cycle, s)
 	}
-	if len(slots) == 0 {
-		return ^uint64(0)
+	return c.seek(cyc, slots, r)
+}
+
+// Next returns the device's next wake after round r, the round it
+// entered last: r+1 inside a listed slot, else the start of the next
+// listed slot's occurrence.
+func (c *Cursor) Next(cyc Cycle, slots []int, r uint64) uint64 {
+	if r-c.start < uint64(cyc.SlotLen-1) {
+		return r + 1
 	}
-	return c.Start(cycle+1, slots[0])
+	next, _ := c.after(cyc, slots)
+	return next
+}
+
+// Sub returns round r's sub-round within the occurrence entered last;
+// r must lie inside it.
+func (c *Cursor) Sub(r uint64) int { return int(r - c.start) }
+
+// Index returns the slot-list index of the occurrence entered last; it
+// is meaningful only while Enter's last k was not -1.
+func (c *Cursor) Index() int { return int(c.k) }
+
+// after returns the start of the listed occurrence that follows the
+// current one, and its slot's index: the next slot in the list, or the
+// list's first slot in the next cycle.
+func (c *Cursor) after(cyc Cycle, slots []int) (uint64, int) {
+	k, to := int(c.k)+1, 0
+	if k == len(slots) {
+		k, to = 0, cyc.NumSlots
+	}
+	to += slots[k] - slots[c.k]
+	return c.start + uint64(to)*uint64(cyc.SlotLen), k
+}
+
+// seek places the cursor at an unpredicted round r. In a listed slot it
+// enters r's occurrence. In an unlisted one it parks on the last listed
+// occurrence before r, so that Next is the first listed start after r;
+// a park before round 0 wraps around in uint64 arithmetic, and after
+// unwraps it exactly.
+func (c *Cursor) seek(cyc Cycle, slots []int, r uint64) (sub, k int, fresh bool) {
+	_, slot, sub := cyc.At(r)
+	i, listed := slices.BinarySearch(slots, slot)
+	start := r - uint64(sub)
+	c.on = true
+	if listed {
+		c.start, c.k = start, int32(i)
+		return sub, i, true
+	}
+	back := 0
+	if i == 0 {
+		i, back = len(slots), cyc.NumSlots
+	}
+	back += slot - slots[i-1]
+	c.start, c.k = start-uint64(back)*uint64(cyc.SlotLen), int32(i-1)
+	return sub, -1, true
 }
 
 // Square identifies one cell of the plane partition by its integer grid

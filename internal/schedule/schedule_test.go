@@ -1,6 +1,7 @@
 package schedule
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -372,7 +373,28 @@ func BenchmarkGreedyNodeSchedule4096(b *testing.B) {
 	}
 }
 
-// nextInOracle is the per-slot formula NextIn replaced: stay in the
+// nextIn returns the first round >= after that lies inside one of the
+// given slots, which must be ascending; ^uint64(0) if there are none:
+// a device's next wake found by rescanning its slot list, the
+// reference FuzzSlotCursor checks Cursor.Next against.
+func nextIn(c Cycle, after uint64, slots []int) uint64 {
+	cycle, cur, sub := c.At(after)
+	for _, s := range slots {
+		switch {
+		case s < cur:
+			continue
+		case s == cur && sub != 0:
+			return after
+		}
+		return c.Start(cycle, s)
+	}
+	if len(slots) == 0 {
+		return ^uint64(0)
+	}
+	return c.Start(cycle+1, slots[0])
+}
+
+// nextInOracle is the per-slot formula nextIn replaced: stay in the
 // current slot if it is one of slots and after is past its start, else
 // take the earliest next start over all slots.
 func nextInOracle(c Cycle, after uint64, slots []int) uint64 {
@@ -393,7 +415,7 @@ func nextInOracle(c Cycle, after uint64, slots []int) uint64 {
 	return best
 }
 
-// TestCycleNextInProperty checks NextIn against the per-slot oracle on
+// TestCycleNextInProperty checks nextIn against the per-slot oracle on
 // random cycles, slot sets and rounds, including every slot's start, its
 // last round (R6 of a six-round slot) and the round after it.
 func TestCycleNextInProperty(t *testing.T) {
@@ -420,13 +442,70 @@ func TestCycleNextInProperty(t *testing.T) {
 			}
 		}
 		for _, after := range rounds {
-			got, want := c.NextIn(after, slots), nextInOracle(c, after, slots)
+			got, want := nextIn(c, after, slots), nextInOracle(c, after, slots)
 			if got != want {
-				t.Fatalf("%+v slots %v: NextIn(%d) = %d, oracle %d", c, slots, after, got, want)
+				t.Fatalf("%+v slots %v: nextIn(%d) = %d, oracle %d", c, slots, after, got, want)
 			}
 		}
 	}
-	if got := (Cycle{NumSlots: 3, SlotLen: 6}).NextIn(5, nil); got != ^uint64(0) {
-		t.Fatalf("NextIn with no slots = %d", got)
+	if got := nextIn(Cycle{NumSlots: 3, SlotLen: 6}, 5, nil); got != ^uint64(0) {
+		t.Fatalf("nextIn with no slots = %d", got)
 	}
+}
+
+// FuzzSlotCursor walks a Cursor through a cycle and checks every round
+// it enters against At, a search of the slot list and nextIn. The
+// inputs pick the cycle (1 to 256 slots of 1 to 8 rounds), the slot
+// list (slot s is listed when bit s%64 of mask is set; an empty pick
+// lists slot 0), the first round, and the walk: byte i%len(walk) of
+// step i follows the cursor's own next wake when its top bit is clear
+// and otherwise jumps 1 to 128 rounds ahead, a round the cursor did
+// not predict. A walk lasts four cycles of steps, at least 64. The
+// checked-in corpus covers one slot, slot 0, the last slot and every
+// slot, single-slot and single-round cycles, and first rounds inside a
+// slot and far into the round range.
+func FuzzSlotCursor(f *testing.F) {
+	f.Fuzz(func(t *testing.T, numSlots, slotLen uint8, mask, first uint64, walk []byte) {
+		cyc := Cycle{NumSlots: 1 + int(numSlots), SlotLen: 1 + int(slotLen)%8}
+		var slots []int
+		for s := 0; s < cyc.NumSlots; s++ {
+			if mask>>(s%64)&1 != 0 {
+				slots = append(slots, s)
+			}
+		}
+		if len(slots) == 0 {
+			slots = []int{0}
+		}
+		var cur Cursor
+		r := first >> 20
+		prevOcc, prevListed := uint64(0), false
+		steps := max(4*int(cyc.Rounds()), 64)
+		for i := 0; i < steps; i++ {
+			_, slot, wantSub := cyc.At(r)
+			wantK, listed := slices.BinarySearch(slots, slot)
+			if !listed {
+				wantK = -1
+			}
+			occ := r - uint64(wantSub)
+			wantFresh := !prevListed || occ != prevOcc
+			sub, k, fresh := cur.Enter(cyc, slots, r)
+			if sub != wantSub || k != wantK || fresh != wantFresh {
+				t.Fatalf("%+v slots %v, step %d: Enter(%d) = %d, %d, %v; want %d, %d, %v",
+					cyc, slots, i, r, sub, k, fresh, wantSub, wantK, wantFresh)
+			}
+			if listed && (cur.Sub(r) != sub || cur.Index() != k) {
+				t.Fatalf("%+v slots %v, step %d: round %d: Sub %d, Index %d; want %d, %d",
+					cyc, slots, i, r, cur.Sub(r), cur.Index(), sub, k)
+			}
+			next, wantNext := cur.Next(cyc, slots, r), nextIn(cyc, r+1, slots)
+			if next != wantNext {
+				t.Fatalf("%+v slots %v, step %d: Next(%d) = %d, want %d", cyc, slots, i, r, next, wantNext)
+			}
+			prevOcc, prevListed = occ, listed
+			if len(walk) > 0 && walk[i%len(walk)]&0x80 != 0 {
+				next = r + 1 + uint64(walk[i%len(walk)]&0x7f)
+			}
+			r = next
+		}
+	})
 }

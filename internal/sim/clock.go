@@ -53,8 +53,7 @@ func (e *Engine) schedule(ix int32, r uint64) {
 	case c == cb:
 		e.push(r, ix)
 	case c-cb < wheel1Size:
-		e.wheel1[c&wheel1Mask] = append(e.wheel1[c&wheel1Mask], spillEntry{round: r, ix: ix})
-		e.wheel1Count++
+		e.push1(spillEntry{round: r, ix: ix})
 	default:
 		if len(e.spill) == 0 || r < e.spillMin {
 			e.spillMin = r
@@ -76,6 +75,18 @@ func (e *Engine) push(r uint64, ix int32) {
 	}
 	e.wheel[slot] = append(b, ix)
 	e.wheelCount++
+}
+
+// push1 appends en to the level-1 slot of its coarse bucket. Level 1 is
+// allocated here, on its first entry: a run whose wakes all fall inside
+// the current coarse bucket (wheelSize rounds) never pays for it.
+func (e *Engine) push1(en spillEntry) {
+	if e.wheel1 == nil {
+		e.wheel1 = make([][]spillEntry, wheel1Size)
+	}
+	c := en.round >> wheelBits
+	e.wheel1[c&wheel1Mask] = append(e.wheel1[c&wheel1Mask], en)
+	e.wheel1Count++
 }
 
 // horizon1 returns the first round past the level-1 window of the
@@ -138,11 +149,10 @@ func (e *Engine) migrateSpill(cb, horizon uint64) {
 			}
 			continue
 		}
-		if c := en.round >> wheelBits; c == cb {
+		if en.round>>wheelBits == cb {
 			e.push(en.round, en.ix)
 		} else {
-			e.wheel1[c&wheel1Mask] = append(e.wheel1[c&wheel1Mask], en)
-			e.wheel1Count++
+			e.push1(en)
 		}
 	}
 	e.spill = kept

@@ -168,3 +168,18 @@ func TestWheelRecyclesBuckets(t *testing.T) {
 		t.Fatalf("wheel holds %d bucket arrays after 1000 rounds, want <= 8", held)
 	}
 }
+
+// TestWheelLevel1Lazy pins level 1's lazy allocation: a run whose wakes
+// all fall before round wheelSize, inside the first coarse bucket, never
+// allocates it, and the first wake past that bucket does.
+func TestWheelLevel1Lazy(t *testing.T) {
+	e := slotEngine(64, 3, 32)
+	e.RunUntil(nil, 0, wheelSize-8)
+	if e.wheel1 != nil {
+		t.Fatalf("level 1 allocated after %d rounds whose wakes all fell before round %d", e.Round(), wheelSize)
+	}
+	e.RunUntil(nil, 0, wheelSize+8)
+	if e.wheel1 == nil {
+		t.Fatalf("level 1 still nil at round %d, after wakes past round %d", e.Round(), wheelSize)
+	}
+}

@@ -41,7 +41,8 @@
 // deduplication uses a per-device epoch stamp instead of sorting. The
 // wake calendar is a two-level hierarchical wheel (see clock.go): a
 // ring of one-round slots for the current coarse bucket, a ring of
-// coarse buckets covering the next ~16.7M rounds, and an unsorted
+// coarse buckets covering the next ~16.7M rounds (allocated when a wake
+// first lands past the current bucket), and an unsorted
 // overflow beyond that, so arbitrarily long cycles never trigger a
 // sort. A drained one-round slot hands its array to a free list that
 // later slots draw from, so the wheel holds one array per slot that is
@@ -148,9 +149,10 @@ type Engine struct {
 
 	// Two-level hierarchical wake wheel (see clock.go): wheel holds the
 	// current coarse bucket's rounds one slot each, wheel1 holds the
-	// next wheel1Size-1 coarse buckets one slot each, spill is the
-	// unsorted overflow beyond the level-1 horizon. wheelFree holds the
-	// emptied arrays of drained level-0 slots for reuse.
+	// next wheel1Size-1 coarse buckets one slot each (nil until a wake
+	// lands there), spill is the unsorted overflow beyond the level-1
+	// horizon. wheelFree holds the emptied arrays of drained level-0
+	// slots for reuse.
 	wheel       [][]int32
 	wheelFree   [][]int32
 	wheelBase   uint64
@@ -178,7 +180,6 @@ func NewEngine(m radio.Medium) *Engine {
 		Medium: m,
 		devIdx: make(map[int]int),
 		wheel:  make([][]int32, wheelSize),
-		wheel1: make([][]spillEntry, wheel1Size),
 	}
 }
 
