@@ -52,14 +52,16 @@ serve-smoke:
 # The two measured benchmark suites. The CI bench job runs these
 # targets (see .github/workflows/ci.yml), so local numbers are
 # comparable to the gated ones. bench is the sub-second dense-round,
-# small-broadcast, sparse-calendar and connectivity-pass suites, with
-# -benchmem so their B/op and allocs/op are gated too (OneHopRB's
-# broadcast benchmark lives in its driver package, which the root
-# package does not import); bench-scale is the 100k+ regime — single
+# small-broadcast, sparse-calendar, connectivity-pass and round
+# fan-out suites, with -benchmem so their B/op and allocs/op are gated
+# too (OneHopRB's broadcast benchmark lives in its driver package,
+# which the root package does not import; BenchmarkRoundFanout's
+# 4096-device rows, at one and two workers, are the suite's only
+# rounds that fan out); bench-scale is the 100k+ regime — single
 # iterations, 3 counts, -benchmem — plus the opt-in million-device
 # round when BENCH_SCALE_1M=1 is exported.
 bench:
-	go test -run '^$$' -bench 'BenchmarkDenseRound(Linear|Indexed|4096|Disk)|BenchmarkSingleBroadcast(NW|MP|Epidemic|OneHop)$$|BenchmarkSparseCalendar|BenchmarkLiveComponents(Cluster4096|Uniform16384)' \
+	go test -run '^$$' -bench 'BenchmarkDenseRound(Linear|Indexed|4096|Disk)|BenchmarkSingleBroadcast(NW|MP|Epidemic|OneHop)$$|BenchmarkSparseCalendar|BenchmarkLiveComponents(Cluster4096|Uniform16384)|BenchmarkRoundFanout/^n=4096$$/' \
 		-count 5 -benchtime 0.3s -benchmem . ./internal/sim ./internal/topo ./internal/proto/onehop/driver
 
 bench-scale:

@@ -8,9 +8,10 @@
 // without a rebuild through repeated `-param name=value` flags into
 // the core.Params bag. Every knob is a number: a value that is not one
 // exits 2 at flag parse, one the driver cannot take (a fractional
-// count, an out-of-range value) exits 1 at Build, and a knob the
-// protocol does not read (a misspelling, another protocol's knob) exits
-// 2 once the world is built.
+// count, an out-of-range value) exits 1 at Build, a knob the chosen
+// family preset pins exits 2 before building (the preset would win),
+// and a knob the protocol does not read (a misspelling, another
+// protocol's knob) exits 2 once the world is built.
 //
 // Examples:
 //
@@ -119,6 +120,10 @@ func main() {
 	drv, ok := core.Lookup(*proto)
 	if !ok {
 		fmt.Fprintf(os.Stderr, "unknown protocol %q; try -proto list\n", *proto)
+		os.Exit(2)
+	}
+	if err := checkKnobsPinned(drv.Name(), params.Params); err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 
@@ -327,6 +332,33 @@ func checkKnobsRead(w *core.World, knobs core.Params) error {
 	for _, name := range slices.Sorted(maps.Keys(knobs)) {
 		if !w.ParamRead(name) {
 			return fmt.Errorf("-param %s: %s reads no such knob", name, w.DriverName)
+		}
+	}
+	return nil
+}
+
+// checkKnobsPinned rejects a -param knob that the family preset named
+// by instance ("<family>/<preset>") pins: Build merges the preset over
+// the flags, so the flag would leave the run unchanged without a word.
+// A name that is not a preset pins nothing.
+func checkKnobsPinned(instance string, knobs core.Params) error {
+	family, preset, ok := strings.Cut(instance, "/")
+	if !ok {
+		return nil
+	}
+	drv, _ := core.Lookup(family)
+	fam, _ := drv.(core.FamilyDriver)
+	if fam == nil {
+		return nil
+	}
+	for _, inst := range fam.Instances() {
+		if inst.Name != preset {
+			continue
+		}
+		for _, name := range slices.Sorted(maps.Keys(knobs)) {
+			if v, pinned := inst.Params[name]; pinned {
+				return fmt.Errorf("-param %s: %s pins it to %v", name, instance, v)
+			}
 		}
 	}
 	return nil

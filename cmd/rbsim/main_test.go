@@ -4,6 +4,7 @@ import (
 	"errors"
 	"os"
 	"os/exec"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -185,37 +186,43 @@ func TestMixFlag(t *testing.T) {
 // (the flag package's usage text follows, as for any bad flag); a
 // number the driver cannot take exits 1 at Build; a knob the protocol
 // does not read, misspelled or another protocol's, exits 2 naming it;
-// and any spelling ParseParam takes runs.
+// a knob the chosen family preset pins exits 2 naming the preset; and
+// any spelling ParseParam takes runs.
 func TestParamFlag(t *testing.T) {
-	base := []string{"-proto", "gossip", "-grid", "5", "-range", "1.5"}
+	gossip := []string{"-proto", "gossip", "-grid", "5", "-range", "1.5"}
+	mp := []string{"-nodes", "200", "-side", "11", "-range", "3"}
 	for _, c := range []struct {
+		base          []string
 		param, stderr string
 		code          int
 	}{
-		{"x=true", `invalid value "x=true" for flag -param: param x: want a number, got "true"` + "\n", 2},
-		{"gossip.fanout=hi", `invalid value "gossip.fanout=hi" for flag -param: param gossip.fanout: want a number, got "hi"` + "\n", 2},
-		{"gossip.fanout=2.5", "core: building GossipRB: param gossip.fanout: want an int, got 2.5\n", 1},
-		{"gossip.fanout=0x2", "", 0},
-		{"gosip.fanout=1", "-param gosip.fanout: GossipRB reads no such knob\n", 2},
-		{"multipath.t=2", "-param multipath.t: GossipRB reads no such knob\n", 2},
+		{gossip, "x=true", `invalid value "x=true" for flag -param: param x: want a number, got "true"` + "\n", 2},
+		{gossip, "gossip.fanout=hi", `invalid value "gossip.fanout=hi" for flag -param: param gossip.fanout: want a number, got "hi"` + "\n", 2},
+		{gossip, "gossip.fanout=2.5", "core: building GossipRB: param gossip.fanout: want an int, got 2.5\n", 1},
+		{gossip, "gossip.fanout=0x2", "", 0},
+		{gossip, "gosip.fanout=1", "-param gosip.fanout: GossipRB reads no such knob\n", 2},
+		{gossip, "multipath.t=2", "-param multipath.t: GossipRB reads no such knob\n", 2},
+		{append([]string{"-proto", "MultiPathRB/t1"}, mp...), "multipath.t=2", "-param multipath.t: MultiPathRB/t1 pins it to 1\n", 2},
+		{append([]string{"-proto", "mp"}, mp...), "multipath.t=2", "", 0},
 	} {
-		stdout, stderr, err := runRbsim(append(base, "-param", c.param)...)
+		args := append(slices.Clone(c.base), "-param", c.param)
+		stdout, stderr, err := runRbsim(args...)
 		code := 0
 		if err != nil {
 			var exit *exec.ExitError
 			if !errors.As(err, &exit) {
-				t.Fatalf("-param %s: %v", c.param, err)
+				t.Fatalf("%v: %v", args, err)
 			}
 			code = exit.ExitCode()
 		}
 		if code != c.code {
-			t.Errorf("-param %s: exit status %d, want %d; stderr %q", c.param, code, c.code, stderr)
+			t.Errorf("%v: exit status %d, want %d; stderr %q", args, code, c.code, stderr)
 		}
 		if c.stderr == "" && stderr != "" || !strings.HasPrefix(stderr, c.stderr) {
-			t.Errorf("-param %s: stderr %q, want first line %q", c.param, stderr, c.stderr)
+			t.Errorf("%v: stderr %q, want first line %q", args, stderr, c.stderr)
 		}
 		if c.code == 0 && !strings.Contains(stdout, "correct:") {
-			t.Errorf("-param %s: no outcome printed:\n%s", c.param, stdout)
+			t.Errorf("%v: no outcome printed:\n%s", args, stdout)
 		}
 	}
 }

@@ -354,9 +354,14 @@ const (
 
 // acceptPair feeds a successful 2Bit exchange into stream k, converts
 // newly delivered bits into votes, and commits what the votes allow.
+// Only registerVote changes what tryCommit reads, so a pair the stream
+// rejects (an idle slot or a retransmission), delivering no bit, leaves
+// nothing new to commit and returns at once.
 func (n *Node) acceptPair(r uint64, k int, p onehop.Pair) {
 	s := &n.streams[k]
-	s.rcv.Accept(p)
+	if !s.rcv.Accept(p) {
+		return
+	}
 	got := s.rcv.Bits()
 	for ; s.counted < got.Len; s.counted++ {
 		n.registerVote(s.counted, got.Bit(s.counted), k)

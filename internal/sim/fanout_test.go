@@ -2,6 +2,8 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -106,6 +108,71 @@ func TestFanoutThreshold(t *testing.T) {
 		if got := atomic.LoadInt32(&sawPar) != 0; got != c.fanout {
 			t.Fatalf("%d wakes at 2 workers: two wakes in flight = %v, want %v", c.wakes, got, c.fanout)
 		}
+	}
+}
+
+// TestHelpersExitWhenIdle pins the fan-out helpers' lifetime: once a
+// fanned-out RunUntil returns, its helpers run out of polls and exit,
+// so the goroutine count falls back to what it was before the run, and
+// the next run that fans out starts them again. Even devices wake in
+// round 1 and odd ones in round 50, so each round's wakes spread over
+// both workers' index ranges, and the first device of each round holds
+// its wake open until another joins it.
+func TestHelpersExitWhenIdle(t *testing.T) {
+	e := NewEngine(&radio.DiskMedium{R: 1, Metric: geom.LInf})
+	e.Workers = 2
+	var inFlight, sawPar int32
+	for i := 0; i < 4*minPerWorker; i++ {
+		p := &parallelProbe{inFlight: &inFlight, sawPar: &sawPar}
+		p.scripted = *newScripted(i, geom.Point{X: float64(i), Y: 0})
+		if i < 2 {
+			p.hold = 10 * time.Second
+		}
+		e.Add(p, 1+49*uint64(i%2))
+	}
+	before := runtime.NumGoroutine()
+	for _, until := range []uint64{10, 60} {
+		atomic.StoreInt32(&sawPar, 0)
+		e.RunUntil(nil, 0, until)
+		if atomic.LoadInt32(&sawPar) == 0 {
+			t.Fatalf("run to round %d: never two wakes in flight together", until)
+		}
+		deadline := time.Now().Add(10 * time.Second)
+		for runtime.NumGoroutine() > before {
+			if time.Now().After(deadline) {
+				t.Fatalf("run to round %d: %d goroutines 10s after it returned, want %d", until, runtime.NumGoroutine(), before)
+			}
+			time.Sleep(time.Millisecond)
+		}
+	}
+}
+
+// TestWorkersChangeBetweenRuns pins that Workers may change between
+// runs: a larger value replaces the team of helpers (the old one's
+// helpers find no more phases and exit), a smaller one or 1 uses part
+// of it or none. 4096 plain devices all wake every round, so every
+// round fans out; each device's transmissions and decoded frames must
+// equal a run at one worker.
+func TestWorkersChangeBetweenRuns(t *testing.T) {
+	const n = 4096
+	tally := func(e *Engine) (tx []uint64, heard []int) {
+		for i := 0; i < n; i++ {
+			tx = append(tx, e.TxCount(i))
+			heard = append(heard, e.DeviceAt(i).(*slotDevice).heard)
+		}
+		return tx, heard
+	}
+	ref := slotEngine(n, 1, 8)
+	ref.RunUntil(nil, 0, 60)
+	refTx, refHeard := tally(ref)
+	e := slotEngine(n, 1, 8)
+	for k, w := range []int{2, 4, 1, 8, 3, 5} {
+		e.Workers = w
+		e.RunUntil(nil, 0, uint64(10*(k+1)))
+	}
+	tx, heard := tally(e)
+	if !slices.Equal(refTx, tx) || !slices.Equal(refHeard, heard) {
+		t.Fatal("runs at changing worker counts diverge from one worker's")
 	}
 }
 

@@ -26,16 +26,34 @@
 // each device gets one at Add, and a phase makes one WakeBlock or
 // DeliverBlock call per run of devices that share a handler. Both
 // phases are data-parallel across devices. With Workers > 1 the engine
-// fans a phase out over goroutines with a work-stealing cursor, so hot
-// spots (for example jammed regions, whose listeners are expensive to
-// resolve) do not serialize one worker's chunk, but only when the
-// phase is big enough to pay for the hand-off: each worker must get at
-// least 512 of the phase's wakes (phase A) or listeners (phase B).
-// Protocol-sized rounds, tens of wakes each, run on the calling
-// goroutine at any worker count.
+// fans a phase out, owner-computes, over the calling goroutine and a
+// team of persistent helper goroutines (resolver.parallel), but only
+// when the phase is big enough to pay for the hand-off: each worker
+// must get at least 512 of the phase's wakes (phase A) or listeners
+// (phase B). Protocol-sized rounds, tens of wakes each, run on the
+// calling goroutine at any worker count.
+//
+//   - Ownership: worker k owns the compact indices [k·n/W, (k+1)·n/W).
+//     In phase A and on the linear phase-B scan it wakes, and delivers
+//     to, only its own devices, taken from the round's list in list
+//     order, so a device's state stays in one core's cache round after
+//     round. Phase A's steps go to each worker's own contiguous region
+//     of the step array, and the fold reads them back in wake order.
+//     On the cell path each worker starts on its own contiguous range
+//     of shards.
+//   - Stealing: a worker with nothing left takes a share nobody has
+//     started, so a helper that is late, descheduled or absent
+//     (GOMAXPROCS 1) never stalls a phase, and hot spots (for example
+//     jammed regions, whose listeners are expensive to resolve) spread
+//     over the workers shard by shard.
+//   - Lifetime: after a phase a helper polls for the next one, yielding
+//     with runtime.Gosched between polls, up to a fixed count (a few
+//     milliseconds; the engine does not read the clock), then exits.
+//     The next phase that fans out starts it again, so nothing needs
+//     closing.
 //
 // The engine's hot loops are index-based and allocation-free after
-// warm-up, a fanned-out phase's goroutines aside. Devices get a compact
+// warm-up, a fanned-out phase's helper starts aside. Devices get a compact
 // index at Add; wake scheduling, step collection and delivery all
 // operate on dense slices keyed by that index, and per-round wake-up
 // deduplication uses a per-device epoch stamp instead of sorting. The
@@ -112,12 +130,18 @@ type Device interface {
 // Engine drives a set of devices over a shared medium.
 type Engine struct {
 	Medium radio.Medium
-	// Workers is the most goroutines a phase fans out to; values <= 1
+	// Workers is the most workers a phase fans out to; values <= 1
 	// run sequentially. A phase fans out to min(Workers, n/512)
-	// goroutines, n being its wakes (phase A) or listeners (phase B),
-	// so a round with fewer than 1024 of them runs on the calling
-	// goroutine whatever Workers says. Experiment-level fan-out is
-	// usually preferable.
+	// workers, n being its wakes (phase A) or listeners (phase B), so
+	// a round with fewer than 1024 of them runs on the calling
+	// goroutine whatever Workers says. The calling goroutine is one of
+	// the workers; the others are up to Workers-1 helper goroutines
+	// that wait a few milliseconds for the next phase and then exit,
+	// so an idle engine holds none and needs no Close. Each worker
+	// owns an equal contiguous range of the devices' compact indices
+	// and wakes and delivers to its own devices, so a device's state
+	// stays in one core's cache. Experiment-level fan-out is usually
+	// preferable.
 	Workers int
 	// OnRound, if non-nil, is invoked after each simulated round with
 	// the transmissions of that round (for tracing). Transmissions are

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"maps"
 	"runtime"
 	"slices"
 	"sync/atomic"
@@ -311,30 +312,70 @@ func (p *parallelProbe) Wake(r uint64) Step {
 	return Step{Action: Listen, NextWake: NoWake}
 }
 
+// delivery is one OnDeliver call.
+type delivery struct {
+	r   uint64
+	dev int
+	obs radio.Obs
+}
+
+// TestParallelExecutionMatchesSequential pins fanned-out rounds to one
+// worker: every observation, and the OnDeliver sequence, must equal
+// Workers 1's on both phase-B paths. Of 4*minPerWorker+2 devices, one
+// in four transmitting, the odd ones wake in round 1, the even ones in
+// round 2 and all of them in round 3, whose wake list holds the odd
+// devices (scheduled in round 1) before the even ones, so every
+// worker's wakes interleave with the others'. Round 3 fans both phases
+// out to all of 3 workers, whose owned index ranges 3 does not divide
+// evenly, and phase A to 4 at Workers 8. The last case runs 3 workers
+// under GOMAXPROCS 1, where the calling goroutine takes every share.
 func TestParallelExecutionMatchesSequential(t *testing.T) {
-	build := func(workers int) (*Engine, []*scripted) {
-		e := NewEngine(&radio.DiskMedium{R: 3, Metric: geom.LInf})
+	build := func(linear bool, workers int) ([]*scripted, []delivery) {
+		var m radio.Medium = &radio.DiskMedium{R: 3, Metric: geom.LInf}
+		if linear {
+			m = struct{ radio.Medium }{m} // hides the cell methods
+		}
+		e := NewEngine(m)
 		e.Workers = workers
-		// 2*minPerWorker wakes and as many listeners: both phases fan
-		// out to two workers.
-		devs := make([]*scripted, 3*minPerWorker)
+		var got []delivery
+		e.OnDeliver = func(r uint64, dev int, obs radio.Obs) { got = append(got, delivery{r, dev, obs}) }
+		devs := make([]*scripted, 4*minPerWorker+2)
 		for i := range devs {
 			devs[i] = newScripted(i, geom.Point{X: float64(i % 8), Y: float64(i / 8)})
-			if i%3 == 0 {
-				devs[i].plan[1] = Step{Action: Transmit, Frame: radio.Frame{Payload: uint64(i)}, NextWake: NoWake}
-			} else {
-				devs[i].plan[1] = Step{Action: Listen, NextWake: NoWake}
+			first := uint64(2 - i%2) // odd devices in round 1, even ones in round 2
+			for _, r := range []uint64{first, 3} {
+				st := Step{Action: Listen}
+				if (uint64(i)+r)%4 == 0 {
+					st = Step{Action: Transmit, Frame: radio.Frame{Payload: uint64(i) + r}}
+				}
+				st.NextWake = NoWake
+				if r == first {
+					st.NextWake = 3
+				}
+				devs[i].plan[r] = st
 			}
-			e.Add(devs[i], 1)
+			e.Add(devs[i], first)
 		}
 		e.RunUntil(nil, 0, 10)
-		return e, devs
+		return devs, got
 	}
-	_, seq := build(1)
-	_, par := build(8)
-	for i := range seq {
-		if seq[i].obs[1] != par[i].obs[1] {
-			t.Fatalf("device %d: sequential obs %+v != parallel obs %+v", i, seq[i].obs[1], par[i].obs[1])
+	for _, linear := range []bool{false, true} {
+		seq, seqRx := build(linear, 1)
+		for _, c := range []struct{ workers, procs int }{{3, 0}, {8, 0}, {3, 1}} {
+			t.Run(fmt.Sprintf("linear=%v/workers=%d/procs=%d", linear, c.workers, c.procs), func(t *testing.T) {
+				if c.procs > 0 {
+					defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(c.procs))
+				}
+				par, parRx := build(linear, c.workers)
+				for i := range seq {
+					if !maps.Equal(seq[i].obs, par[i].obs) {
+						t.Fatalf("device %d: sequential obs %+v != parallel obs %+v", i, seq[i].obs, par[i].obs)
+					}
+				}
+				if !slices.Equal(seqRx, parRx) {
+					t.Fatal("OnDeliver sequence differs from one worker's")
+				}
+			})
 		}
 	}
 }
@@ -1023,19 +1064,23 @@ func (d *plainFleetDev) Block() {} // not a BlockDevice: wrong signature shadows
 // sweeps bit-for-bit to the per-device Wake/Deliver path, sequentially
 // and with workers (the -race run covers the disjoint-handle contract),
 // for an all-block fleet and for one mixing block and plain devices
-// (runs of both handlers in every sweep). The routed runs put the
-// fleet behind a transport's Caller, which must see every wake and
-// every delivery: no block sweep may slip past a transport.
+// (runs of both handlers in every sweep). Observations and the
+// OnDeliver sequence must both match. The routed runs put the fleet
+// behind a transport's Caller, which must see every wake and every
+// delivery: no block sweep may slip past a transport.
 func TestBlockDeviceMatchesPerDevice(t *testing.T) {
-	// Every device wakes in round 1, so the workers runs fan it out.
-	const n, rounds = 2 * minPerWorker, 200
+	// Every device wakes in round 1, so the workers runs fan it out: to
+	// 2 workers, and to 3 over owned ranges 3 does not divide evenly.
+	const n, rounds = 3*minPerWorker + 1, 200
 	// run builds the fleet with every blockEvery-th device a
 	// BlockDevice (none when blockEvery is 0).
-	run := func(blockEvery int, routed bool, workers int) (*blockFleet, *countingCaller) {
+	run := func(blockEvery int, routed bool, workers int) (*blockFleet, *countingCaller, []delivery) {
 		m := radio.NewFriisMedium(2.5, 11)
 		m.LossProb = 0.2
 		e := NewEngine(m)
 		e.Workers = workers
+		var rx []delivery
+		e.OnDeliver = func(r uint64, dev int, obs radio.Obs) { rx = append(rx, delivery{r, dev, obs}) }
 		side := 1
 		for side*side < n {
 			side++
@@ -1063,28 +1108,36 @@ func TestBlockDeviceMatchesPerDevice(t *testing.T) {
 			}
 		}
 		e.RunUntil(nil, 0, rounds)
-		return g, cc
+		return g, cc, rx
 	}
-	ref, _ := run(0, false, 0)
+	ref, _, refRx := run(0, false, 0)
+	check := func(label string, blockEvery int, routed bool, workers int) {
+		got, cc, rx := run(blockEvery, routed, workers)
+		obs := 0
+		for i := range ref.log {
+			if !slices.Equal(ref.log[i], got.log[i]) {
+				t.Fatalf("%s: device %d observations diverge from the per-device path", label, i)
+			}
+			obs += len(got.log[i])
+		}
+		if !slices.Equal(refRx, rx) {
+			t.Fatalf("%s: OnDeliver sequence diverges from the per-device path", label)
+		}
+		if routed && (cc.wakes.Load() != got.wakes.Load() || cc.delivers.Load() != int64(obs)) {
+			t.Fatalf("%s: caller saw %d of %d wakes and %d of %d deliveries",
+				label, cc.wakes.Load(), got.wakes.Load(), cc.delivers.Load(), obs)
+		}
+	}
 	for _, blockEvery := range []int{1, 3} {
 		for _, routed := range []bool{false, true} {
-			for _, workers := range []int{0, 4} {
-				label := fmt.Sprintf("blockEvery=%d routed=%v workers=%d", blockEvery, routed, workers)
-				got, cc := run(blockEvery, routed, workers)
-				obs := 0
-				for i := range ref.log {
-					if !slices.Equal(ref.log[i], got.log[i]) {
-						t.Fatalf("%s: device %d observations diverge from the per-device path", label, i)
-					}
-					obs += len(got.log[i])
-				}
-				if routed && (cc.wakes.Load() != got.wakes.Load() || cc.delivers.Load() != int64(obs)) {
-					t.Fatalf("%s: caller saw %d of %d wakes and %d of %d deliveries",
-						label, cc.wakes.Load(), got.wakes.Load(), cc.delivers.Load(), obs)
-				}
+			for _, workers := range []int{0, 2, 3} {
+				check(fmt.Sprintf("blockEvery=%d routed=%v workers=%d", blockEvery, routed, workers), blockEvery, routed, workers)
 			}
 		}
 	}
+	// Under GOMAXPROCS 1 the calling goroutine takes every share.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	check("blockEvery=3 routed=false workers=3 GOMAXPROCS=1", 3, false, 3)
 }
 
 // strideDevice sleeps in a fixed stride, exercising pure scheduler cost
