@@ -28,6 +28,8 @@ golden:
 	go run ./cmd/rbexp -exp families -json -q -seed 1 > cmd/rbexp/testdata/families_golden.json
 	go run ./cmd/rbexp -exp matrix -json -q -seed 1 > cmd/rbexp/testdata/matrix_golden.json
 	go run ./cmd/rbexp -exp dropoff -json -q -seed 1 > cmd/rbexp/testdata/dropoff_golden.json
+	go run ./cmd/rbexp -exp epidemic -json -q -seed 1 > cmd/rbexp/testdata/epidemic_golden.json
+	go run ./cmd/rbexp -exp clustered -json -q -seed 1 > cmd/rbexp/testdata/clustered_golden.json
 
 # Diff rbexp's current output against the checked-in goldens without
 # touching them, failing loudly on any drift. The golden documents are
@@ -35,7 +37,7 @@ golden:
 # move them (the UDP equivalence tests pin that).
 golden-check:
 	@status=0; \
-	for exp in families matrix dropoff; do \
+	for exp in families matrix dropoff epidemic clustered; do \
 		go run ./cmd/rbexp -exp $$exp -json -q -seed 1 | \
 			diff -u cmd/rbexp/testdata/$${exp}_golden.json - || \
 			{ echo "GOLDEN DRIFT: $$exp (regenerate deliberately with 'make golden')"; status=1; }; \

@@ -38,6 +38,21 @@ func TestDropoffGoldenJSON(t *testing.T) {
 	checkGolden(t, "dropoff", experiment.Dropoff, "testdata/dropoff_golden.json")
 }
 
+// TestEpidemicGoldenJSON pins `rbexp -exp epidemic -json -seed 1`:
+// Epidemic, GossipRB, NeighborWatchRB and MultiPathRB t=3 completion
+// rounds on uniform L2 maps, the deployment the paper's simulations
+// use. Regenerate with `make golden`.
+func TestEpidemicGoldenJSON(t *testing.T) {
+	checkGolden(t, "epidemic", experiment.EpidemicComparison, "testdata/epidemic_golden.json")
+}
+
+// TestClusteredGoldenJSON pins `rbexp -exp clustered -json -seed 1`:
+// NeighborWatchRB with and without liars on uniform and clustered L2
+// maps. Regenerate with `make golden`.
+func TestClusteredGoldenJSON(t *testing.T) {
+	checkGolden(t, "clustered", experiment.ClusteredDeployment, "testdata/clustered_golden.json")
+}
+
 func checkGolden(t *testing.T, name string, run experiment.Runner, path string) {
 	t.Helper()
 	if testing.Short() {

@@ -26,6 +26,11 @@
 //	rbsim -proto onehop -grid 3 -range 5 -transport udp -fault drop10+dup5+delay20 -retrytimeout 5ms -retryjitter 0.2
 //	rbsim -proto nw -grid 9 -range 2 -mix churn10o8
 //
+// The map is a -grid, a -clusters map or, by default, a uniform one,
+// and a deployment flag the chosen map would ignore exits 2: a -grid
+// map takes none of -nodes, -side, -clusters and -sigma, and -sigma
+// needs -clusters.
+//
 // -mix is the one way to place adversaries: a compact label in
 // experiment.ParseMix's grammar, percentages of devices per kind joined
 // by '+' (liar5+crash5+jam7.5), jam and spoof with an optional
@@ -108,6 +113,8 @@ func main() {
 	var params core.ParamFlag
 	flag.Var(&params, "param", "driver knob name=number (repeatable, e.g. -param gossip.fanout=3)")
 	flag.Parse()
+	set := make(map[string]bool)
+	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
 
 	if strings.EqualFold(*proto, "list") {
 		fmt.Print(protocolList())
@@ -137,6 +144,10 @@ func main() {
 		os.Exit(2)
 	}
 	if err := checkNodes(*nodes, *grid); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
+	if err := checkMapFlags(set, *grid, *clusters); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
@@ -183,16 +194,12 @@ func main() {
 		os.Exit(2)
 	}
 	if *tport != "udp" {
-		udpOnly := map[string]bool{
-			"retrytimeout": true, "retrybackoff": true, "retryjitter": true,
-			"retries": true, "retrydeadline": true, "fault": true, "faultseed": true,
-		}
-		flag.Visit(func(f *flag.Flag) {
-			if udpOnly[f.Name] {
-				fmt.Fprintf(os.Stderr, "-%s needs -transport udp\n", f.Name)
+		for _, name := range []string{"fault", "faultseed", "retries", "retrybackoff", "retrydeadline", "retryjitter", "retrytimeout"} {
+			if set[name] {
+				fmt.Fprintf(os.Stderr, "-%s needs -transport udp\n", name)
 				os.Exit(2)
 			}
-		})
+		}
 	}
 	var transport *netmedium.Transport
 	if *tport == "udp" {
@@ -375,11 +382,28 @@ func checkMsgLen(n int) error {
 }
 
 // checkNodes rejects a -nodes count below 1 for the random maps, which
-// would build an empty deployment (or none). A -grid map ignores
-// -nodes.
+// would build an empty deployment (or none). A -grid map takes no
+// -nodes (see checkMapFlags).
 func checkNodes(nodes, grid int) error {
 	if grid <= 0 && nodes < 1 {
 		return fmt.Errorf("-nodes %d out of range; want at least 1", nodes)
+	}
+	return nil
+}
+
+// checkMapFlags rejects a deployment flag, set on the command line,
+// that the chosen map ignores: it would leave the run unchanged without
+// a word. A -grid map takes no -nodes, -side, -clusters or -sigma, and
+// a uniform map no -sigma.
+func checkMapFlags(set map[string]bool, grid, clusters int) error {
+	if grid > 0 {
+		for _, name := range []string{"nodes", "side", "clusters", "sigma"} {
+			if set[name] {
+				return fmt.Errorf("-%s does not apply to a -grid map", name)
+			}
+		}
+	} else if set["sigma"] && clusters <= 0 {
+		return errors.New("-sigma needs -clusters")
 	}
 	return nil
 }

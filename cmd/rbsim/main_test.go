@@ -93,7 +93,7 @@ func TestMain(m *testing.M) {
 // TestBadNodesExit2 runs rbsim with -nodes 0 and -nodes -5 on the
 // default random map: each must exit 2 with a one-line error, as a bad
 // -msglen does, instead of panicking while building the map. A -grid
-// map ignores -nodes.
+// map takes no -nodes at all, so -grid 3 -nodes 0 exits 2 as well.
 func TestBadNodesExit2(t *testing.T) {
 	for _, n := range []string{"0", "-5"} {
 		_, stderr, err := runRbsim("-nodes", n)
@@ -105,8 +105,43 @@ func TestBadNodesExit2(t *testing.T) {
 			t.Errorf("-nodes %s: stderr %q, want %q", n, stderr, want)
 		}
 	}
-	if _, stderr, err := runRbsim("-grid", "3", "-nodes", "0"); err != nil {
-		t.Errorf("-grid 3 -nodes 0: %v: %s", err, stderr)
+	_, stderr, err := runRbsim("-grid", "3", "-nodes", "0")
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+		t.Errorf("-grid 3 -nodes 0: exit %v, want status 2", err)
+	}
+	if want := "-nodes does not apply to a -grid map\n"; stderr != want {
+		t.Errorf("-grid 3 -nodes 0: stderr %q, want %q", stderr, want)
+	}
+}
+
+// TestMapFlagsExit2 runs rbsim with a deployment flag the chosen map
+// ignores: each exits 2 with one line naming the flag. A clustered map
+// takes all of them.
+func TestMapFlagsExit2(t *testing.T) {
+	grid := []string{"-grid", "5", "-range", "2"}
+	for _, c := range []struct {
+		args   []string
+		stderr string
+	}{
+		{append(slices.Clone(grid), "-nodes", "77"), "-nodes does not apply to a -grid map\n"},
+		{append(slices.Clone(grid), "-side", "3"), "-side does not apply to a -grid map\n"},
+		{append(slices.Clone(grid), "-clusters", "3"), "-clusters does not apply to a -grid map\n"},
+		{append(slices.Clone(grid), "-sigma", "9"), "-sigma does not apply to a -grid map\n"},
+		{[]string{"-nodes", "60", "-side", "10", "-range", "3", "-sigma", "0.5"}, "-sigma needs -clusters\n"},
+	} {
+		_, stderr, err := runRbsim(c.args...)
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Errorf("%v: exit %v, want status 2", c.args, err)
+		}
+		if stderr != c.stderr {
+			t.Errorf("%v: stderr %q, want %q", c.args, stderr, c.stderr)
+		}
+	}
+	args := []string{"-nodes", "60", "-side", "10", "-range", "3", "-clusters", "3", "-sigma", "1.5", "-maxrounds", "20000"}
+	if stdout, stderr, err := runRbsim(args...); err != nil || !strings.Contains(stdout, "correct:") {
+		t.Errorf("%v: %v: %s%s", args, err, stdout, stderr)
 	}
 }
 

@@ -76,7 +76,7 @@ func main() {
 	accepted, rejected, fooled := 0, 0, 0
 	for id, fn := range flood.Nodes {
 		an, ok := auth.Nodes[id]
-		if !ok || fn.IsLiar() {
+		if !ok {
 			continue
 		}
 		pm, ok1 := fn.Message()

@@ -9,8 +9,8 @@ import (
 	"authradio/internal/topo"
 )
 
-// ProtocolNode is what a driver adds for each participating device: a
-// simulated radio device whose protocol status the world can report.
+// ProtocolNode is what a driver adds for each honest device: a
+// simulated radio device whose protocol status the world scores.
 type ProtocolNode interface {
 	sim.Device
 	Status
@@ -94,8 +94,8 @@ func (b *WorldBuilder) SetCycle(c schedule.Cycle) { b.w.Cycle = c }
 // false so jammers target every round instead of never firing.
 func (b *WorldBuilder) SetJamVetoOnly(v bool) { b.jamVetoOnly = v }
 
-// AddDevice registers a raw device with the engine (used for the
-// source, which is not tracked as a protocol node).
+// AddDevice registers, with the engine only, a device the world does
+// not score: the source and every Liar-role device.
 func (b *WorldBuilder) AddDevice(d sim.Device) { b.w.Eng.Add(d, 0) }
 
 // AddNode registers an honest protocol node for device id. Devices the
@@ -112,13 +112,6 @@ func (b *WorldBuilder) AddNode(id int, n ProtocolNode) {
 		b.w.Eng.Add(c, 0)
 		return
 	}
-	b.w.Eng.Add(n, 0)
-}
-
-// AddLiar registers a lying protocol node for device id. Summarize
-// counts the transmissions of every Liar-role device as Byzantine.
-func (b *WorldBuilder) AddLiar(id int, n ProtocolNode) {
-	b.w.Nodes[id] = n
 	b.w.Eng.Add(n, 0)
 }
 

@@ -24,8 +24,9 @@
 //	res := w.Run(10_000_000)
 //
 // Roles assign per-device behaviour: honest protocol nodes, crashed
-// devices (absent), liars (protocol-specific fake-message propagation)
-// and budgeted jammers.
+// devices (absent), liars (protocol-specific fake-message propagation),
+// budgeted jammers and spoofers, and churning devices. Roles alone say
+// who is honest: World.Nodes holds only the honest protocol nodes.
 package core
 
 import (
@@ -128,13 +129,10 @@ type Config struct {
 	Params Params
 }
 
-// Status is the uniform read-only view of a protocol node.
+// Status is what the world reads of an honest protocol node.
 type Status interface {
-	ID() int
-	IsLiar() bool
 	Complete() bool
 	CompletedAt() uint64
-	CommittedBits() int
 	Message() (bitcodec.Message, bool)
 }
 
@@ -145,7 +143,7 @@ type World struct {
 	// that built this world.
 	DriverName string
 	Eng        *sim.Engine
-	Nodes      map[int]Status // protocol devices (honest + liars), by id
+	Nodes      map[int]Status // honest protocol nodes (churning ones too, not the source), by id
 	Jammers    []*adversary.Jammer
 	Spoofers   []*adversary.Spoofer
 	// Churners are the crash-recover wrappers around Churn devices'
@@ -214,6 +212,11 @@ func Build(cfg Config, opts ...Option) (*World, error) {
 	if cfg.Roles != nil {
 		if len(cfg.Roles) != d.N() {
 			return nil, fmt.Errorf("core: roles length %d != %d devices", len(cfg.Roles), d.N())
+		}
+		for i, r := range cfg.Roles {
+			if r > Churn {
+				return nil, fmt.Errorf("core: device %d has undeclared role %d", i, r)
+			}
 		}
 		if cfg.Roles[cfg.SourceID] != Honest {
 			return nil, fmt.Errorf("core: source device must be honest")
@@ -342,7 +345,7 @@ func (w *World) Close() error { return w.Eng.Close() }
 // HonestDone reports whether every honest node has completed.
 func (w *World) HonestDone() bool {
 	for _, n := range w.Nodes {
-		if !n.IsLiar() && !n.Complete() {
+		if !n.Complete() {
 			return false
 		}
 	}
@@ -425,12 +428,8 @@ func (w *World) Run(maxRounds uint64) Result {
 
 // Summarize computes the Result at the given end round.
 func (w *World) Summarize(end uint64) Result {
-	res := Result{EndRound: end}
+	res := Result{EndRound: end, Honest: len(w.Nodes)}
 	for _, n := range w.Nodes {
-		if n.IsLiar() {
-			continue
-		}
-		res.Honest++
 		if !n.Complete() {
 			continue
 		}
@@ -467,7 +466,7 @@ func (w *World) Summarize(end uint64) Result {
 	}
 	res.SrcCompSize = uf.SizeOf(w.Cfg.SourceID)
 	for id, n := range w.Nodes {
-		if !n.IsLiar() && uf.Same(w.Cfg.SourceID, id) {
+		if uf.Same(w.Cfg.SourceID, id) {
 			res.SrcHonest++
 			if n.Complete() {
 				res.SrcComplete++

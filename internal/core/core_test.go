@@ -6,7 +6,9 @@
 package core_test
 
 import (
+	"maps"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -40,6 +42,11 @@ func TestBuildErrors(t *testing.T) {
 			r[0] = Liar
 			return r
 		}()}, "source device must be honest"},
+		{"undeclared-role", Config{Deploy: d, Msg: msg4(), SourceID: -1, Roles: func() []Role {
+			r := make([]Role, 25)
+			r[3] = Role(9)
+			return r
+		}()}, "device 3 has undeclared role 9"},
 		{"fake-len", Config{Deploy: d, Msg: msg4(), SourceID: -1, FakeMsg: bitcodec.NewMessage(1, 2)}, "fake message length"},
 		{"bad-protocol", Config{Deploy: d, Msg: msg4(), SourceID: -1, ProtocolName: "NoSuchProtocol"}, "unknown protocol"},
 	}
@@ -131,6 +138,46 @@ func TestRolesMixedRun(t *testing.T) {
 	}
 	if res.ByzTx == 0 {
 		t.Error("Byzantine transmissions not accounted")
+	}
+}
+
+// TestRoleContract builds, for every built-in protocol, one world
+// holding every role, and checks that the role table alone decides
+// allegiance: World.Nodes holds exactly the honest and churning devices
+// other than the source, Result.Honest counts them, and ByzTx is what
+// the liar, the jammer and the spoofer sent.
+func TestRoleContract(t *testing.T) {
+	d := topo.Grid(9, 9, 2)
+	roles := make([]Role, d.N())
+	roles[0], roles[1], roles[8], roles[72], roles[80] = Liar, Crashed, Jammer, Spoofer, Churn
+	byz := []int{0, 8, 72}
+	for _, p := range []string{"NeighborWatchRB", "NeighborWatchRB-2vote", "MultiPathRB", "Epidemic", "GossipRB"} {
+		t.Run(p, func(t *testing.T) {
+			w, err := Build(Config{Deploy: d, ProtocolName: p, Msg: msg4(), SourceID: -1, Roles: roles, Seed: 3})
+			if err != nil {
+				t.Fatal(err)
+			}
+			res := w.Run(20_000)
+			var want []int
+			for i, r := range roles {
+				if i != w.Cfg.SourceID && (r == Honest || r == Churn) {
+					want = append(want, i)
+				}
+			}
+			if got := slices.Sorted(maps.Keys(w.Nodes)); !slices.Equal(got, want) {
+				t.Fatalf("Nodes holds %v, want %v", got, want)
+			}
+			if res.Honest != len(w.Nodes) {
+				t.Fatalf("Honest %d, but the world holds %d nodes", res.Honest, len(w.Nodes))
+			}
+			var tx uint64
+			for _, i := range byz {
+				tx += w.Eng.TxCount(i)
+			}
+			if tx == 0 || res.ByzTx != tx {
+				t.Fatalf("ByzTx %d, the liar, jammer and spoofer sent %d", res.ByzTx, tx)
+			}
+		})
 	}
 }
 

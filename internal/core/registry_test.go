@@ -28,10 +28,8 @@ func (n *fakeNode) ID() int                           { return n.id }
 func (n *fakeNode) Pos() geom.Point                   { return n.pos }
 func (n *fakeNode) Wake(r uint64) sim.Step            { return sim.Step{Action: sim.Sleep, NextWake: sim.NoWake} }
 func (n *fakeNode) Deliver(uint64, radio.Obs)         {}
-func (n *fakeNode) IsLiar() bool                      { return false }
 func (n *fakeNode) Complete() bool                    { return true }
 func (n *fakeNode) CompletedAt() uint64               { return 1 }
-func (n *fakeNode) CommittedBits() int                { return n.msg.Len }
 func (n *fakeNode) Message() (bitcodec.Message, bool) { return n.msg, true }
 
 // fakeDriver populates one node per non-source device.

@@ -56,7 +56,7 @@ func (Driver) Build(cfg core.Config, b *core.WorldBuilder) error {
 		case b.Role(i) == core.Honest:
 			b.AddNode(i, NewNode(sh, i))
 		case b.Role(i) == core.Liar:
-			b.AddLiar(i, NewLiar(sh, i, cfg.FakeMsg))
+			b.AddDevice(NewLiar(sh, i, cfg.FakeMsg))
 		}
 	}
 	return nil

@@ -71,7 +71,6 @@ type Node struct {
 
 	msg         bitcodec.Message
 	has         bool
-	liar        bool
 	txLeft      int
 	completedAt uint64
 }
@@ -92,11 +91,11 @@ func NewSource(sh *Shared, msg bitcodec.Message) *Node {
 	return n
 }
 
-// NewLiar builds a node flooding a fake message from the start.
+// NewLiar builds a node flooding a fake message from the start; its
+// driver registers it as a plain device, outside the honest metrics.
 func NewLiar(sh *Shared, id int, fake bitcodec.Message) *Node {
 	n := NewNode(sh, id)
 	n.adopt(fake, 0)
-	n.liar = true
 	return n
 }
 
@@ -115,9 +114,6 @@ func (n *Node) ID() int { return n.id }
 
 // Pos implements sim.Device.
 func (n *Node) Pos() geom.Point { return n.pos }
-
-// IsLiar reports whether this node floods a fake message.
-func (n *Node) IsLiar() bool { return n.liar }
 
 // Complete reports whether the node holds a message.
 func (n *Node) Complete() bool { return n.has }

@@ -12,6 +12,8 @@ import (
 	"authradio/internal/xrand"
 )
 
+// world wires up a full flood. nodes holds the source and the honest
+// nodes; liars, as in core, are engine devices and nothing else.
 type world struct {
 	d     *topo.Deployment
 	sh    *Shared
@@ -31,7 +33,8 @@ func buildWorld(d *topo.Deployment, msg bitcodec.Message, liars map[int]bitcodec
 		case i == src:
 			n = NewSource(sh, msg)
 		case liars[i].Len > 0:
-			n = NewLiar(sh, i, liars[i])
+			eng.Add(NewLiar(sh, i, liars[i]), 0)
+			continue
 		default:
 			n = NewNode(sh, i)
 		}
@@ -94,9 +97,6 @@ func TestLiarRacesSource(t *testing.T) {
 	w.run(100000)
 	fakes := 0
 	for _, n := range w.nodes {
-		if n.IsLiar() {
-			continue
-		}
 		if m, ok := n.Message(); ok && m.Equal(fake) {
 			fakes++
 		}

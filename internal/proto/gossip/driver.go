@@ -101,7 +101,7 @@ func (Driver) Build(cfg core.Config, b *core.WorldBuilder) error {
 		case b.Role(i) == core.Honest:
 			b.AddNode(i, epidemic.NewNode(sh, i))
 		case b.Role(i) == core.Liar:
-			b.AddLiar(i, epidemic.NewLiar(sh, i, cfg.FakeMsg))
+			b.AddDevice(epidemic.NewLiar(sh, i, cfg.FakeMsg))
 		}
 	}
 	return nil

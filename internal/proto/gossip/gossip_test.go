@@ -140,14 +140,13 @@ func TestLiarFloodsFake(t *testing.T) {
 	sh := shared(t, 1, 1)
 	fake := bitcodec.NewMessage(0b010, 3)
 	l := epidemic.NewLiar(sh, 2, fake)
-	if !l.IsLiar() || !l.Complete() {
+	if !l.Complete() {
 		t.Fatal("liar not preloaded")
 	}
 	if got, _ := l.Message(); !got.Equal(fake) {
 		t.Fatal("liar holds wrong message")
 	}
-	honest := epidemic.NewNode(sh, 3)
-	if honest.IsLiar() {
-		t.Fatal("honest node flagged as liar")
+	if epidemic.NewNode(sh, 3).Complete() {
+		t.Fatal("honest node starts with a message")
 	}
 }

@@ -68,7 +68,7 @@ func (Driver) Build(cfg core.Config, b *core.WorldBuilder) error {
 		case core.Honest:
 			b.AddNode(i, NewNode(sh, i))
 		case core.Liar:
-			b.AddLiar(i, NewLiar(sh, i, cfg.FakeMsg))
+			b.AddDevice(NewLiar(sh, i, cfg.FakeMsg))
 		}
 	}
 	return nil

@@ -205,9 +205,6 @@ func (n *Node) ID() int { return n.id }
 // Pos implements sim.Device.
 func (n *Node) Pos() geom.Point { return n.pos }
 
-// IsLiar reports whether the node was built by NewLiar.
-func (n *Node) IsLiar() bool { return n.liar }
-
 // Complete reports whether every bit has been committed.
 func (n *Node) Complete() bool { return n.complete }
 

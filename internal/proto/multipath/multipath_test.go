@@ -15,6 +15,8 @@ import (
 	"authradio/internal/xrand"
 )
 
+// world wires up a full MultiPathRB run. As in core, nodes holds the
+// honest nodes only; liars are engine devices and nothing else.
 type world struct {
 	d      *topo.Deployment
 	sh     *Shared
@@ -44,12 +46,11 @@ func buildWorld(d *topo.Deployment, msg bitcodec.Message, cfg worldCfg) *world {
 		if cfg.active != nil && !cfg.active[i] {
 			continue
 		}
-		var n *Node
 		if fake, ok := cfg.liars[i]; ok {
-			n = NewLiar(sh, i, fake)
-		} else {
-			n = NewNode(sh, i)
+			eng.Add(NewLiar(sh, i, fake), 0)
+			continue
 		}
+		n := NewNode(sh, i)
 		w.nodes[i] = n
 		eng.Add(n, 0)
 	}
@@ -59,7 +60,7 @@ func buildWorld(d *topo.Deployment, msg bitcodec.Message, cfg worldCfg) *world {
 func (w *world) run(maxRounds uint64) uint64 {
 	stop := func(uint64) bool {
 		for _, n := range w.nodes {
-			if !n.IsLiar() && !n.Complete() {
+			if !n.Complete() {
 				return false
 			}
 		}
@@ -69,11 +70,8 @@ func (w *world) run(maxRounds uint64) uint64 {
 }
 
 func (w *world) outcomes(want bitcodec.Message) (honest, complete, correct int) {
+	honest = len(w.nodes)
 	for _, n := range w.nodes {
-		if n.IsLiar() {
-			continue
-		}
-		honest++
 		if !n.Complete() {
 			continue
 		}
@@ -218,7 +216,7 @@ func TestAccessorsAndPanics(t *testing.T) {
 	ns := schedule.GreedyNodeSchedule(d, 3*d.R, schedule.SlotLen, true, 12)
 	sh := NewShared(d, ns, 4, 12, 1, nil)
 	n := NewNode(sh, 0)
-	if n.ID() != 0 || n.Pos() != d.Pos[0] || n.IsLiar() || n.Complete() {
+	if n.ID() != 0 || n.Pos() != d.Pos[0] || n.Complete() {
 		t.Error("fresh node state wrong")
 	}
 	if _, ok := n.Message(); ok {
@@ -229,7 +227,7 @@ func TestAccessorsAndPanics(t *testing.T) {
 	}
 	fake := bitcodec.NewMessage(0xF, 4)
 	l := NewLiar(sh, 1, fake)
-	if !l.IsLiar() || !l.Complete() || l.CommittedBits() != 4 {
+	if !l.Complete() || l.CommittedBits() != 4 {
 		t.Error("liar state wrong")
 	}
 	if m, ok := l.Message(); !ok || !m.Equal(fake) {

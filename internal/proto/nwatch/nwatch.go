@@ -127,7 +127,6 @@ type Node struct {
 	// eight adjacent squares' and the source's), so 16 bits hold them.
 	votes      [][2]uint16
 	fromSource []int8 // -1 unset, else 0/1: value delivered directly by the source
-	liar       bool
 
 	completedAt uint64
 	complete    bool
@@ -158,12 +157,11 @@ func NewLiar(sh *Shared, id int, fake bitcodec.Message) *Node {
 		panic("nwatch: fake message length mismatch")
 	}
 	n := newNode(sh, id)
-	n.liar = true
 	for i := 0; i < fake.Len; i++ {
 		n.send.Append(fake.Bit(i))
 	}
-	// A liar is "complete" from the start; it never reports into the
-	// honest completion metrics (the experiment layer filters liars).
+	// A liar is "complete" from the start; its driver registers it as a
+	// plain device, outside the honest metrics.
 	n.complete = true
 	return n
 }
@@ -235,9 +233,6 @@ func (n *Node) Pos() geom.Point { return n.pos }
 
 // Square returns the node's square.
 func (n *Node) Square() schedule.Square { return n.sq }
-
-// IsLiar reports whether the node was built by NewLiar.
-func (n *Node) IsLiar() bool { return n.liar }
 
 // Complete reports whether the node has committed every message bit.
 func (n *Node) Complete() bool { return n.complete }

@@ -15,12 +15,14 @@ import (
 )
 
 // world wires up a full NeighborWatchRB run over the analytical disk
-// medium.
+// medium. As in core, nodes holds the honest nodes only; liars are
+// engine devices kept aside.
 type world struct {
 	d      *topo.Deployment
 	sh     *Shared
 	eng    *sim.Engine
 	nodes  map[int]*Node
+	liars  []*Node
 	source *onehop.Source
 }
 
@@ -56,10 +58,11 @@ func buildWorld(d *topo.Deployment, msg bitcodec.Message, cfg worldCfg) *world {
 		var n *Node
 		if fake, ok := cfg.liars[i]; ok {
 			n = NewLiar(sh, i, fake)
+			w.liars = append(w.liars, n)
 		} else {
 			n = NewNode(sh, i)
+			w.nodes[i] = n
 		}
-		w.nodes[i] = n
 		eng.Add(n, 0)
 	}
 	return w
@@ -70,7 +73,7 @@ func buildWorld(d *topo.Deployment, msg bitcodec.Message, cfg worldCfg) *world {
 func (w *world) run(maxRounds uint64) uint64 {
 	stop := func(uint64) bool {
 		for _, n := range w.nodes {
-			if !n.IsLiar() && !n.Complete() {
+			if !n.Complete() {
 				return false
 			}
 		}
@@ -82,9 +85,6 @@ func (w *world) run(maxRounds uint64) uint64 {
 func (w *world) honestOutcomes(t *testing.T, want bitcodec.Message) (complete, correct int) {
 	t.Helper()
 	for _, n := range w.nodes {
-		if n.IsLiar() {
-			continue
-		}
 		if !n.Complete() {
 			continue
 		}
@@ -100,24 +100,14 @@ func (w *world) honestOutcomes(t *testing.T, want bitcodec.Message) (complete, c
 	return
 }
 
-func honestCount(w *world) int {
-	c := 0
-	for _, n := range w.nodes {
-		if !n.IsLiar() {
-			c++
-		}
-	}
-	return c
-}
-
 func TestBroadcastReachesAllGrid(t *testing.T) {
 	msg := bitcodec.NewMessage(0b1011, 4)
 	d := topo.Grid(9, 9, 2)
 	w := buildWorld(d, msg, worldCfg{})
 	end := w.run(200000)
 	complete, correct := w.honestOutcomes(t, msg)
-	if complete != honestCount(w) {
-		t.Fatalf("only %d/%d nodes complete by round %d", complete, honestCount(w), end)
+	if complete != len(w.nodes) {
+		t.Fatalf("only %d/%d nodes complete by round %d", complete, len(w.nodes), end)
 	}
 	if correct != complete {
 		t.Fatalf("%d/%d complete nodes got a wrong message", complete-correct, complete)
@@ -133,8 +123,8 @@ func TestBroadcastAllZerosAndAllOnes(t *testing.T) {
 		w := buildWorld(d, msg, worldCfg{})
 		w.run(200000)
 		complete, correct := w.honestOutcomes(t, msg)
-		if complete != honestCount(w) || correct != complete {
-			t.Fatalf("msg %04b: complete=%d correct=%d of %d", bits, complete, correct, honestCount(w))
+		if complete != len(w.nodes) || correct != complete {
+			t.Fatalf("msg %04b: complete=%d correct=%d of %d", bits, complete, correct, len(w.nodes))
 		}
 	}
 }
@@ -148,12 +138,12 @@ func TestBroadcastUniformDeployment(t *testing.T) {
 	w := buildWorld(d, msg, worldCfg{side: d.R / 3})
 	end := w.run(500000)
 	complete, correct := w.honestOutcomes(t, msg)
-	if complete != honestCount(w) {
+	if complete != len(w.nodes) {
 		// Square-grid connectivity is stricter than radio connectivity;
 		// allow a small shortfall only if squares are sparse.
-		t.Logf("complete %d/%d at round %d", complete, honestCount(w), end)
-		if complete < honestCount(w)*9/10 {
-			t.Fatalf("too few completions: %d/%d", complete, honestCount(w))
+		t.Logf("complete %d/%d at round %d", complete, len(w.nodes), end)
+		if complete < len(w.nodes)*9/10 {
+			t.Fatalf("too few completions: %d/%d", complete, len(w.nodes))
 		}
 	}
 	if correct != complete {
@@ -170,8 +160,8 @@ func TestTwoVoteVariantDelivers(t *testing.T) {
 	if correct != complete {
 		t.Fatalf("2-vote: %d wrong deliveries", complete-correct)
 	}
-	if complete < honestCount(w)*8/10 {
-		t.Fatalf("2-vote: only %d/%d complete", complete, honestCount(w))
+	if complete < len(w.nodes)*8/10 {
+		t.Fatalf("2-vote: only %d/%d complete", complete, len(w.nodes))
 	}
 }
 
@@ -188,22 +178,16 @@ func TestLiarInMixedSquareBlocked(t *testing.T) {
 	// (3,3) = {60, 61, 69, 70}; 40, the grid's center, is the source.
 	liars := map[int]bitcodec.Message{10: fake, 60: fake}
 	w := buildWorld(d, msg, worldCfg{liars: liars, side: 2})
-	built := 0
-	for _, n := range w.nodes {
-		if n.IsLiar() {
-			built++
-		}
-	}
-	if built != len(liars) {
-		t.Fatalf("world built %d liars, want %d", built, len(liars))
+	if len(w.liars) != len(liars) {
+		t.Fatalf("world built %d liars, want %d", len(w.liars), len(liars))
 	}
 	w.run(400000)
 	complete, correct := w.honestOutcomes(t, msg)
 	if correct != complete {
 		t.Fatalf("liar corrupted %d honest nodes despite honest square-mates", complete-correct)
 	}
-	if complete != honestCount(w) {
-		t.Fatalf("complete %d/%d", complete, honestCount(w))
+	if complete != len(w.nodes) {
+		t.Fatalf("complete %d/%d", complete, len(w.nodes))
 	}
 }
 
@@ -225,7 +209,7 @@ func TestAllLiarSquareAuthenticity(t *testing.T) {
 	w := buildWorld(d, msg, worldCfg{liars: liars, side: 2})
 	w.run(400000)
 	for _, n := range w.nodes {
-		if n.IsLiar() || !n.Complete() {
+		if !n.Complete() {
 			continue
 		}
 		m, _ := n.Message()
@@ -290,8 +274,8 @@ func TestCrashedNodesDoNotBlockOthers(t *testing.T) {
 	if correct != complete {
 		t.Fatalf("crash run produced %d wrong deliveries", complete-correct)
 	}
-	if complete < honestCount(w)*9/10 {
-		t.Fatalf("crash run: only %d/%d complete", complete, honestCount(w))
+	if complete < len(w.nodes)*9/10 {
+		t.Fatalf("crash run: only %d/%d complete", complete, len(w.nodes))
 	}
 }
 
@@ -338,8 +322,8 @@ func TestJammingDelaysButDelivers(t *testing.T) {
 	end := w.run(400000)
 
 	complete, correct := w.honestOutcomes(t, msg)
-	if complete != honestCount(w) {
-		t.Fatalf("jammed run incomplete: %d/%d", complete, honestCount(w))
+	if complete != len(w.nodes) {
+		t.Fatalf("jammed run incomplete: %d/%d", complete, len(w.nodes))
 	}
 	if correct != complete {
 		t.Fatalf("jamming corrupted %d deliveries", complete-correct)
@@ -385,13 +369,13 @@ func TestNodeAccessors(t *testing.T) {
 	if _, ok := n.Message(); ok {
 		t.Error("incomplete node returned message")
 	}
-	if n.IsLiar() {
-		t.Error("honest node marked liar")
-	}
 	fake := bitcodec.NewMessage(0b1111, 4)
 	l := NewLiar(sh, 1, fake)
-	if !l.IsLiar() || l.CommittedBits() != 4 {
+	if !l.Complete() || l.CommittedBits() != 4 {
 		t.Error("liar misconfigured")
+	}
+	if m, _ := l.Message(); !m.Equal(fake) {
+		t.Error("liar holds the wrong message")
 	}
 	if n.Square() != g.SquareOf(d.Pos[0]) {
 		t.Error("square wrong")

@@ -14,11 +14,11 @@
 // goldens pin. Binaries that want it (cmd/rbsim, transport tests)
 // import it explicitly.
 //
-// A lying node replays the 1Hop sender role with a fake message in the
-// same slots as the source. Both streams collide at every listener, so
-// honest receivers observe activity they cannot decode, vetoes fire,
-// and the stream stalls: the liar can suppress delivery (1Hop offers
-// no multi-path redundancy) but can never cause a spurious delivery —
+// A liar is an onehop.Source, like the source, streaming a fake message
+// in the same slots. Both streams collide at every listener, so honest
+// receivers observe activity they cannot decode, vetoes fire, and the
+// stream stalls: the liar can suppress delivery (1Hop offers no
+// multi-path redundancy) but can never cause a spurious delivery —
 // silence cannot be forged.
 package onehopdrv
 
@@ -52,45 +52,15 @@ func (Driver) Build(cfg core.Config, b *core.WorldBuilder) error {
 	for i := 0; i < d.N(); i++ {
 		switch {
 		case i == cfg.SourceID:
-			b.AddDevice(newSender(i, d.Pos[i], cyc, cfg.Msg, false))
+			b.AddDevice(onehop.NewSource(i, d.Pos[i], cyc, 0, onehop.Pairs(cfg.Msg)))
 		case b.Role(i) == core.Honest:
 			b.AddNode(i, newReceiver(i, d.Pos[i], cfg.Msg.Len))
 		case b.Role(i) == core.Liar:
-			b.AddLiar(i, newSender(i, d.Pos[i], cyc, cfg.FakeMsg, true))
+			b.AddDevice(onehop.NewSource(i, d.Pos[i], cyc, 0, onehop.Pairs(cfg.FakeMsg)))
 		}
 	}
 	return nil
 }
-
-// sender streams a message over consecutive 2Bit slots: the source
-// role, also replayed by liars with a fake message.
-type sender struct {
-	*onehop.Source
-	msg  bitcodec.Message
-	liar bool
-}
-
-func newSender(id int, pos geom.Point, cyc schedule.Cycle, msg bitcodec.Message, liar bool) *sender {
-	src := onehop.NewSource(id, pos, cyc, 0, onehop.Pairs(msg))
-	return &sender{Source: src, msg: msg, liar: liar}
-}
-
-// IsLiar implements core.Status.
-func (s *sender) IsLiar() bool { return s.liar }
-
-// Complete implements core.Status: a sender holds its message from the
-// start (the source is complete by definition; a liar's "completion" is
-// excluded from honest metrics anyway).
-func (s *sender) Complete() bool { return true }
-
-// CompletedAt implements core.Status.
-func (s *sender) CompletedAt() uint64 { return 0 }
-
-// CommittedBits implements core.Status.
-func (s *sender) CommittedBits() int { return s.msg.Len }
-
-// Message implements core.Status.
-func (s *sender) Message() (bitcodec.Message, bool) { return s.msg, true }
 
 // receiver reassembles the stream from successful 2Bit exchanges.
 type receiver struct {
@@ -138,16 +108,13 @@ func (n *receiver) Deliver(r uint64, obs radio.Obs) {
 	}
 }
 
-// IsLiar implements core.Status.
-func (n *receiver) IsLiar() bool { return false }
-
 // Complete implements core.Status.
 func (n *receiver) Complete() bool { return n.str.Complete() }
 
 // CompletedAt implements core.Status.
 func (n *receiver) CompletedAt() uint64 { return n.completedAt }
 
-// CommittedBits implements core.Status.
+// CommittedBits returns how many stream bits the receiver holds.
 func (n *receiver) CommittedBits() int { return n.str.Received() }
 
 // Message implements core.Status.

@@ -76,12 +76,12 @@ func TestOneHopLiarSafety(t *testing.T) {
 	if res.Complete != 0 {
 		t.Fatalf("liar run delivered: %+v", res)
 	}
+	if len(w.Nodes) != d.N()-2 {
+		t.Fatalf("world holds %d receivers, want %d", len(w.Nodes), d.N()-2)
+	}
 	for id, n := range w.Nodes {
-		if n.IsLiar() {
-			continue
-		}
-		if n.CommittedBits() != 0 {
-			t.Fatalf("node %d committed %d bits under a liar", id, n.CommittedBits())
+		if got := n.(interface{ CommittedBits() int }).CommittedBits(); got != 0 {
+			t.Fatalf("node %d committed %d bits under a liar", id, got)
 		}
 	}
 }
